@@ -560,13 +560,11 @@ class Compactor:
             self._sweep_deletions(now)
             return "committed"
         output_seq = journal.get("output_seq")
-        output_ok = True
+        output: List[Segment] = []
         if output_seq is not None:
-            seg = load_segment(
-                os.path.join(self.directory, segment_name(output_seq)),
-                output_seq,
-            )
-            output_ok = seg is not None
+            seg = self.store.load(output_seq)
+            output = [seg] if seg is not None else []
+        output_ok = output_seq is None or bool(output)
         retired = journal.get("retired")
         # A retired name whose generation is the journal's target was
         # *created* by the dead swap; anything older is the previous
@@ -610,13 +608,6 @@ class Compactor:
             journal["inputs"],
             journal["to_generation"],
         )
-        output = []
-        if output_seq is not None:
-            seg = load_segment(
-                os.path.join(self.directory, segment_name(output_seq)),
-                output_seq,
-            )
-            output = [seg] if seg is not None else []
         self._require_lock(lock)
         self._commit(
             journal["to_generation"], output,
@@ -834,7 +825,7 @@ class Compactor:
             path = write_segment(
                 self.directory, output_seq, state, fault=stepped()
             )
-            seg = load_segment(path, output_seq)
+            seg = self.store.load(output_seq)
             if seg is None:  # pragma: no cover - write+load invariant
                 raise QueryError(
                     f"freshly compacted segment {path!r} failed validation"

@@ -38,10 +38,19 @@ durably, then rewrites the manifest (temp/fsync/rename/dir-fsync);
 segment list the :class:`~repro.query.engine.QueryEngine` queries,
 quarantining any segment a pending compaction intent journal names as
 its uncommitted output (see :mod:`repro.query.compact`).
+
+Validation is memoized by content digest: the store keeps the SHA-256
+of the exact bytes it validated for each segment it serves, reads
+every listed file on every refresh, and re-validates a file in full
+whenever its bytes hash differently (``query.segment_parses``);
+byte-identical files are served from the memo
+(``query.segment_reuses``). Validation is a pure function of the
+bytes, so this is exactly equivalent to re-validating everything.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,7 +60,8 @@ from repro.errors import QueryError
 from repro.query.segment import (
     Segment,
     SegmentState,
-    load_segment,
+    parse_segment,
+    segment_name,
     sequence_of,
     write_segment,
 )
@@ -223,6 +233,9 @@ class SegmentStore:
         self.tombstone_skips = 0
         self.quarantined = 0
         self._retired_cache: Optional[Tuple[Optional[str], dict]] = None
+        # seq -> (SHA-256 of the bytes validated, the Segment they made),
+        # one entry per served segment.
+        self._validated: Dict[int, Tuple[bytes, Segment]] = {}
         os.makedirs(directory, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -249,13 +262,56 @@ class SegmentStore:
         return highest + 1
 
     # ------------------------------------------------------------------
+    def load(self, seq: int) -> Optional[Segment]:
+        """Segment ``seq`` of this directory validated from the bytes on
+        disk now, or None when the file is missing or invalid."""
+        with self._lock:
+            return self._load_locked(
+                seq, os.path.join(self.directory, segment_name(seq))
+            )
+
+    def _load_locked(self, seq: int, path: str) -> Optional[Segment]:
+        # Always read the whole file; validate in full unless the bytes
+        # hash to what was validated for this seq before.
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            return None
+        digest = hashlib.sha256(data).digest()
+        memo = self._validated.get(seq)
+        if memo is not None and memo[0] == digest:
+            obs.counter("query.segment_reuses").inc()
+            return memo[1]
+        obs.counter("query.segment_parses").inc()
+        seg = parse_segment(path, seq, data)
+        if seg is None:
+            self._validated.pop(seq, None)
+        else:
+            self._validated[seq] = (digest, seg)
+        return seg
+
+    def _serve_locked(self, segments: List[Segment]) -> None:
+        """Make ``segments`` the served list; the memo keeps only them."""
+        self._segments = segments
+        served = {seg.seq for seg in segments}
+        for seq in [s for s in self._validated if s not in served]:
+            del self._validated[seq]
+        obs.gauge("query.segments").set(len(segments))
+        obs.gauge("query.segment_rows").set(
+            sum(len(s.rows) for s in segments)
+        )
+
+    # ------------------------------------------------------------------
     def refresh(self) -> List[Segment]:
         """Replay the manifest (verified against disk) into segments.
 
-        Every served segment is fully validated regardless of what the
-        manifest claims; the manifest only tells us what *should* be
-        there, so drift (stale entries, orphan segments, corrupt files)
-        is observable in the counters rather than silent.
+        Every served segment is validated from the bytes on disk
+        regardless of what the manifest claims; the manifest only tells
+        us what *should* be there, so drift (stale entries, orphan
+        segments, corrupt files) is observable in the counters rather
+        than silent. Each listed file is read in full; bytes identical
+        to those validated before are served from the memo.
 
         Consistency under a concurrent generation swap: files named by
         tombstones (deletions, possibly deferred) and by a pending
@@ -297,7 +353,7 @@ class SegmentStore:
                     self.quarantined += 1
                     obs.counter("query.segments_quarantined").inc()
                     continue
-                seg = load_segment(path, seq)
+                seg = self._load_locked(seq, path)
                 if seg is None:
                     self.rejected += 1
                     obs.counter("query.segments_rejected").inc()
@@ -312,14 +368,10 @@ class SegmentStore:
                 obs.counter("query.refresh_retries").inc()
                 last = segments
                 continue
-            self._segments = segments
+            self._serve_locked(segments)
             self._retired_cache = None
-            obs.gauge("query.segments").set(len(segments))
-            obs.gauge("query.segment_rows").set(
-                sum(len(s.rows) for s in segments)
-            )
             return list(segments)
-        self._segments = last  # pragma: no cover - pathological churn
+        self._serve_locked(last)  # pragma: no cover - pathological churn
         return list(last)
 
     def segments(self) -> List[Segment]:
@@ -388,7 +440,7 @@ class SegmentStore:
                 self._refresh_locked()
             seq = self._next_seq_locked()
             path = write_segment(self.directory, seq, state, fault=fault)
-            seg = load_segment(path, seq)
+            seg = self._load_locked(seq, path)
             if seg is None:  # pragma: no cover - write+load invariant
                 raise QueryError(
                     f"freshly written segment {path!r} failed validation"
@@ -448,7 +500,7 @@ class SegmentStore:
                 for seq, path in self._listing():
                     if seq in drop or seq in dead or seq in have:
                         continue
-                    seg = load_segment(path, seq)
+                    seg = self._load_locked(seq, path)
                     if seg is not None:
                         cached.append(seg)
             for seg in cached:
@@ -467,12 +519,8 @@ class SegmentStore:
             self.generation = int(generation)
             self.tombstones = list(tombstones)
             self.retired_name = retired
-            self._segments = survivors
+            self._serve_locked(survivors)
             self._retired_cache = None
-            obs.gauge("query.segments").set(len(survivors))
-            obs.gauge("query.segment_rows").set(
-                sum(len(s.rows) for s in survivors)
-            )
             return list(survivors)
 
     def stats(self) -> dict:

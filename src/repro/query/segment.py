@@ -53,6 +53,7 @@ un-renamed, modelling a crash mid-flush.
 
 from __future__ import annotations
 
+import io
 import os
 import time
 from dataclasses import dataclass
@@ -75,6 +76,7 @@ __all__ = [
     "Segment",
     "SegmentState",
     "load_segment",
+    "parse_segment",
     "segment_name",
     "sequence_of",
     "span_overlaps",
@@ -400,7 +402,7 @@ def write_segment(
 # Read path
 # ----------------------------------------------------------------------
 def load_segment(path: str, seq: Optional[int] = None) -> Optional[Segment]:
-    """Parse and validate one segment file; None when invalid.
+    """Read and validate one segment file; None when invalid.
 
     Validation is total: line checksums, header shape, section CRCs,
     pid resolution, index-vs-rows equivalence, and footer totals must
@@ -411,9 +413,24 @@ def load_segment(path: str, seq: Optional[int] = None) -> Optional[Segment]:
         if seq is None:
             return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    return parse_segment(path, seq, data)
+
+
+def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
+    """Validate ``data``, the bytes of segment file ``path``; None when
+    invalid (see :func:`load_segment`).
+
+    The bytes are decoded exactly as reading the file in text mode
+    would (UTF-8, universal newlines), so a caller that reads the file
+    once can hash and validate the very same bytes.
+    """
+    try:
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+    except UnicodeDecodeError:
         return None
     if not lines:
         return None

@@ -17,6 +17,11 @@ hot paths when constructed with ``chaos=ChaosConfig(...)``:
   leaving a half-done swap the intent journal must roll forward or
   back.
 
+Neither write hook arms more than :data:`MAX_ARMED_STREAK` times in a
+row: the call after such a streak always returns None, so a caller
+that retries a crashed write a dozen times is guaranteed progress
+whatever the rates, the seed, or the threads drawing from the RNG.
+
 :func:`run_chaos` is the harness behind ``python -m repro chaos``: for
 each seeded iteration it builds a fuzz case, floods a fully-resilient
 service under all fault injectors at once, then asserts the two laws
@@ -54,6 +59,7 @@ from repro.errors import (
 from repro.service.ingest import WorkerKilled
 
 __all__ = [
+    "MAX_ARMED_STREAK",
     "ChaosConfig",
     "ChaosInjector",
     "ChaosReport",
@@ -61,6 +67,10 @@ __all__ = [
     "kill_during_flush_failures",
     "run_chaos",
 ]
+
+#: Most crash hooks one write kind (checkpoint, compaction) arms in a
+#: row; below the 12 attempts :func:`run_chaos` gives each write.
+MAX_ARMED_STREAK = 8
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,16 @@ class ChaosInjector:
         self.decode_faults = 0
         self.checkpoint_crashes = 0
         self.compaction_crashes = 0
+        self._streaks = {"checkpoint": 0, "compaction": 0}
+
+    def _arm(self, kind: str, rate: float, max_after: int) -> Optional[int]:
+        """The record count a new ``kind`` crash hook fires after, or
+        None for no hook (caller holds the lock)."""
+        if self._streaks[kind] >= MAX_ARMED_STREAK or self._rng.random() >= rate:
+            self._streaks[kind] = 0
+            return None
+        self._streaks[kind] += 1
+        return self._rng.randint(0, max_after)
 
     # -- WorkerPool `fault` hook ----------------------------------------
     def worker_fault(self, slot: int) -> None:
@@ -145,11 +165,13 @@ class ChaosInjector:
     def checkpoint_fault(self) -> Optional[Callable[[int], None]]:
         """Maybe a crash hook for one checkpoint write (else None)."""
         with self._lock:
-            if self._rng.random() >= self.config.checkpoint_crash_rate:
-                return None
-            crash_after = self._rng.randint(
-                0, self.config.checkpoint_crash_after_records
+            crash_after = self._arm(
+                "checkpoint",
+                self.config.checkpoint_crash_rate,
+                self.config.checkpoint_crash_after_records,
             )
+        if crash_after is None:
+            return None
 
         def crash(records: int) -> None:
             if records > crash_after:
@@ -172,11 +194,13 @@ class ChaosInjector:
         byte of the generation swap.
         """
         with self._lock:
-            if self._rng.random() >= self.config.compaction_crash_rate:
-                return None
-            crash_after = self._rng.randint(
-                0, self.config.compaction_crash_after_records
+            crash_after = self._arm(
+                "compaction",
+                self.config.compaction_crash_rate,
+                self.config.compaction_crash_after_records,
             )
+        if crash_after is None:
+            return None
 
         def crash(records: int) -> None:
             if records > crash_after:
@@ -761,9 +785,10 @@ def _chaos_iteration(
 
     def flush_segments_retried() -> None:
         # Same discipline as checkpoints below: injected write crashes
-        # are retried, a refusal is a failure. The writer's baseline
-        # only advances on success, so a retried flush re-covers the
-        # exact same delta.
+        # are retried (MAX_ARMED_STREAK < 12 guarantees an attempt
+        # without a crash hook), a refusal is a failure. The writer's
+        # baseline only advances on success, so a retried flush
+        # re-covers the exact same delta.
         for _ in range(12):
             try:
                 service.flush_segments()
@@ -819,8 +844,8 @@ def _chaos_iteration(
 
         # Durable snapshot — retried past injected write crashes, like a
         # checkpoint daemon would keep trying. At least one attempt runs
-        # fault-free because the injector's crash decisions are seeded
-        # and independent per attempt.
+        # without a crash hook: the injector never arms more than
+        # MAX_ARMED_STREAK hooks of one kind in a row.
         for _ in range(12):
             try:
                 service.checkpoint()

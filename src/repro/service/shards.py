@@ -193,7 +193,7 @@ class ShardedContextTree:
         merged = self._merged_counts(epoch)
         if decoded:
             ranked = sorted(
-                ((count, self.store.path(pid)) for pid, count in merged.items()),
+                zip(merged.values(), self.store.paths(merged)),
                 key=lambda item: (-item[0], item[1]),
             )
         else:
@@ -231,8 +231,9 @@ class ShardedContextTree:
                         key = self.store.name_of(leaf) if decoded else leaf
                         totals[key] = totals.get(key, 0) + count
             return totals
-        for pid, count in self._merged_counts(epoch).items():
-            for name in set(self.store.path(pid)):
+        merged = self._merged_counts(epoch)
+        for path, count in zip(self.store.paths(merged), merged.values()):
+            for name in set(path):
                 key: object = name if decoded else self.store._name_ids[name]
                 totals[key] = totals.get(key, 0) + count
         return totals
@@ -240,8 +241,9 @@ class ShardedContextTree:
     def merged_report(self) -> ContextTreeReport:
         """One tree containing every shard's contexts (a fresh copy)."""
         report = ContextTreeReport()
-        for pid, count in self._merged_counts().items():
-            report.add_path(self.store.path(pid), count)
+        merged = self._merged_counts()
+        for path, count in zip(self.store.paths(merged), merged.values()):
+            report.add_path(path, count)
         return report
 
     @property
@@ -329,15 +331,18 @@ class ShardedContextTree:
         query segments written from these rows are therefore
         byte-deterministic.
         """
-        out: List[Tuple[Path, int, int, int]] = []
+        rows: List[Tuple[int, int, int, int]] = []
         for shard in self._shards:
             with shard.lock:
-                rows = [
+                rows.extend(
                     (pid, epoch, count, shard.gap_counts.get((pid, epoch), 0))
                     for (pid, epoch), count in shard.counts.items()
-                ]
-            for pid, epoch, count, gaps in rows:
-                out.append((self.store.path(pid), count, gaps, epoch))
+                )
+        paths = self.store.paths(row[0] for row in rows)
+        out = [
+            (path, count, gaps, epoch)
+            for path, (_pid, epoch, count, gaps) in zip(paths, rows)
+        ]
         out.sort(key=lambda row: (row[0], row[3]))
         return out
 

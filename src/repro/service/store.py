@@ -23,6 +23,11 @@ The store is shared by every shard of a
 works across shards) and guarded by one lock; after the
 dedup-then-decode pass interning happens once per *distinct* context per
 batch, so the lock is not on the per-sample path.
+
+Whole-store reads (segment flushes, checkpoints, decoded top-K and
+rollups) decode many pids at once through :meth:`ContextStore.paths`,
+which unseals each block at most once per call and builds each trie
+node's path once, from its parent's path.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import threading
 import zlib
 from array import array
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ServiceError, StoreCorruptionError
 
@@ -42,6 +47,9 @@ COMPRESSIONS = ("zlib", "none")
 
 #: Sentinel node id for "no parent" (the trie root).
 _ROOT = -1
+#: Pids :meth:`ContextStore.paths` decodes per hold of the store lock, so
+#: a concurrent ``intern`` waits for one chunk, never a whole-store decode.
+_PATHS_CHUNK = 1024
 
 
 class _SealedBlock:
@@ -58,6 +66,11 @@ class _SealedBlock:
 
 class ContextStore:
     """Interned context paths behind integer ids (pids).
+
+    :meth:`intern` maps a path to its pid; :meth:`paths` decodes many
+    pids in one pass (each sealed block unsealed and CRC-checked at most
+    once per call, each trie node's path built once from its parent's)
+    and :meth:`path` decodes one.
 
     Parameters
     ----------
@@ -242,18 +255,57 @@ class ContextStore:
 
     def path(self, pid: int) -> Tuple[str, ...]:
         """Reconstruct the context path behind ``pid``."""
-        with self._lock:
-            total = len(self._sealed) * self.block_size + len(self._open_parent)
-            if pid != _ROOT and not 0 <= pid < total:
-                raise ServiceError(f"unknown context id {pid}")
-            out: List[str] = []
-            node = pid
-            while node != _ROOT:
-                parent, name_id = self._node(node)
-                out.append(self._names[name_id])
-                node = parent
-            out.reverse()
-            return tuple(out)
+        return self.paths((pid,))[0]
+
+    def paths(self, pids: Iterable[int]) -> List[Tuple[str, ...]]:
+        """The context paths behind ``pids``, in the same order.
+
+        One pass for any number of pids: each sealed block is unsealed
+        and CRC-checked at most once per call, and each trie node's path
+        is built once, from its parent's path, however many pids share
+        it. The store lock is held per chunk of :data:`_PATHS_CHUNK`
+        pids; trie nodes never change once added, so what earlier chunks
+        decoded stays valid while ``intern`` runs between them.
+
+        Raises :class:`~repro.errors.ServiceError` for an unknown pid and
+        :class:`~repro.errors.StoreCorruptionError` when a block fails
+        its check.
+        """
+        pids = list(pids)
+        block_size = self.block_size
+        built: Dict[int, Tuple[str, ...]] = {_ROOT: ()}
+        views: Dict[int, Tuple[array, array]] = {}
+        out: List[Tuple[str, ...]] = []
+        for lo in range(0, len(pids), _PATHS_CHUNK):
+            with self._lock:
+                names = self._names
+                sealed = len(self._sealed)
+                total = sealed * block_size + len(self._open_parent)
+                # The open block's columns only grow, and sealing keeps
+                # them as that block's hot view, so they stay valid.
+                views[sealed] = (self._open_parent, self._open_name)
+                for pid in pids[lo:lo + _PATHS_CHUNK]:
+                    path = built.get(pid)
+                    if path is None:
+                        if not 0 <= pid < total:
+                            raise ServiceError(f"unknown context id {pid}")
+                        # Walk up to the nearest node already built, then
+                        # build every node on the way back down.
+                        chain: List[Tuple[int, int]] = []
+                        node = pid
+                        while path is None:
+                            block, offset = divmod(node, block_size)
+                            view = views.get(block)
+                            if view is None:
+                                view = views[block] = self._block_view(block)
+                            chain.append((node, view[1][offset]))
+                            node = view[0][offset]
+                            path = built.get(node)
+                        for node, name_id in reversed(chain):
+                            path = path + (names[name_id],)
+                            built[node] = path
+                    out.append(path)
+        return out
 
     def name_of(self, name_id: int) -> str:
         """The interned function name behind ``name_id``."""
@@ -285,18 +337,18 @@ class ContextStore:
         only on the contents: pids here are sorted by their decoded
         path (lexicographic), which is unique per pid by construction.
         """
-        with self._lock:
-            pids = list(self._paths)
-        return sorted(pids, key=self.path)
+        return [pid for pid, _path in self.iter_paths()]
 
     def iter_paths(self) -> List[Tuple[int, Tuple[str, ...]]]:
         """``(pid, path)`` for every retained context, stable order.
 
         The companion of :meth:`snapshot_ids` for consumers that want
-        the decoded paths too (one lock round-trip per pid; the hot
-        blocks keep repeated prefix walks cheap).
+        the decoded paths too (decoded in one :meth:`paths` pass).
         """
-        return [(pid, self.path(pid)) for pid in self.snapshot_ids()]
+        with self._lock:
+            pids = list(self._paths)
+        pairs = sorted(zip(self.paths(pids), pids))
+        return [(pid, path) for path, pid in pairs]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

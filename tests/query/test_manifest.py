@@ -4,6 +4,8 @@ import json
 import os
 import zlib
 
+from repro import obs
+from repro.query.compact import CompactionPolicy, Compactor, write_journal
 from repro.query.manifest import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
@@ -213,3 +215,131 @@ class TestGenerationAndTombstones:
         lines[0] = _line(header)
         open(path, "w").writelines(lines)
         assert load_manifest_info(str(tmp_path)) is None
+
+
+def parses():
+    return obs.counter("query.segment_parses").value
+
+
+def reuses():
+    return obs.counter("query.segment_reuses").value
+
+
+class TestValidationMemo:
+    """Validation is memoized by the digest of the bytes validated.
+
+    Every case drives one ``SegmentStore`` instance across refreshes,
+    the way a long-lived query engine does.
+    """
+
+    def test_refresh_reuses_what_append_validated(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        before = parses()
+        for i in range(3):
+            store.append(state(10 * i, 10 * i + 10))
+        assert parses() == before + 3  # one read-back per append
+        hits = reuses()
+        assert [s.seq for s in store.refresh()] == [1, 2, 3]
+        assert parses() == before + 3
+        assert reuses() == hits + 3
+        assert sorted(store._validated) == [1, 2, 3]
+
+    def test_same_length_rewrite_with_restored_mtime_is_rejected(
+        self, tmp_path
+    ):
+        """Size and mtime are unchanged, only the bytes differ: a cache
+        keyed on file metadata would keep serving the old segment."""
+        store = SegmentStore(str(tmp_path))
+        store.append(state(0, 10))
+        path = store.append(state(10, 20))
+        assert [s.seq for s in store.refresh()] == [1, 2]
+        meta = os.stat(path)
+        data = bytearray(open(path, "rb").read())
+        # Change the first CRC digit of the footer line: same length,
+        # and the line no longer checks.
+        footer = data.rstrip(b"\n").rfind(b"\n") + 1
+        data[footer] = ord("1") if data[footer] != ord("1") else ord("2")
+        with open(path, "r+b") as fh:
+            fh.write(data)
+        os.utime(path, ns=(meta.st_atime_ns, meta.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (
+            meta.st_size, meta.st_mtime_ns
+        )
+        rejected, before = store.rejected, parses()
+        assert [s.seq for s in store.refresh()] == [1]
+        assert store.rejected == rejected + 1
+        assert parses() == before + 1  # only the changed file re-parsed
+        assert sorted(store._validated) == [1]
+
+    def test_byte_identical_replacement_is_not_reparsed(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        path = store.append(state(0, 10))
+        served = store.refresh()[0]
+        data = open(path, "rb").read()
+        os.unlink(path)
+        with open(path, "wb") as fh:  # a new file holding the same bytes
+            fh.write(data)
+        before, hits = parses(), reuses()
+        again = store.refresh()
+        assert [s.seq for s in again] == [1]
+        assert again[0] is served
+        assert parses() == before
+        assert reuses() == hits + 1
+
+    def test_memoized_seq_tombstoned_elsewhere_is_not_served(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        store.append(state(0, 10))
+        store.append(state(10, 20))
+        assert [s.seq for s in store.refresh()] == [1, 2]
+        # Another process tombstones seq 1; its file stays on disk.
+        tombs = [{"seq": 1, "rows": 3, "samples": 6,
+                  "reason": "compacted", "generation": 1}]
+        SegmentStore(str(tmp_path)).commit_generation(
+            1, [], set(), tombs, None
+        )
+        assert os.path.exists(tmp_path / segment_name(1))
+        assert [s.seq for s in store.refresh()] == [2]
+        assert sorted(store._validated) == [2]
+
+    def test_memoized_seq_quarantined_by_journal_is_not_served(
+        self, tmp_path
+    ):
+        store = SegmentStore(str(tmp_path))
+        for i in range(3):
+            store.append(state(10 * i, 10 * i + 10))
+        assert [s.seq for s in store.refresh()] == [1, 2, 3]
+        # A pending swap names seq 3 as its uncommitted output.
+        write_journal(str(tmp_path), {
+            "from_generation": 0,
+            "to_generation": 1,
+            "inputs": [[1, 3, 6], [2, 3, 6]],
+            "output_seq": 3,
+            "retired": None,
+            "drop_spans": 0,
+            "drop_rows": 0,
+            "drop_samples": 0,
+        })
+        quarantined = store.quarantined
+        assert [s.seq for s in store.refresh()] == [1, 2]
+        assert store.quarantined == quarantined + 1
+        assert sorted(store._validated) == [1, 2]
+
+    def test_memo_holds_only_served_seqs_after_a_swap(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        for i in range(4):
+            store.append(state(10 * i, 10 * i + 10))
+        store.refresh()
+        before = parses()
+        report = Compactor(store, CompactionPolicy(min_inputs=2)).compact(
+            force=True
+        )
+        assert report is not None
+        # The inputs came from the memo; only the output was validated.
+        assert parses() == before + 1
+        served = [s.seq for s in store.segments()]
+        assert served == [report["output_seq"]]
+        assert sorted(store._validated) == served
+        assert [s.seq for s in store.refresh()] == served
+        assert sorted(store._validated) == served
+        assert parses() == before + 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ChaosError, ResilienceError
 from repro.resilience.chaos import (
+    MAX_ARMED_STREAK,
     ChaosConfig,
     ChaosInjector,
     conservation_failures,
@@ -171,6 +172,33 @@ class TestCompactionFault:
     def test_rate_validation(self):
         with pytest.raises(ResilienceError):
             ChaosConfig(compaction_crash_rate=1.5)
+
+
+class TestArmedStreakCap:
+    """At rate 1.0 every write would crash forever; the cap makes the
+    retry loops in ``run_chaos`` (12 attempts) progress by construction."""
+
+    def injector(self):
+        return ChaosInjector(
+            ChaosConfig(seed=38, checkpoint_crash_rate=1.0,
+                        compaction_crash_rate=1.0)
+        )
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "compaction"])
+    def test_full_rate_arms_at_most_the_cap_in_a_row(self, kind):
+        assert MAX_ARMED_STREAK < 12
+        arm = getattr(self.injector(), f"{kind}_fault")
+        armed = [arm() is not None for _ in range(3 * (MAX_ARMED_STREAK + 1))]
+        assert armed == ([True] * MAX_ARMED_STREAK + [False]) * 3
+
+    def test_streaks_are_counted_per_kind(self):
+        injector = self.injector()
+        for _ in range(MAX_ARMED_STREAK):
+            assert injector.checkpoint_fault() is not None
+            assert injector.compaction_fault() is not None
+        assert injector.checkpoint_fault() is None
+        assert injector.compaction_fault() is None
+        assert injector.checkpoint_fault() is not None
 
 
 class TestKillDuringCompaction:

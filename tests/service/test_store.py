@@ -1,11 +1,14 @@
 """ContextStore: trie interning, block compression, and corruption."""
 
+import random
+import threading
 import zlib
 
 import pytest
 
 from repro.errors import ServiceError, StoreCorruptionError
-from repro.service.store import ContextStore
+from repro.service.shards import ShardedContextTree
+from repro.service.store import _PATHS_CHUNK, ContextStore
 
 
 PATHS = [
@@ -210,3 +213,92 @@ class TestSnapshotOrder:
         for pid, path in store.iter_paths():
             assert pids[path] == pid
         assert [p for _pid, p in store.iter_paths()] == sorted(PATHS)
+
+
+def random_store(seed, count=300):
+    """A many-block store (4 nodes per block, 1 hot) holding ``count``
+    seeded random paths; returns it with ``{pid: path}``."""
+    rng = random.Random(seed)
+    names = [f"fn{i}" for i in range(10)]
+    store = ContextStore(compression="zlib", block_size=4, hot_blocks=1)
+    interned = {}
+    for _ in range(count):
+        path = tuple(rng.choice(names) for _ in range(rng.randint(0, 9)))
+        interned[store.intern(path)] = path
+    return store, interned
+
+
+class _CountingLock:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.holds = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.holds += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestPathsBatch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_paths_return_exactly_the_interned_tuples(self, seed):
+        store, interned = random_store(seed)
+        assert store.stats()["sealed_blocks"] > 20
+        pids = list(interned)
+        random.Random(seed).shuffle(pids)
+        assert store.paths(pids) == [interned[pid] for pid in pids]
+        for pid in pids[:20]:
+            assert store.path(pid) == interned[pid]
+
+    def test_each_block_unsealed_at_most_once_per_call(self):
+        store, interned = random_store(7)
+        store._hot.clear()
+        before = store.unseals
+        store.paths(list(interned))
+        assert store.unseals - before <= store.stats()["sealed_blocks"]
+
+    def test_empty_path_and_duplicate_pids(self):
+        store = ContextStore(block_size=4, hot_blocks=1)
+        pids = fill(store)
+        assert pids[()] == -1
+        order = [-1, pids[("main", "parse")], -1, pids[("main", "parse")]]
+        assert store.paths(order) == [
+            (), ("main", "parse"), (), ("main", "parse"),
+        ]
+        assert store.paths([]) == []
+
+    @pytest.mark.parametrize("bad", [10_000, -2])
+    def test_unknown_pid_raises(self, bad):
+        store = ContextStore()
+        pids = fill(store)
+        with pytest.raises(ServiceError, match="unknown context id"):
+            store.paths([pids[("main",)], bad])
+
+    def test_lock_is_held_per_chunk(self):
+        store, interned = random_store(3, count=3 * _PATHS_CHUNK)
+        pids = list(interned) * 3
+        store._lock = lock = _CountingLock()
+        assert store.paths(pids) == [interned[pid] for pid in pids]
+        assert lock.holds == -(-len(pids) // _PATHS_CHUNK)
+
+    def test_corrupt_sealed_block_raises_through_paths_and_rows(self):
+        store = ContextStore(compression="zlib", block_size=4, hot_blocks=1)
+        tree = ShardedContextTree(shards=2, store=store)
+        rng = random.Random(11)
+        names = [f"fn{i}" for i in range(6)]
+        tree.add_counts(
+            (tuple(rng.choice(names) for _ in range(rng.randint(1, 8))),
+             False, 1, 0)
+            for _ in range(200)
+        )
+        pids = store.snapshot_ids()
+        store._sealed[0].payload = b"garbage"
+        store._hot.clear()
+        with pytest.raises(StoreCorruptionError):
+            store.paths(pids)
+        store._hot.clear()
+        with pytest.raises(StoreCorruptionError):
+            tree.rows()
