@@ -883,6 +883,7 @@ def _run_query(args: argparse.Namespace) -> int:
     import os
     import tempfile
 
+    from repro.errors import QueryError
     from repro.query.engine import QueryEngine
     from repro.query.manifest import SegmentStore
     from repro.query.segment import SegmentState
@@ -995,6 +996,8 @@ def _run_query(args: argparse.Namespace) -> int:
                 f"to {args.flame}"
             )
         return 0
+    except QueryError as exc:
+        sys.exit(f"query: {exc}")
     finally:
         if demo_tmp is not None:
             demo_tmp.cleanup()

@@ -12,18 +12,63 @@ renders it the way profilers print hot paths::
 Gap markers from hazardous UCPs become explicit ``<?>`` tree nodes, so
 dynamically loaded detours show up as their own subtrees instead of
 polluting known paths.
+
+:func:`top_k` is the one ranking rule every top-K query shares (the
+in-memory service and the durable query engine), so their answers can
+be compared entry for entry.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.decoder import DecodedContext
 
-__all__ = ["TreeNode", "ContextTreeReport"]
+__all__ = ["TreeNode", "ContextTreeReport", "top_k"]
 
 GAP = "<?>"
+
+
+def top_k(
+    counts: Mapping[Hashable, int],
+    k: int,
+    labels: Optional[Callable[[List[Hashable]], Iterable]] = None,
+) -> List[Tuple[int, object]]:
+    """The ``k`` largest ``counts`` as ``(count, label)`` pairs, count
+    descending, then label ascending.
+
+    Counts are ranked before any key is touched: ``heapq.nlargest``
+    finds the k-th largest count, and only the keys whose count reaches
+    it are labelled and compared. ``labels`` maps that candidate list
+    to the labels returned in its place (a batch decode of context ids
+    to paths, say); by default a key is its own label. When ``k``
+    covers every key this is one sort. ``k`` must not be negative.
+    """
+    if k <= 0 or not counts:
+        return []
+    if k < len(counts):
+        floor = heapq.nlargest(k, counts.values())[-1]
+        keys = [key for key, count in counts.items() if count >= floor]
+    else:
+        keys = list(counts)
+    ranked = list(zip(
+        [counts[key] for key in keys],
+        keys if labels is None else labels(keys),
+    ))
+    ranked.sort(key=lambda item: (-item[0], item[1]))
+    return ranked[:k]
 
 
 @dataclass

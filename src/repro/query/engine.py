@@ -2,10 +2,12 @@
 
 Every query reduces to the same primitive: sum the delta rows of the
 segments whose half-open window overlaps the query window (optionally
-filtered to one plan epoch), then shape the result. Because segments
-are immutable and the sum is order-independent, any answer is a pure
-function of the segment set — the property the chaos harness turns
-into a byte-equivalence oracle across crash/recovery.
+filtered to one plan epoch) into one plain integer per path, then shape
+the result. Because segments are immutable and the sum is
+order-independent, any answer is a pure function of the segment set —
+the property the chaos harness turns into a byte-equivalence oracle
+across crash/recovery. Top-K ranks those integers first and compares
+paths only for the contexts that can make the cut.
 
 Query shapes mirror the in-memory service API (``top_contexts``,
 ``function_totals``, ``ucp_stats``) plus the ones only a durable store
@@ -18,14 +20,17 @@ swap explains them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import QueryError
+from repro.postprocess import top_k
 from repro.query.flamegraph import to_folded
 from repro.query.manifest import SegmentStore
+from repro.query.segment import span_overlaps
 
 __all__ = ["QueryEngine", "WindowDiff", "ucp_forensics"]
 
@@ -37,9 +42,39 @@ def _check_window(window: Optional[Window]) -> Optional[Window]:
     if window is None:
         return None
     lo, hi = float(window[0]), float(window[1])
+    if math.isnan(lo) or math.isnan(hi):
+        raise QueryError(f"query window has a NaN bound: [{lo}, {hi})")
     if hi < lo:
         raise QueryError(f"query window is inverted: [{lo}, {hi})")
     return (lo, hi)
+
+
+def _live_spans(seg, window: Optional[Window]) -> Optional[List[bool]]:
+    """Which spans of a compacted segment the window overlaps.
+
+    None when every row counts: no window, a single-span segment (the
+    caller already kept only overlapping segments), or a window that
+    covers every span. Otherwise ``live[row_spans[i]]`` decides row
+    ``i``, so a merged segment answers exactly like the deltas it
+    replaced.
+    """
+    if window is None or not seg.state.multi_span:
+        return None
+    live = [span_overlaps(lo, hi, *window) for lo, hi in seg.spans]
+    return None if all(live) else live
+
+
+def _window_rows(seg, window: Optional[Window], epoch: Optional[int]):
+    """The rows of ``seg`` that count toward ``window`` and ``epoch``."""
+    rows = seg.rows
+    live = _live_spans(seg, window)
+    if live is not None:
+        rows = [
+            row for row, span in zip(rows, seg.state.row_spans) if live[span]
+        ]
+    if epoch is not None:
+        rows = [row for row in rows if row[3] == epoch]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -167,32 +202,22 @@ class QueryEngine:
         self,
         window: Optional[Window] = None,
         epoch: Optional[int] = None,
-        with_gaps: bool = False,
-    ) -> Dict[Path, List[int]]:
-        """Sum delta rows over every overlapping segment: {path: [count]}
-        (``with_gaps`` appends a gap-count slot).
+    ) -> Dict[Path, int]:
+        """Sum delta rows over every overlapping segment: {path: count},
+        zero counts dropped.
 
-        Compacted (multi-span) segments are filtered row by row: each
-        row counts only when *its own span* overlaps the window, so a
-        merged segment answers exactly like the deltas it replaced.
+        One plain integer per path and no per-row container, so a
+        query over many rows allocates nothing the garbage collector
+        tracks. Rows of a compacted (multi-span) segment count only
+        when *their own span* overlaps the window.
         """
         window = _check_window(window)
-        out: Dict[Path, List[int]] = {}
+        out: Dict[Path, int] = {}
+        get = out.get
         for seg in self.segments(window):
-            spanned = window is not None and seg.state.multi_span
-            for idx, (path, count, gaps, row_epoch) in enumerate(seg.rows):
-                if epoch is not None and row_epoch != epoch:
-                    continue
-                if spanned and not seg.row_overlaps(idx, *window):
-                    continue
-                slot = out.get(path)
-                if slot is None:
-                    out[path] = [count, gaps] if with_gaps else [count]
-                elif with_gaps:
-                    slot[0] += count
-                    slot[1] += gaps
-                else:
-                    slot[0] += count
+            for path, count, _gaps, _epoch in _window_rows(seg, window, epoch):
+                if count:
+                    out[path] = get(path, 0) + count
         return out
 
     # ------------------------------------------------------------------
@@ -206,19 +231,20 @@ class QueryEngine:
         """The ``k`` hottest contexts in the window, heaviest first.
 
         Same shape and tie-break as ``ContextService.top_contexts``
-        (count descending, then path ascending) so in-memory and
-        durable answers are directly comparable.
+        (count descending, then path ascending — both call
+        :func:`repro.postprocess.top_k`) so in-memory and durable
+        answers are directly comparable. Paths are compared only for
+        contexts whose count reaches the k-th largest. Raises
+        :class:`QueryError` when ``k`` is negative.
         """
+        if k < 0:
+            raise QueryError(f"top_contexts needs k >= 0, got {k}")
         start = time.perf_counter()
-        counts = self._counts(window, epoch)
-        ranked = sorted(
-            ((slot[0], path) for path, slot in counts.items() if slot[0]),
-            key=lambda item: (-item[0], item[1]),
-        )
+        ranked = top_k(self._counts(window, epoch), k)
         obs.histogram("query.topk_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
-        return ranked[:k]
+        return ranked
 
     def function_totals(
         self,
@@ -235,14 +261,14 @@ class QueryEngine:
         """
         start = time.perf_counter()
         totals: Dict[str, int] = {}
-        for path, slot in self._counts(window, epoch).items():
-            if not slot[0] or not path:
+        for path, count in self._counts(window, epoch).items():
+            if not path:
                 continue
             if leaf_only:
-                totals[path[-1]] = totals.get(path[-1], 0) + slot[0]
+                totals[path[-1]] = totals.get(path[-1], 0) + count
             else:
                 for name in set(path):
-                    totals[name] = totals.get(name, 0) + slot[0]
+                    totals[name] = totals.get(name, 0) + count
         obs.histogram("query.rollup_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
@@ -265,15 +291,15 @@ class QueryEngine:
         out: Dict[Path, int] = {}
         for seg in self.segments(window):
             rows = seg.rows
-            spanned = window is not None and seg.state.multi_span
+            row_spans = seg.state.row_spans
+            live = _live_spans(seg, window)
             for row_idx in seg.rows_through(function):
                 path, count, _gaps, row_epoch = rows[row_idx]
-                if epoch is not None and row_epoch != epoch:
+                if not count or (epoch is not None and row_epoch != epoch):
                     continue
-                if spanned and not seg.row_overlaps(row_idx, *window):
+                if live is not None and not live[row_spans[row_idx]]:
                     continue
-                if count:
-                    out[path] = out.get(path, 0) + count
+                out[path] = out.get(path, 0) + count
         obs.histogram("query.through_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
@@ -294,8 +320,8 @@ class QueryEngine:
         start = time.perf_counter()
         window_a = _check_window(window_a)
         window_b = _check_window(window_b)
-        a = {p: s[0] for p, s in self._counts(window_a, epoch).items() if s[0]}
-        b = {p: s[0] for p, s in self._counts(window_b, epoch).items() if s[0]}
+        a = self._counts(window_a, epoch)
+        b = self._counts(window_b, epoch)
         appeared = {p: c for p, c in b.items() if p not in a}
         disappeared = {p: c for p, c in a.items() if p not in b}
         changed = {
@@ -314,11 +340,8 @@ class QueryEngine:
     ) -> str:
         """The window's contexts in folded-stack flame-graph format."""
         start = time.perf_counter()
-        counts = {
-            path: slot[0]
-            for path, slot in self._counts(window, epoch).items()
-            if slot[0] and path
-        }
+        counts = self._counts(window, epoch)
+        counts.pop((), None)  # the empty context has no frame to fold
         folded = to_folded(counts)
         obs.histogram("query.flame_us").observe_us(
             (time.perf_counter() - start) * 1e6
@@ -333,11 +356,15 @@ class QueryEngine:
     ) -> Dict[str, int]:
         """Gap-crossing (UCP) totals over the window — same shape as
         ``ContextService.ucp_stats``."""
+        window = _check_window(window)
         samples = 0
         gaps = 0
-        for slot in self._counts(window, epoch, with_gaps=True).values():
-            samples += slot[0]
-            gaps += slot[1]
+        for seg in self.segments(window):
+            for _path, count, row_gaps, _epoch in _window_rows(
+                seg, window, epoch
+            ):
+                samples += count
+                gaps += row_gaps
         return {
             "samples": samples,
             "gap_samples": gaps,

@@ -266,20 +266,6 @@ class Segment:
     def spans(self) -> Tuple[Tuple[float, float], ...]:
         return self.state.spans
 
-    def row_window(self, row_idx: int) -> Tuple[float, float]:
-        """The sub-window ``rows[row_idx]`` is attributed to."""
-        return self.state.spans[self.state.row_spans[row_idx]]
-
-    def row_overlaps(self, row_idx: int, t_lo: float, t_hi: float) -> bool:
-        """Whether ``rows[row_idx]``'s own span intersects the window.
-
-        For single-span (delta) segments this is exactly
-        :meth:`overlaps`; for compacted segments it scopes the row to
-        the delta it was merged from.
-        """
-        lo, hi = self.row_window(row_idx)
-        return span_overlaps(lo, hi, t_lo, t_hi)
-
     # -- content --------------------------------------------------------
     @property
     def rows(self) -> Tuple[Tuple[Tuple[str, ...], int, int, int], ...]:

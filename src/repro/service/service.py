@@ -1424,6 +1424,8 @@ class ContextService:
         ``epoch`` restricts the ranking to samples stamped with that
         plan epoch; ``decoded=False`` returns compact integer context
         ids in place of paths (resolve with ``service.store.path``).
+        Only the contexts whose count reaches the k-th largest are
+        decoded. A negative ``k`` raises :class:`ServiceError`.
         """
         return self._merged_tree().top_contexts(
             k, epoch=epoch, decoded=decoded

@@ -28,7 +28,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.postprocess import ContextTreeReport
+from repro.errors import ServiceError
+from repro.postprocess import ContextTreeReport, top_k
 from repro.service.store import ContextStore
 
 __all__ = ["ShardStats", "ShardedContextTree"]
@@ -188,20 +189,21 @@ class ShardedContextTree:
         epoch. ``decoded=False`` returns integer context ids (pids)
         instead of decoded paths — cheap handles for diffing or joining
         without touching the compressed store; resolve them later with
-        ``tree.store.path(pid)``.
+        ``tree.store.path(pid)``. Ties break on the path (the pid when
+        not decoded), ascending.
+
+        Pids are ranked by count first; only those whose count reaches
+        the k-th largest are decoded, so a top-10 over a large tree
+        decodes about ten paths, not every retained one. Raises
+        :class:`ServiceError` when ``k`` is negative.
         """
-        merged = self._merged_counts(epoch)
-        if decoded:
-            ranked = sorted(
-                zip(merged.values(), self.store.paths(merged)),
-                key=lambda item: (-item[0], item[1]),
-            )
-        else:
-            ranked = sorted(
-                ((count, pid) for pid, count in merged.items()),
-                key=lambda item: (-item[0], item[1]),
-            )
-        return ranked[:k]
+        if k < 0:
+            raise ServiceError(f"top_contexts needs k >= 0, got {k}")
+        return top_k(
+            self._merged_counts(epoch),
+            k,
+            self.store.paths if decoded else None,
+        )
 
     def function_totals(
         self,

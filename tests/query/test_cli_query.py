@@ -56,6 +56,31 @@ class TestQueryHappyPath:
         out = capsys.readouterr().out
         assert "ctx" in out
 
+    def test_negative_top_is_one_clean_error(self, tmp_path, capsys):
+        seed_store(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--dir", str(tmp_path), "--top", "-3"])
+        message = str(exc.value)
+        assert message.startswith("query: ") and "k >= 0" in message
+        assert "\n" not in message
+        assert "contexts" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["nan:100", "0:nan"])
+    def test_nan_window_is_one_clean_error(self, tmp_path, capsys, spec):
+        seed_store(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--dir", str(tmp_path), "--window", spec])
+        message = str(exc.value)
+        assert message.startswith("query: ") and "NaN" in message
+        assert "\n" not in message
+        assert "contexts" not in capsys.readouterr().out
+
+    def test_inverted_window_is_one_clean_error(self, tmp_path):
+        seed_store(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--dir", str(tmp_path), "--window", "50:10"])
+        assert str(exc.value).startswith("query: ")
+
     def test_demo_mode_needs_no_dir(self, capsys):
         assert main(["query", "--demo"]) == 0
         assert capsys.readouterr().out

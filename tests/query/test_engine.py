@@ -1,5 +1,7 @@
 """QueryEngine: windowed answers, diffs, flame graphs, forensics."""
 
+import math
+
 import pytest
 
 from repro.errors import QueryError
@@ -49,8 +51,78 @@ class TestWindows:
         with pytest.raises(QueryError):
             engine.top_contexts(5, window=(10, 0))
 
+    def test_negative_k_raises(self, engine):
+        # a negative k must not slice the ranking from the end
+        with pytest.raises(QueryError, match="k >= 0"):
+            engine.top_contexts(-3)
+
+    @pytest.mark.parametrize("window", [
+        (math.nan, 100.0), (0.0, math.nan), (math.nan, math.nan),
+    ])
+    def test_nan_window_raises(self, engine, window):
+        # every comparison with NaN is false, so such a window would
+        # match nothing and answer an empty table
+        with pytest.raises(QueryError, match="NaN"):
+            engine.top_contexts(10, window=window)
+        with pytest.raises(QueryError, match="NaN"):
+            engine.ucp_stats(window=window)
+
+    def test_infinite_bounds_stay_legal(self, engine):
+        assert engine.top_contexts(
+            10, window=(-math.inf, math.inf)
+        ) == engine.top_contexts(10)
+        assert engine.top_contexts(10, window=(10, math.inf)) == [
+            (7, ("a", "b", "c")), (4, ("y", "z")),
+        ]
+
     def test_span(self, engine):
         assert engine.span() == (0.0, 20.0)
+
+
+class TestCompactedSpans:
+    """A multi-span segment scopes each row to its own span's window."""
+
+    @pytest.fixture
+    def spanned(self, tmp_path):
+        store = SegmentStore(str(tmp_path))
+        store.append(SegmentState(
+            t_lo=0.0, t_hi=20.0, fingerprint="fp",
+            rows=(
+                (("a", "b"), 5, 1, 0),
+                (("a", "c"), 3, 0, 0),
+                (("a", "b"), 7, 0, 1),
+            ),
+            spans=((0.0, 10.0), (10.0, 20.0)),
+            row_spans=(0, 0, 1),
+        ))
+        return QueryEngine(store).refresh()
+
+    def test_window_selects_rows_by_span(self, spanned):
+        assert spanned.top_contexts(10, window=(0, 10)) == [
+            (5, ("a", "b")), (3, ("a", "c")),
+        ]
+        assert spanned.top_contexts(10, window=(10, 20)) == [
+            (7, ("a", "b")),
+        ]
+        assert spanned.top_contexts(10, window=(5, 15)) == [
+            (12, ("a", "b")), (3, ("a", "c")),
+        ]
+        assert spanned.top_contexts(10) == [
+            (12, ("a", "b")), (3, ("a", "c")),
+        ]
+
+    def test_every_query_uses_the_span_test(self, spanned):
+        assert spanned.paths_through("c", window=(10, 20)) == {}
+        assert spanned.paths_through("b", window=(10, 20)) == {
+            ("a", "b"): 7,
+        }
+        assert spanned.ucp_stats(window=(0, 10)) == {
+            "samples": 8, "gap_samples": 1, "gap_free_samples": 7,
+        }
+        assert spanned.function_totals(window=(10, 20)) == {"a": 7, "b": 7}
+        diff = spanned.diff((0, 10), (10, 20))
+        assert diff.changed == {("a", "b"): (5, 7)}
+        assert diff.disappeared == {("a", "c"): 3}
 
 
 class TestRollupsAndIndex:
@@ -67,8 +139,8 @@ class TestRollupsAndIndex:
     def test_paths_through_matches_brute_force(self, engine):
         via_index = engine.paths_through("b")
         brute = {
-            path: slot[0]
-            for path, slot in engine._counts().items()
+            path: count
+            for path, count in engine._counts().items()
             if "b" in path
         }
         assert via_index == brute == {("a", "b", "c"): 12, ("a", "b"): 3}

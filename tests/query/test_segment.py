@@ -225,11 +225,7 @@ class TestMultiSpanState:
         assert seg is not None
         assert seg.state.multi_span
         assert seg.spans == ((0.0, 10.0), (10.0, 20.0))
-        assert seg.row_window(0) == (0.0, 10.0)
-        assert seg.row_window(2) == (10.0, 20.0)
-        assert seg.row_overlaps(0, 0.0, 10.0)
-        assert not seg.row_overlaps(0, 10.0, 20.0)
-        assert seg.row_overlaps(2, 10.0, 20.0)
+        assert seg.state.row_spans == (0, 0, 1)
 
     def test_spans_must_cover_envelope(self):
         with pytest.raises(QueryError):

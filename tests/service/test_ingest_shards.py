@@ -1,5 +1,6 @@
 """The ingestion pipeline (queue + workers) and sharded aggregation."""
 
+import random
 import threading
 import time
 
@@ -353,3 +354,92 @@ class TestShardedContextTree:
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardedContextTree(shards=0)
+
+
+def reference_top(tree, k, epoch=None, decoded=True):
+    """The earlier ranking: decode every pid, sort all, slice."""
+    merged = tree._merged_counts(epoch)
+    if decoded:
+        ranked = sorted(
+            zip(merged.values(), [tree.store.path(pid) for pid in merged]),
+            key=lambda item: (-item[0], item[1]),
+        )
+    else:
+        ranked = sorted(
+            ((count, pid) for pid, count in merged.items()),
+            key=lambda item: (-item[0], item[1]),
+        )
+    return ranked[:k]
+
+
+def random_tree(seed):
+    """Few distinct weights (ties at the k-th count are common), some
+    zero-weight entries, two epochs."""
+    rng = random.Random(seed)
+    tree = ShardedContextTree(shards=3)
+    names = ("main", "a", "b", "c", "d", "e")
+    entries = [
+        (
+            tuple(rng.choice(names) for _ in range(rng.randint(1, 4))),
+            rng.random() < 0.2,
+            rng.choice((0, 1, 1, 2, 3)),
+            rng.choice((0, 1)),
+        )
+        for _ in range(rng.randint(30, 120))
+    ]
+    tree.add_counts(entries)
+    return tree
+
+
+class TestTopContextsRanking:
+    """Counts are ranked before any path is decoded or compared."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_full_sort(self, seed):
+        tree = random_tree(seed)
+        full = reference_top(tree, 10 ** 6)
+        assert any(count == 0 for count, _ in full)  # zero weights kept
+        for epoch in (None, 0, 1, 9):
+            for decoded in (True, False):
+                for k in (0, 1, 10, len(full) + 5):
+                    assert tree.top_contexts(
+                        k, epoch=epoch, decoded=decoded
+                    ) == reference_top(tree, k, epoch, decoded), (
+                        epoch, decoded, k,
+                    )
+
+    def test_ties_at_the_cut_break_on_path(self):
+        tree = ShardedContextTree(shards=2)
+        for name in ("d", "b", "c", "a"):
+            tree.add(("main", name), weight=2)
+        tree.add(("main", "z"), weight=5)
+        assert tree.top_contexts(3) == [
+            (5, ("main", "z")), (2, ("main", "a")), (2, ("main", "b")),
+        ]
+
+    def test_decodes_only_candidates(self, monkeypatch):
+        tree = ShardedContextTree(shards=4)
+        tree.add_counts(
+            [(("main", f"f{i % 40}", f"ctx{i}"), False, i + 1, 0)
+             for i in range(2000)]
+        )
+        passed = []
+        decode = tree.store.paths
+
+        def spy(pids):
+            pids = list(pids)
+            passed.append(len(pids))
+            return decode(pids)
+
+        monkeypatch.setattr(tree.store, "paths", spy)
+        top = tree.top_contexts(10)
+        assert passed == [10]
+        assert [count for count, _ in top] == list(range(2000, 1990, -1))
+        assert top[0][1] == ("main", "f39", "ctx1999")
+
+    def test_negative_k_raises(self):
+        tree = ShardedContextTree()
+        tree.add(("main", "a"), weight=3)
+        for decoded in (True, False):
+            with pytest.raises(ServiceError, match="k >= 0"):
+                tree.top_contexts(-3, decoded=decoded)

@@ -64,6 +64,15 @@ class TestLifecycle:
             service.flush()
             assert service.top_contexts(1) == [(1, ("main", "a", "c", "e"))]
 
+    def test_negative_top_k_raises(self, plan):
+        node, snap = walk_snapshot(plan, PATH_ACE)
+        with ContextService(plan) as service:
+            assert service.submit(node, snap)
+            service.flush()
+            # a negative k must not drop the last |k| entries
+            with pytest.raises(ServiceError, match="k >= 0"):
+                service.top_contexts(-3)
+
     def test_config_xor_kwargs(self, plan):
         with pytest.raises(ServiceError):
             ContextService(plan, ServiceConfig(), shards=2)
