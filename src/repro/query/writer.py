@@ -3,10 +3,17 @@
 The sharded tree holds *cumulative* counts; segments hold *deltas*, so
 that summing every overlapping segment over a time window reconstructs
 exactly what happened in that window. The writer keeps the baseline
-(the cumulative rows as of the last successful flush) and each
+(the cumulative counts as of the last successful flush) and each
 ``flush()`` emits only what changed since, stamped with the half-open
 wall-clock window ``[last_flush, now)``. A flush that would write an
 empty segment writes nothing.
+
+The baseline is keyed like the tree, by integer ``(pid, epoch)``, so a
+flush is one integer pass over the shard counts
+(:meth:`~repro.service.shards.ShardedContextTree.count_rows`) plus work
+proportional to the delta: only the pids whose counts moved are
+decoded, and only their rows are sorted and written. Contexts that did
+not change since the last flush cost a dict lookup each.
 
 Crash discipline mirrors the checkpoint daemon: a failed flush leaves
 baseline and window untouched, so the next attempt re-covers the same
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import QueryError
@@ -29,6 +36,8 @@ from repro.query.segment import SegmentState
 __all__ = ["SegmentWriter"]
 
 _Key = Tuple[Tuple[str, ...], int]  # (path, epoch)
+_PidKey = Tuple[int, int]  # (pid, epoch)
+_Counts = Tuple[int, int]  # (count, gaps)
 
 
 def _cumulative(rows: Iterable[tuple]) -> Dict[_Key, Tuple[int, int]]:
@@ -59,7 +68,12 @@ class SegmentWriter:
         self.fingerprint = fingerprint
         self._clock = clock
         self._lock = threading.Lock()
-        self._baseline: Dict[_Key, Tuple[int, int]] = {}
+        #: (pid, epoch) -> (count, gaps) the segments durably hold.
+        self._baseline: Dict[_PidKey, _Counts] = {}
+        #: (path, epoch) -> (count, gaps) from a :meth:`rebase` whose
+        #: path the tree's store had not interned; an entry moves into
+        #: ``_baseline`` with the first written flush that counts it.
+        self._remainder: Dict[_Key, _Counts] = {}
         self._window_start = clock()
         self.flushes = 0
         self.empty_flushes = 0
@@ -88,25 +102,20 @@ class SegmentWriter:
         whose flushed counts outlived the checkpoint; those keys emit
         nothing until the tree catches back up, instead of handing
         :class:`SegmentState` a negative row.
+
+        The window start never moves backward, so a wall clock that
+        steps back cannot make a segment overlap the one before it.
         """
         with self._lock:
-            cumulative = _cumulative(self.tree.rows())
-            rows = []
-            for key, (count, gaps) in cumulative.items():
-                base_count, base_gaps = self._baseline.get(key, (0, 0))
-                d_count = max(0, count - base_count)
-                d_gaps = max(0, gaps - base_gaps)
-                if d_count or d_gaps:
-                    rows.append((key[0], d_count, d_gaps, key[1]))
-            now = self._clock()
+            rows, advance = self._delta()
+            now = max(self._clock(), self._window_start)
             if not rows:
                 self.empty_flushes += 1
                 self._window_start = now
                 return None
-            rows.sort(key=lambda r: (r[0], r[3]))
             state = SegmentState(
                 t_lo=self._window_start,
-                t_hi=max(now, self._window_start),
+                t_hi=now,
                 fingerprint=self.fingerprint,
                 rows=tuple(rows),
             )
@@ -119,25 +128,61 @@ class SegmentWriter:
                         raise
                     self.salvaged_flushes += 1
                     obs.counter("query.flush_salvaged").inc()
-            self._advance_baseline(cumulative)
-            self._window_start = state.t_hi
+            for key, counts, remainder_key in advance:
+                self._baseline[key] = counts
+                if remainder_key is not None:
+                    del self._remainder[remainder_key]
+            self._window_start = now
             self.flushes += 1
             return path
 
-    def _advance_baseline(self, cumulative: Dict[_Key, Tuple[int, int]]) -> None:
-        """Move the baseline forward, never backward, per key.
+    def _delta(self) -> Tuple[List[tuple], List[tuple]]:
+        """This flush's delta rows, sorted by (path, epoch), and the
+        ``(key, counts, remainder_key)`` baseline updates to apply once
+        they are written.
 
-        For keys where the baseline ran ahead of the tree (durable
-        segments outliving a checkpoint), adopting the smaller tree
-        value would let a later flush re-emit counts the store already
-        holds; the component-wise max keeps the baseline equal to what
-        the segments durably contain.
+        One integer pass over the tree's counts finds the keys past
+        their baseline, or new to it; only those pids are decoded. A
+        key missing from the integer baseline takes its baseline from
+        the rebase remainder when its path is there. The baseline moves
+        forward, never backward, per component: where it ran ahead of
+        the tree (durable segments outliving a checkpoint), adopting
+        the smaller tree value would let a later flush re-emit counts
+        the store already holds.
         """
-        merged = dict(self._baseline)
-        for key, (count, gaps) in cumulative.items():
-            base_count, base_gaps = merged.get(key, (0, 0))
-            merged[key] = (max(base_count, count), max(base_gaps, gaps))
-        self._baseline = merged
+        baseline, remainder = self._baseline, self._remainder
+        moved: List[tuple] = []  # (key, count, gaps, baseline or None)
+        for key, count, gaps in self.tree.count_rows():
+            base = baseline.get(key)
+            if base is None or count > base[0] or gaps > base[1]:
+                moved.append((key, count, gaps, base))
+        rows: List[tuple] = []
+        advance: List[tuple] = []
+        if not moved:
+            return rows, advance
+        paths = self.tree.store.paths([entry[0][0] for entry in moved])
+        for path, (key, count, gaps, base) in zip(paths, moved):
+            remainder_key = None
+            if base is None:
+                base = (0, 0)
+                if remainder and (path, key[1]) in remainder:
+                    remainder_key = (path, key[1])
+                    base = remainder[remainder_key]
+            base_count, base_gaps = base
+            if count > base_count or gaps > base_gaps:
+                rows.append((
+                    path,
+                    max(0, count - base_count),
+                    max(0, gaps - base_gaps),
+                    key[1],
+                ))
+            advance.append((
+                key,
+                (max(base_count, count), max(base_gaps, gaps)),
+                remainder_key,
+            ))
+        rows.sort(key=lambda r: (r[0], r[3]))
+        return rows, advance
 
     def _salvage(self, state: SegmentState) -> Optional[str]:
         """After a failed append: did the segment land durably anyway?
@@ -192,6 +237,13 @@ class SegmentWriter:
         world that no longer exists and the rebase is rejected with
         :class:`QueryError` — reconcile against the live store instead
         of silently adopting a pre-compaction baseline.
+
+        Rows are matched to the tree's integer keys with
+        ``tree.store.lookup``, which never interns: a recovery must not
+        grow the context store. A path the store has not interned yet
+        (the segments hold a context the recovered tree has not seen)
+        waits in a small path-keyed remainder, consulted only when that
+        path first shows up among a flush's changed contexts.
         """
         with self._lock:
             if expected_generation is not None:
@@ -204,13 +256,17 @@ class SegmentWriter:
                         f"was compacted to generation {current}; "
                         f"reconcile against the store instead"
                     )
-            if reconcile_store:
-                baseline = self._store_cumulative()
-                if baseline is None:
-                    baseline = _cumulative(rows)
-            else:
-                baseline = _cumulative(rows)
-            self._baseline = baseline
+            cumulative = self._store_cumulative() if reconcile_store else None
+            if cumulative is None:
+                cumulative = _cumulative(rows)
+            lookup = self.tree.store.lookup
+            self._baseline, self._remainder = {}, {}
+            for (path, epoch), counts in cumulative.items():
+                pid = lookup(path)
+                if pid is None:
+                    self._remainder[(path, epoch)] = counts
+                else:
+                    self._baseline[(pid, epoch)] = counts
             self._window_start = self._clock()
 
     def _store_cumulative(self) -> Optional[Dict[_Key, Tuple[int, int]]]:
@@ -241,7 +297,7 @@ class SegmentWriter:
                 "flushes": self.flushes,
                 "empty_flushes": self.empty_flushes,
                 "salvaged_flushes": self.salvaged_flushes,
-                "baseline_rows": len(self._baseline),
+                "baseline_rows": len(self._baseline) + len(self._remainder),
                 "window_start": self._window_start,
             }
         out.update(self.store.stats())

@@ -320,6 +320,24 @@ class ShardedContextTree:
     # ------------------------------------------------------------------
     # Checkpoint surface
     # ------------------------------------------------------------------
+    def count_rows(self) -> List[Tuple[Tuple[int, int], int, int]]:
+        """A consistent-per-shard snapshot of
+        ``((pid, epoch), count, gap_count)`` for every counted key.
+
+        Each shard lock is taken once and nothing is decoded, so the
+        cost is one pass over the integer counts. Order is unspecified;
+        :meth:`rows` is the decoded, sorted form.
+        """
+        rows: List[Tuple[Tuple[int, int], int, int]] = []
+        for shard in self._shards:
+            with shard.lock:
+                gap_counts = shard.gap_counts
+                rows.extend(
+                    (key, count, gap_counts.get(key, 0))
+                    for key, count in shard.counts.items()
+                )
+        return rows
+
     def rows(self) -> List[Tuple[Path, int, int, int]]:
         """A consistent-per-shard snapshot of
         ``(path, count, gap_count, epoch)`` — everything
@@ -333,17 +351,11 @@ class ShardedContextTree:
         query segments written from these rows are therefore
         byte-deterministic.
         """
-        rows: List[Tuple[int, int, int, int]] = []
-        for shard in self._shards:
-            with shard.lock:
-                rows.extend(
-                    (pid, epoch, count, shard.gap_counts.get((pid, epoch), 0))
-                    for (pid, epoch), count in shard.counts.items()
-                )
-        paths = self.store.paths(row[0] for row in rows)
+        counted = self.count_rows()
+        paths = self.store.paths(key[0] for key, _count, _gaps in counted)
         out = [
-            (path, count, gaps, epoch)
-            for path, (_pid, epoch, count, gaps) in zip(paths, rows)
+            (path, count, gaps, key[1])
+            for path, (key, count, gaps) in zip(paths, counted)
         ]
         out.sort(key=lambda row: (row[0], row[3]))
         return out

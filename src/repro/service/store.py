@@ -24,10 +24,11 @@ works across shards) and guarded by one lock; after the
 dedup-then-decode pass interning happens once per *distinct* context per
 batch, so the lock is not on the per-sample path.
 
-Whole-store reads (segment flushes, checkpoints, decoded top-K and
-rollups) decode many pids at once through :meth:`ContextStore.paths`,
-which unseals each block at most once per call and builds each trie
-node's path once, from its parent's path.
+Whole-store reads (checkpoints, inclusive rollups), the changed
+contexts of a segment flush and the candidates of a decoded top-K all
+decode many pids at once through :meth:`ContextStore.paths`, which
+unseals each block at most once per call and builds each trie node's
+path once, from its parent's path.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.query.engine import QueryEngine
 from repro.query.writer import SegmentWriter
 from repro.service.shards import ShardedContextTree
@@ -71,6 +73,27 @@ class TestDeltaFlush:
         seg = QueryEngine(str(tmp_path)).refresh().segments()[0]
         assert seg.rows == ((("a",), 3, 0, 0),)
 
+    def test_empty_flush_never_rewinds_the_window(self, tmp_path):
+        # The wall clock steps back between flushes. The empty flush at
+        # 105 must not pull the window start below 110, or the next
+        # segment would overlap the previous one and a window query
+        # would credit a sample that arrived after 110 to [104, 106).
+        tree, writer, clock = make_writer(tmp_path)
+        tree.add(("a",), epoch=0, weight=1)
+        clock[0] = 110.0
+        writer.flush()
+        clock[0] = 105.0
+        assert writer.flush() is None
+        assert writer.stats()["window_start"] == 110.0
+        tree.add(("b",), epoch=0, weight=1)
+        clock[0] = 120.0
+        writer.flush()
+        engine = QueryEngine(str(tmp_path)).refresh()
+        assert [(s.t_lo, s.t_hi) for s in engine.segments()] == [
+            (100.0, 110.0), (110.0, 120.0),
+        ]
+        assert engine.top_contexts(5, window=(104.0, 106.0)) == [(1, ("a",))]
+
     def test_gap_counts_flow_through(self, tmp_path):
         tree, writer, clock = make_writer(tmp_path)
         tree.add(("a", "b"), True, 4, epoch=0)
@@ -80,6 +103,56 @@ class TestDeltaFlush:
         assert engine.ucp_stats() == {
             "samples": 4, "gap_samples": 4, "gap_free_samples": 0,
         }
+
+
+class TestDecodesOnlyChangedContexts:
+    """A flush reads integer counts and decodes only the contexts whose
+    counts moved; it never decodes the whole tree through rows()."""
+
+    def spy_on_decode(self, tree):
+        calls = []
+        real_paths = tree.store.paths
+
+        def paths(pids):
+            pids = list(pids)
+            calls.append(pids)
+            return real_paths(pids)
+
+        def rows():
+            pytest.fail("flush() decoded the whole tree through rows()")
+
+        tree.store.paths = paths
+        tree.rows = rows
+        return calls
+
+    def test_flush_decodes_exactly_the_touched_pids(self, tmp_path):
+        tree, writer, clock = make_writer(tmp_path)
+        paths = [("m", f"f{i % 13}", f"c{i}") for i in range(300)]
+        for path in paths:
+            tree.add(path, epoch=0, weight=2)
+        clock[0] = 110.0
+        writer.flush()
+        touched = paths[7::50]
+        for path in touched:
+            tree.add(path, epoch=0, weight=1)
+        calls = self.spy_on_decode(tree)
+        clock[0] = 120.0
+        writer.flush()
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(
+            tree.store.lookup(path) for path in touched
+        )
+        seg = QueryEngine(str(tmp_path)).refresh().segments()[-1]
+        assert seg.rows == tuple(sorted((p, 1, 0, 0) for p in touched))
+
+    def test_unchanged_tree_decodes_nothing(self, tmp_path):
+        tree, writer, clock = make_writer(tmp_path)
+        for i in range(50):
+            tree.add(("m", f"c{i}"), epoch=0, weight=1)
+        writer.flush()
+        calls = self.spy_on_decode(tree)
+        assert writer.flush() is None
+        assert calls == []
 
 
 class TestDeterminism:
