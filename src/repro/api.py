@@ -1,11 +1,12 @@
 """The unified public API: one documented entry point for everything.
 
-Historically each layer of the reproduction grew its own entry point
-with its own argument conventions — ``encode_pcce(graph)``,
-``encode_deltapath(graph, priority)``, ``encode_anchored(graph, width,
-anchors, ...)``, ``build_plan(program, policy, width, ...)``. This module
-is the facade that sits in front of all of them, for both the batch path
-and the incremental (dynamic class loading) path:
+Each layer of the reproduction has its own entry point —
+``encode_pcce``, ``encode_deltapath``, ``encode_anchored``,
+``build_plan_from_graph``, ``build_plan`` — and every one of them takes
+its options as keywords only (``encode_anchored(graph, width=W32)``; a
+positional option raises :class:`TypeError`). This module is the facade
+that sits in front of all of them, for both the batch path and the
+incremental (dynamic class loading) path:
 
 * :func:`encode` — run any of the three encoding algorithms with one
   uniform keyword signature; every result satisfies the
@@ -291,7 +292,9 @@ class Encoder:
         ``workers``, ``queue_capacity``, ``backpressure``, cache sizes).
         Call :meth:`ContextService.start` (or use it as a context
         manager) before submitting; wire collection with
-        ``ContextCollector(sink=service.sink())``.
+        ``ContextCollector(sink=service.batch_sink())`` and call
+        ``collector.close()`` after the run to submit the buffered
+        tail.
         """
         return ContextService(plan, config, **kwargs)
 

@@ -5,7 +5,7 @@ The single-shot BENCH_*.json artifacts answer "how fast is it today";
 nothing in them stops a PR from quietly losing the cached-decode speedup
 or breaching the ≤5% overhead bars. This harness crosses **named
 configurations** (cached/uncached decode, sharded N, resilience on/off,
-batch vs scalar ingest, compressed vs tuple store) with **bench
+compressed vs tuple store, worker processes, compaction) with **bench
 targets** (the ``run(config) -> dict`` entry points of servebench /
 obsbench / resiliencebench / querybench), runs the cells — optionally in
 parallel — and merges everything into one ``BENCH_matrix.json``:
@@ -79,7 +79,6 @@ class MatrixConfig:
     shards: int = 8
     workers: int = 2
     resilience: bool = False
-    batch: bool = True
     compression: str = "zlib"
     #: Decode worker processes (0 = the in-process thread pool).
     worker_processes: int = 0
@@ -94,7 +93,6 @@ class MatrixConfig:
             "shards": self.shards,
             "workers": self.workers,
             "resilience": self.resilience,
-            "batch": self.batch,
             "compression": self.compression,
             "worker_processes": self.worker_processes,
             "compact": self.compact,
@@ -113,7 +111,6 @@ CONFIGS: Tuple[MatrixConfig, ...] = (
     MatrixConfig(
         "resilient", "full resilience stack armed", resilience=True
     ),
-    MatrixConfig("scalar", "per-sample submit() shim", batch=False),
     MatrixConfig(
         "store-none", "uncompressed context store", compression="none"
     ),

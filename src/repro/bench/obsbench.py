@@ -38,7 +38,7 @@ from repro.core.widths import Width
 from repro.graph.callgraph import CallGraph
 from repro.runtime.agent import DeltaPathProbe
 from repro.runtime.plan import build_plan_from_graph
-from repro.service import ContextService
+from repro.service import ContextService, SampleBatch
 
 __all__ = [
     "probe_overhead_study",
@@ -278,7 +278,10 @@ def trace_layers_demo() -> Dict[str, object]:
         snapshot = probe.snapshot("plugin.m")
 
         with ContextService(update.plan, workers=1, shards=2) as service:
-            service.submit("plugin.m", snapshot, plan=update.plan)
+            service.submit_batch(SampleBatch().append(
+                "plugin.m", snapshot,
+                epoch=service.engine.epoch_of(update.plan),
+            ))
             service.flush()
     finally:
         tracer.enabled = prev

@@ -3,11 +3,13 @@
 Two studies:
 
 1. **Steady-state overhead.** The same hot-context ingestion workload as
-   ``serve-bench`` (lane-chain graph, Zipf-shaped popularity) runs
-   through a plain :class:`~repro.service.ContextService` and through
-   one with the full resilience stack armed — supervisor heartbeats,
-   circuit breaker on every decode, retry bookkeeping — but *no faults
-   injected*. The acceptance bar is <= 5% throughput overhead: paying
+   ``serve-bench`` (lane-chain graph, Zipf-shaped popularity), submitted
+   in :class:`~repro.service.SampleBatch` chunks of the service's
+   256-sample drain size, runs through a plain
+   :class:`~repro.service.ContextService` and through one with the full
+   resilience stack armed — supervisor heartbeats, circuit breaker on
+   every decoded group, retry bookkeeping — but *no faults injected*.
+   The acceptance bar is <= 5% throughput overhead: paying
    for crash-safety must not cost the paper's "decode off the hot path"
    economics.
 2. **Recovery time vs CCT size.** Durable checkpoints of synthetic
@@ -32,7 +34,7 @@ from repro.bench.reporting import (
     sci,
     write_bench_json,
 )
-from repro.bench.servebench import build_workload, _stream
+from repro.bench.servebench import _stream, _submit_in_batches, build_workload
 from repro.resilience import ResilienceConfig
 from repro.resilience.checkpoint import (
     CheckpointState,
@@ -75,9 +77,9 @@ def _ingest_once(plan, stream, resilience) -> Dict[str, object]:
         resilience=resilience,
     )
     service.start()
+    epoch = service.engine.epoch_of(plan)
     start = time.perf_counter()
-    for node, snapshot in stream:
-        service.submit(node, snapshot, plan=plan)
+    _submit_in_batches(service, stream, service.config.batch_size, epoch)
     service.flush(timeout=120)
     elapsed = time.perf_counter() - start
     metrics = service.service_metrics()

@@ -35,9 +35,15 @@ from repro.bench.reporting import (
 )
 from repro.core.widths import Width
 from repro.graph.callgraph import CallGraph
+from repro.postprocess import top_k
 from repro.runtime.agent import DeltaPathProbe
 from repro.runtime.plan import DeltaPathPlan, build_plan_from_graph
-from repro.service import ContextService, DecodeEngine, ServiceConfig
+from repro.service import (
+    ContextService,
+    DecodeEngine,
+    SampleBatch,
+    ServiceConfig,
+)
 
 __all__ = [
     "lane_chain",
@@ -146,6 +152,19 @@ def _stream(
     return rng.choices(observations, weights=weights, k=samples)
 
 
+def _submit_in_batches(
+    service: ContextService,
+    stream: Sequence[Observation],
+    size: int,
+    epoch: int,
+) -> None:
+    """Submit ``stream`` as ``size``-sample batches stamped ``epoch``."""
+    for lo in range(0, len(stream), size):
+        service.submit_batch(
+            SampleBatch.from_observations(stream[lo:lo + size], epoch=epoch)
+        )
+
+
 # ----------------------------------------------------------------------
 # Study 1: decode throughput, cached vs uncached
 # ----------------------------------------------------------------------
@@ -209,10 +228,12 @@ def ingest_study(
 ) -> Dict[str, object]:
     """Feed the service from ``producers`` threads; swap plans mid-stream.
 
-    The last producer waits for the swap and then submits post-swap
-    traffic (walks into the newly loaded class) under the repaired plan,
-    while the others keep submitting pre-swap snapshots — which the
-    service must keep decoding under the *old* epoch.
+    Each producer packs its slice into :class:`SampleBatch` chunks of the
+    service's drain size, stamped with its plan's epoch. The last
+    producer waits for the swap and then submits post-swap traffic
+    (walks into the newly loaded class) under the repaired plan, while
+    the others keep submitting pre-swap snapshots — which the service
+    must keep decoding under the *old* epoch.
     """
     delta, mid, label = _swap_delta(graph, depth)
     update = plan.apply_delta(delta)
@@ -249,21 +270,26 @@ def ingest_study(
     slices = [stream[i::producers] for i in range(producers)]
     trigger_index = int(len(slices[0]) * swap_at)
 
+    size = service.config.drain_budget
+
     def produce_old(pid: int) -> None:
         try:
-            for index, (node, snapshot) in enumerate(slices[pid]):
-                if pid == 0 and index == trigger_index:
-                    swap_trigger.set()
-                service.submit(node, snapshot, plan=plan)
-                old_submitted[pid] += 1
+            epoch = service.engine.epoch_of(plan)
+            mine = slices[pid]
+            split = trigger_index if pid == 0 else len(mine)
+            _submit_in_batches(service, mine[:split], size, epoch)
+            if pid == 0:
+                swap_trigger.set()
+            _submit_in_batches(service, mine[split:], size, epoch)
+            old_submitted[pid] = len(mine)
         except BaseException as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
     def produce_new() -> None:
         try:
             swap_installed.wait(timeout=60)
-            for node, snapshot in new_stream:
-                service.submit(node, snapshot, plan=update.plan)
+            epoch = service.engine.epoch_of(update.plan)
+            _submit_in_batches(service, new_stream, size, epoch)
         except BaseException as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
@@ -316,8 +342,20 @@ def ingest_study(
 
 
 # ----------------------------------------------------------------------
-# Study 3: scalar shim vs columnar submit_batch on the same stream
+# Study 3: columnar submit_batch against a per-sample decode
 # ----------------------------------------------------------------------
+def _decoded_counts(
+    plan: DeltaPathPlan, stream: Sequence[Observation]
+) -> Dict[Tuple[str, ...], int]:
+    """Context counts from decoding ``stream`` one sample at a time."""
+    engine = DecodeEngine(plan)
+    counts: Dict[Tuple[str, ...], int] = {}
+    for node, snapshot in stream:
+        path, _gaps, _epoch = engine.decode_path(node, snapshot)
+        counts[path] = counts.get(path, 0) + 1
+    return counts
+
+
 def batch_ingest_study(
     plan: DeltaPathPlan,
     stream: Sequence[Observation],
@@ -326,74 +364,50 @@ def batch_ingest_study(
     shards: int = 8,
     batch_max: int = 2048,
 ) -> Dict[str, object]:
-    """One stream, two ingestion APIs; batch must win and must agree.
-
-    The same Zipf stream is pushed through the deprecated per-sample
-    ``submit`` shim and through columnar ``submit_batch`` (packed
-    ``batch_max`` samples at a time). Besides the throughput ratio, the
-    study asserts *observational equality*: both services must end with
-    identical accounting, ``top_contexts``, and ``function_totals`` —
-    the differential guarantee the ``batch`` fuzz oracle checks on
-    adversarial workloads, here checked on the benchmark workload.
+    """Columnar ``submit_batch`` ingest of the stream, ``batch_max``
+    samples at a time. Besides the throughput, the study asserts that
+    every sample aggregated and that ``top_contexts`` and
+    ``function_totals`` equal a per-sample decode of the same stream.
     """
-    import warnings
+    service = ContextService(
+        plan,
+        ServiceConfig(
+            shards=shards,
+            workers=workers,
+            backpressure="block",
+            queue_capacity=4096,
+            batch_max=batch_max,
+        ),
+    )
+    service.start()
+    start = time.perf_counter()
+    _submit_in_batches(service, stream, batch_max, 0)
+    service.flush(timeout=240)
+    elapsed = time.perf_counter() - start
+    acct = service.accounting()
+    top = service.top_contexts(10)
+    totals = service.function_totals()
+    service.stop()
 
-    from repro.service import SampleBatch
-
-    def run(batch_mode: bool):
-        service = ContextService(
-            plan,
-            ServiceConfig(
-                shards=shards,
-                workers=workers,
-                backpressure="block",
-                queue_capacity=4096,
-                batch_max=batch_max,
-            ),
-        )
-        service.start()
-        start = time.perf_counter()
-        if batch_mode:
-            for lo in range(0, len(stream), batch_max):
-                service.submit_batch(
-                    SampleBatch.from_observations(
-                        stream[lo:lo + batch_max], epoch=0
-                    )
-                )
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                for node, snapshot in stream:
-                    service.submit(node, snapshot)
-        service.flush(timeout=240)
-        elapsed = time.perf_counter() - start
-        acct = service.accounting()
-        summary = {
+    counts = _decoded_counts(plan, stream)
+    want_totals: Dict[str, int] = {}
+    for path, count in counts.items():
+        for name in set(path):
+            want_totals[name] = want_totals.get(name, 0) + count
+    return {
+        "batch": {
             "samples": acct["submitted"],
             "elapsed_ms": elapsed * 1000.0,
             "per_s": acct["submitted"] / elapsed if elapsed else float("inf"),
             "aggregated": acct["aggregated"],
             "dropped": acct["dropped"],
-        }
-        top = service.top_contexts(10)
-        totals = service.function_totals()
-        service.stop()
-        return summary, top, totals
-
-    scalar, top_s, totals_s = run(False)
-    batch, top_b, totals_b = run(True)
-    return {
-        "scalar": scalar,
-        "batch": batch,
+        },
         "batch_max": batch_max,
-        "speedup": (
-            batch["per_s"] / scalar["per_s"] if scalar["per_s"] else None
-        ),
         "accounting_match": (
-            scalar["samples"] == batch["samples"]
-            and scalar["aggregated"] == batch["aggregated"]
-            and top_s == top_b
-            and totals_s == totals_b
+            acct["submitted"] == len(stream)
+            and acct["aggregated"] == len(stream)
+            and top == top_k(counts, 10)
+            and totals == want_totals
         ),
     }
 
@@ -422,8 +436,6 @@ def multiproc_ingest_study(
     report ~1x.
     """
     import os
-
-    from repro.service import SampleBatch
 
     stream = [observations[i % len(observations)] for i in range(samples)]
     batches = [
@@ -626,11 +638,7 @@ def serve_bench(
     )
     store = store_study(4000 if quick else 20000, seed=seed)
 
-    engine = DecodeEngine(plan)
-    counts: Dict[Tuple[str, ...], int] = {}
-    for node, snapshot in stream:
-        path, _gaps, _epoch = engine.decode_path(node, snapshot)
-        counts[path] = counts.get(path, 0) + 1
+    counts = _decoded_counts(plan, stream)
     hottest = sorted(counts.items(), key=lambda kv: -kv[1])[:top]
 
     return {
@@ -674,16 +682,14 @@ def run(config: Mapping[str, object]) -> Dict[str, object]:
 
     ``config`` is a plain mapping from :mod:`repro.bench.matrix` — the
     knobs this target honours are ``cached``, ``shards``, ``workers``,
-    ``worker_processes``, ``resilience``, ``batch``, ``compression``,
-    ``quick`` and ``seed``.
+    ``worker_processes``, ``resilience``, ``compression``, ``quick``
+    and ``seed``.
     Returns flat scalar ``metrics`` plus the ``gated`` subset the
     regression gate diffs against the committed baseline. Gated keys are
     config-independent (every cell reports the same names), so each
     configuration gates against its *own* history.
     """
-    import warnings
-
-    from repro.service import ContextStore, SampleBatch
+    from repro.service import ContextStore
 
     quick = bool(config.get("quick", True))
     seed = int(config.get("seed", 1))
@@ -691,7 +697,6 @@ def run(config: Mapping[str, object]) -> Dict[str, object]:
     shards = int(config.get("shards", 8))
     workers = int(config.get("workers", 2))
     worker_processes = int(config.get("worker_processes", 0))
-    batch_mode = bool(config.get("batch", True))
     compression = str(config.get("compression", "zlib"))
     batch_max = 2048
 
@@ -712,7 +717,7 @@ def run(config: Mapping[str, object]) -> Dict[str, object]:
         decode["per_s"] / uncached["per_s"] if uncached["per_s"] else 0.0
     )
 
-    # Ingest: the configured service, batch or scalar path.
+    # Ingest: the configured service, fed in batch_max-sample batches.
     resilience = None
     if config.get("resilience"):
         from repro.resilience import ResilienceConfig
@@ -736,18 +741,7 @@ def run(config: Mapping[str, object]) -> Dict[str, object]:
     )
     service.start()
     start = time.perf_counter()
-    if batch_mode:
-        for lo in range(0, len(stream), batch_max):
-            service.submit_batch(
-                SampleBatch.from_observations(
-                    stream[lo:lo + batch_max], epoch=0
-                )
-            )
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for node, snapshot in stream:
-                service.submit(node, snapshot)
+    _submit_in_batches(service, stream, batch_max, 0)
     service.flush(timeout=240)
     ingest_elapsed = time.perf_counter() - start
     acct = service.accounting()
@@ -830,12 +824,10 @@ def render_serve_bench(result: Dict[str, object]) -> str:
         f"plugin contexts {sci(ingest['plugin_samples'])}"
     )
     batch = result["batch_ingest"]
+    verdict = "match" if batch["accounting_match"] else "DIVERGED from"
     lines.append(
-        "batch vs scalar ingestion: "
-        f"scalar {sci(batch['scalar']['per_s'])}/s, "
-        f"batch {sci(batch['batch']['per_s'])}/s "
-        f"(speedup {sci(batch['speedup'])}x, "
-        f"accounting {'match' if batch['accounting_match'] else 'DIVERGED'})"
+        f"batch ingestion: {sci(batch['batch']['per_s'])}/s "
+        f"({verdict} the per-sample decode)"
     )
     multiproc = result["multiproc"]
     lines.append(

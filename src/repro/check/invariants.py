@@ -219,6 +219,7 @@ def service_fault_scenario(
 
     Returns a list of failure descriptions (empty when all held).
     """
+    from repro.service.batch import SampleBatch
     from repro.service.service import ContextService, ServiceConfig
 
     rng = random.Random(seed)
@@ -234,6 +235,17 @@ def service_fault_scenario(
         ),
     )
     service.start()
+    # Seeded batches of 1-4 samples, so the undersized queue overflows.
+    state = {"batch": SampleBatch(), "size": rng.randint(1, 4)}
+
+    def push(node: str, snap: tuple, stamp: DeltaPathPlan) -> None:
+        batch = state["batch"]
+        batch.append(node, snap, epoch=service.engine.epoch_of(stamp))
+        if len(batch) >= state["size"]:
+            service.submit_batch(batch)
+            state["batch"] = SampleBatch()
+            state["size"] = rng.randint(1, 4)
+
     try:
         pending = list(updates)
         swap_every = max(1, len(observations) // (len(pending) + 1))
@@ -242,7 +254,7 @@ def service_fault_scenario(
             # Observations were captured under the original plan and must
             # stay stamped with it — the service decodes each sample under
             # the epoch it carries, even after later swaps land.
-            service.submit(node, snap, plan=plan)
+            push(node, snap, plan)
             if pending and index % swap_every == swap_every - 1:
                 if rng.random() < 0.5:
                     # Mid-epoch decode pressure: drain before the swap
@@ -252,7 +264,9 @@ def service_fault_scenario(
         while pending:
             service.install_update(pending.pop(0))
         for node, snap in post_swap:
-            service.submit(node, snap, plan=final_plan)
+            push(node, snap, final_plan)
+        if len(state["batch"]):
+            service.submit_batch(state["batch"])
         service.flush()
     finally:
         service.stop()
@@ -307,137 +321,105 @@ def batch_equivalence_scenario(
     updates: Sequence[PlanUpdate] = (),
     post_swap: Sequence[Tuple[str, tuple]] = (),
     seed: int = 0,
+    *,
+    paths: Sequence[Sequence[str]],
 ) -> List[str]:
-    """Differential oracle: the batch path must equal the scalar path.
+    """Ground-truth oracle: the batch path must count what was walked.
 
-    The same observation stream is fed to two losslessly-configured
-    services — one through the deprecated per-sample ``submit`` shim,
-    one through columnar ``submit_batch`` with hot swaps landing
-    *mid-batch* (a partially-filled :class:`SampleBatch` straddles the
-    epoch bump, so one batch carries samples stamped under two epochs).
-    Dedup-then-decode, grouped aggregation, and the compressed context
-    store must be observationally invisible: ``top_contexts``,
-    ``function_totals`` (inclusive and leaf-only), ``ucp_stats``, and
-    the accounting counters must all agree exactly.
-
-    Returns a list of failure descriptions (empty when all held).
+    ``paths`` holds the random walk's own node path (its shadow stack,
+    root first) for each observation, then for each ``post_swap`` one.
+    The stream goes through ``submit_batch`` on a lossless service with
+    hot swaps landing *mid-batch*, so one batch carries samples stamped
+    under two epochs. ``top_contexts``, inclusive and leaf-only
+    ``function_totals`` and ``ucp_stats`` must equal a plain count of
+    ``paths``, and every sample must be aggregated. Returns a list of
+    failure descriptions (empty when all held).
     """
-    import warnings
+    from collections import Counter
 
     from repro.service.batch import SampleBatch
     from repro.service.service import ContextService, ServiceConfig
 
     rng = random.Random(seed)
     failures: List[str] = []
+    expected = len(observations) + len(post_swap)
+    if len(paths) != expected:
+        return [f"{len(paths)} ground-truth paths for {expected} samples"]
+    truth = Counter(tuple(path) for path in paths)
 
-    def make_service() -> "ContextService":
-        return ContextService(
-            plan,
-            ServiceConfig(
-                workers=1,
-                shards=2,
-                queue_capacity=4096,
-                batch_size=16,
-                backpressure="block",
-            ),
-        )
-
-    scalar = make_service()
-    batched = make_service()
-    scalar.start()
-    batched.start()
+    service = ContextService(
+        plan,
+        ServiceConfig(
+            workers=1,
+            shards=2,
+            queue_capacity=4096,
+            batch_size=16,
+            backpressure="block",
+        ),
+    )
+    service.start()
     try:
-        pending_s = list(updates)
-        pending_b = list(updates)
+        pending = list(updates)
         swap_every = max(1, len(observations) // (len(updates) + 1))
         final_plan = updates[-1].plan if updates else plan
         chunk = rng.randint(3, 9)
-
-        # Scalar reference: one sample per call through the legacy shim.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for index, (node, snap) in enumerate(observations):
-                scalar.submit(node, snap, plan=plan)
-                if pending_s and index % swap_every == swap_every - 1:
-                    scalar.install_update(pending_s.pop(0))
-            while pending_s:
-                scalar.install_update(pending_s.pop(0))
-            for node, snap in post_swap:
-                scalar.submit(node, snap, plan=final_plan)
-            scalar.flush()
-
-        # Batch path: identical stream, identical swap schedule — but
-        # swaps land while a batch is mid-fill, so epochs mix in-batch.
+        # Swaps land while a batch is mid-fill, so epochs mix in-batch.
         buf = SampleBatch()
         for index, (node, snap) in enumerate(observations):
-            buf.append(node, snap, epoch=batched.engine.epoch_of(plan))
-            if pending_b and index % swap_every == swap_every - 1:
-                batched.install_update(pending_b.pop(0))
+            buf.append(node, snap, epoch=service.engine.epoch_of(plan))
+            if pending and index % swap_every == swap_every - 1:
+                service.install_update(pending.pop(0))
             if len(buf) >= chunk:
-                batched.submit_batch(buf)
+                service.submit_batch(buf)
                 buf = SampleBatch()
-        while pending_b:
-            batched.install_update(pending_b.pop(0))
+        while pending:
+            service.install_update(pending.pop(0))
         for node, snap in post_swap:
             buf.append(
-                node, snap, epoch=batched.engine.epoch_of(final_plan)
+                node, snap, epoch=service.engine.epoch_of(final_plan)
             )
         if len(buf):
-            batched.submit_batch(buf)
-        batched.flush()
+            service.submit_batch(buf)
+        service.flush()
 
-        expected = len(observations) + len(post_swap)
-        for label, svc in (("scalar", scalar), ("batch", batched)):
-            acct = svc.accounting()
-            if acct["submitted"] != expected:
-                failures.append(
-                    f"{label} service submitted {acct['submitted']} of "
-                    f"{expected} samples under a lossless config"
-                )
-            for leak in ("dropped", "fallback_dropped", "fallback_pending"):
-                if acct[leak]:
-                    failures.append(
-                        f"{label} service leaked {acct[leak]} sample(s) "
-                        f"to {leak} under a lossless config"
-                    )
-
-        acct_s = scalar.accounting()
-        acct_b = batched.accounting()
-        for key in ("aggregated", "dead_lettered", "epoch_mismatches"):
-            if acct_s[key] != acct_b[key]:
-                failures.append(
-                    f"accounting[{key}] diverged: scalar={acct_s[key]} "
-                    f"batch={acct_b[key]}"
-                )
-
-        top_s = scalar.top_contexts(expected + 1)
-        top_b = batched.top_contexts(expected + 1)
-        if top_s != top_b:
+        acct = service.accounting()
+        lost = any(acct[bucket] for bucket in (
+            "dead_lettered", "epoch_mismatches", "dropped",
+            "fallback_dropped", "fallback_pending",
+        ))
+        if lost or not acct["submitted"] == acct["aggregated"] == expected:
             failures.append(
-                f"top_contexts diverged: scalar={top_s[:3]!r}... "
-                f"batch={top_b[:3]!r}..."
+                f"lossless config did not aggregate all {expected} walked "
+                f"samples: {acct!r}"
             )
-        for leaf_only in (False, True):
-            tot_s = scalar.function_totals(leaf_only=leaf_only)
-            tot_b = batched.function_totals(leaf_only=leaf_only)
-            if tot_s != tot_b:
-                diff = {
-                    k: (tot_s.get(k), tot_b.get(k))
-                    for k in set(tot_s) | set(tot_b)
-                    if tot_s.get(k) != tot_b.get(k)
-                }
+        inclusive: Counter = Counter()
+        leaf: Counter = Counter()
+        for path, count in truth.items():
+            for name in set(path):
+                inclusive[name] += count
+            leaf[path[-1]] += count
+        want_top = sorted(
+            ((count, path) for path, count in truth.items()),
+            key=lambda item: (-item[0], item[1]),
+        )
+        want_ucp = {
+            "samples": expected, "gap_samples": 0,
+            "gap_free_samples": expected,
+        }
+        for name, got, want in (
+            ("top_contexts", service.top_contexts(expected + 1), want_top),
+            ("function_totals", service.function_totals(), dict(inclusive)),
+            ("leaf-only function_totals",
+             service.function_totals(leaf_only=True), dict(leaf)),
+            ("ucp_stats", service.ucp_stats(), want_ucp),
+        ):
+            if got != want:
                 failures.append(
-                    f"function_totals(leaf_only={leaf_only}) diverged: "
-                    f"{dict(list(diff.items())[:5])!r}"
+                    f"{name} diverged from the walk: got {got!r:.300}, "
+                    f"want {want!r:.300}"
                 )
-        if scalar.ucp_stats() != batched.ucp_stats():
-            failures.append(
-                f"ucp_stats diverged: scalar={scalar.ucp_stats()!r} "
-                f"batch={batched.ucp_stats()!r}"
-            )
     finally:
-        scalar.stop()
-        batched.stop()
+        service.stop()
     return failures
 
 
@@ -458,6 +440,7 @@ def resilient_fault_scenario(
     from repro.resilience import ResilienceConfig
     from repro.resilience.chaos import ChaosConfig, ChaosInjector
     from repro.resilience.chaos import conservation_failures
+    from repro.service.batch import SampleBatch
     from repro.service.service import ContextService, ServiceConfig
 
     failures: List[str] = []
@@ -496,8 +479,11 @@ def resilient_fault_scenario(
     )
     service.start()
     try:
-        for node, snap in observations:
-            service.submit(node, snap, plan=plan)
+        epoch = service.engine.epoch_of(plan)
+        for lo in range(0, len(observations), 8):
+            service.submit_batch(SampleBatch.from_observations(
+                observations[lo:lo + 8], epoch=epoch
+            ))
         try:
             service.flush(timeout=30.0)
         except ReproError as exc:
@@ -646,6 +632,7 @@ def checkpoint_recovery_scenario(
     from repro.resilience import ResilienceConfig
     from repro.resilience.chaos import _tree_counts, recovery_failures
     from repro.resilience.checkpoint import CheckpointState, CheckpointStore
+    from repro.service.batch import SampleBatch
     from repro.service.service import ContextService, ServiceConfig
 
     failures: List[str] = []
@@ -661,8 +648,11 @@ def checkpoint_recovery_scenario(
         )
         service.start()
         try:
-            for node, snap in observations:
-                service.submit(node, snap, plan=plan)
+            epoch = service.engine.epoch_of(plan)
+            for lo in range(0, len(observations), 16):
+                service.submit_batch(SampleBatch.from_observations(
+                    observations[lo:lo + 16], epoch=epoch
+                ))
             service.flush(timeout=30.0)
         finally:
             service.stop(timeout=30.0)

@@ -19,6 +19,10 @@ oracle         cross-checks
                with optional mid-walk hot swaps on additive deltas
 ``service``    ingestion-queue overflow during hot swap: accounting
                conservation and epoch-correct decoding
+``batch``      ``submit_batch`` ingestion with hot swaps landing
+               mid-batch vs the random walk's own node paths: top-K,
+               inclusive and leaf rollups, UCP stats, lossless
+               accounting
 ``conservation``  ingestion under injected chaos (worker kills, decode
                storms) with supervision armed: the conservation law
                ``submitted == aggregated + dead_lettered + mismatches +
@@ -412,14 +416,16 @@ def _run_walk(
 # ----------------------------------------------------------------------
 # Service oracle
 # ----------------------------------------------------------------------
-def check_service(case: FuzzCase, observations: int = 24) -> List[str]:
-    """Queue-overflow + hot-swap fault injection (see
-    :func:`repro.check.invariants.service_fault_scenario`)."""
+def _swap_workload(
+    case: FuzzCase, salt: int, observations: int, paths: Optional[list] = None
+):
+    """``(plan, updates, pre-swap, post-swap observations)``, or None
+    when the width cannot encode the graph."""
     try:
         plan = build_plan_from_graph(case.graph, width=case.width)
     except EncodingOverflowError:
-        return []
-    rng = random.Random(case.seed ^ 0xFA17)
+        return None
+    rng = random.Random(case.seed ^ salt)
 
     updates: List[PlanUpdate] = []
     current = plan
@@ -432,12 +438,22 @@ def check_service(case: FuzzCase, observations: int = 24) -> List[str]:
         updates = []  # the incremental oracle reports repair crashes
         current = plan
 
-    pre = _collect_observations(plan, rng, observations)
+    pre = _collect_observations(plan, rng, observations, paths)
     post = (
-        _collect_observations(current, rng, observations // 2)
+        _collect_observations(current, rng, observations // 2, paths)
         if updates
         else []
     )
+    return plan, updates, pre, post
+
+
+def check_service(case: FuzzCase, observations: int = 24) -> List[str]:
+    """Queue-overflow + hot-swap fault injection (see
+    :func:`repro.check.invariants.service_fault_scenario`)."""
+    workload = _swap_workload(case, 0xFA17, observations)
+    if workload is None:
+        return []
+    plan, updates, pre, post = workload
     failures = service_fault_scenario(
         plan, pre, updates=updates, post_swap=post, seed=case.seed
     )
@@ -445,53 +461,42 @@ def check_service(case: FuzzCase, observations: int = 24) -> List[str]:
 
 
 def check_batch(case: FuzzCase, observations: int = 24) -> List[str]:
-    """Batch-vs-scalar differential ingestion (see
-    :func:`repro.check.invariants.batch_equivalence_scenario`).
-
-    Feeds one fuzzed workload through the per-sample shim and through
-    ``submit_batch`` (with hot swaps landing mid-batch) and demands
-    identical queries and accounting from both services.
-    """
-    try:
-        plan = build_plan_from_graph(case.graph, width=case.width)
-    except EncodingOverflowError:
+    """``submit_batch`` ingestion, hot swaps landing mid-batch, against
+    the paths the random walks took (see
+    :func:`repro.check.invariants.batch_equivalence_scenario`)."""
+    paths: List[Tuple[str, ...]] = []
+    workload = _swap_workload(case, 0xBA7C, observations, paths)
+    if workload is None:
         return []
-    rng = random.Random(case.seed ^ 0xBA7C)
-
-    updates: List[PlanUpdate] = []
-    current = plan
-    try:
-        for delta in case.deltas:
-            update = current.apply_delta(delta)
-            updates.append(update)
-            current = update.plan
-    except ReproError:
-        updates = []  # the incremental oracle reports repair crashes
-        current = plan
-
-    pre = _collect_observations(plan, rng, observations)
-    post = (
-        _collect_observations(current, rng, observations // 2)
-        if updates
-        else []
-    )
+    plan, updates, pre, post = workload
     failures = batch_equivalence_scenario(
-        plan, pre, updates=updates, post_swap=post, seed=case.seed
+        plan, pre, updates=updates, post_swap=post, seed=case.seed,
+        paths=paths,
     )
     return [f"batch: {f}" for f in failures]
 
 
 def _collect_observations(
-    plan: DeltaPathPlan, rng: random.Random, count: int
+    plan: DeltaPathPlan,
+    rng: random.Random,
+    count: int,
+    paths: Optional[List[Tuple[str, ...]]] = None,
 ) -> List[Tuple[str, tuple]]:
-    """Random-walk the plan's graph, snapshotting as we go."""
+    """Random-walk the plan's graph, snapshotting as we go.
+
+    With ``paths``, each snapshot's ground truth is appended to it: the
+    walk's node path at that moment (its shadow stack, root first).
+    """
     probe = DeltaPathProbe(plan, cpt=True)
     graph = plan.graph
     out: List[Tuple[str, tuple]] = []
+    shadow: List[str] = []
 
     def walk(node: str, depth: int) -> None:
         if len(out) < count and rng.random() < 0.6:
             out.append((node, probe.snapshot(node)))
+            if paths is not None:
+                paths.append(tuple(shadow))
         if depth >= 8 or len(out) >= count:
             return
         edges = graph.out_edges(node)
@@ -501,7 +506,9 @@ def _collect_observations(
             edge = edges[rng.randrange(len(edges))]
             probe.before_call(edge.caller, edge.label, edge.callee)
             probe.enter_function(edge.callee)
+            shadow.append(edge.callee)
             walk(edge.callee, depth + 1)
+            shadow.pop()
             probe.exit_function(edge.callee)
             probe.after_call(edge.caller, edge.label, edge.callee)
 
@@ -510,7 +517,9 @@ def _collect_observations(
         attempts += 1
         probe.begin_execution(graph.entry)
         probe.enter_function(graph.entry)
+        shadow.append(graph.entry)
         walk(graph.entry, 1)
+        shadow.pop()
         probe.exit_function(graph.entry)
         probe.end_execution()
     return out

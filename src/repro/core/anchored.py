@@ -27,7 +27,6 @@ genuinely too small for the graph's in-degrees and we raise
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -231,7 +230,7 @@ class AnchoredEncoding:
 
 def encode_anchored(
     graph: CallGraph,
-    *args,
+    *,
     width: Width = UNBOUNDED,
     initial_anchors: Iterable[str] = (),
     max_restarts: Optional[int] = None,
@@ -253,29 +252,6 @@ def encode_anchored(
     caller no anchor territory covers (i.e. the entry cannot reach),
     instead of silently assigning them a zero addition value.
     """
-    if args:
-        warnings.warn(
-            "positional arguments to encode_anchored are deprecated; "
-            "use keywords: encode_anchored(graph, width=..., "
-            "initial_anchors=..., max_restarts=..., edge_priority=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        names = ("width", "initial_anchors", "max_restarts", "edge_priority")
-        if len(args) > len(names):
-            raise TypeError(
-                f"encode_anchored takes at most {1 + len(names)} "
-                f"positional arguments ({1 + len(args)} given)"
-            )
-        defaults = (UNBOUNDED, (), None, None)
-        positional = dict(zip(names, args))
-        width = positional.get("width", width)
-        if initial_anchors == defaults[1]:
-            initial_anchors = positional.get("initial_anchors", ())
-        if max_restarts is defaults[2]:
-            max_restarts = positional.get("max_restarts")
-        if edge_priority is defaults[3]:
-            edge_priority = positional.get("edge_priority")
     t_start = time.perf_counter()
     with obs.span(
         "encode.anchored", nodes=len(graph.nodes), width=str(width)

@@ -25,7 +25,6 @@ coincides with PCCE (asserted by tests).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -132,7 +131,7 @@ class DeltaPathEncoding:
 
 def encode_deltapath(
     graph: CallGraph,
-    *args,
+    *,
     width: Width = UNBOUNDED,
     edge_priority: Optional[Callable[[CallEdge], float]] = None,
     strict_reachability: bool = False,
@@ -156,20 +155,6 @@ def encode_deltapath(
       caller the entry cannot reach, instead of silently assigning them
       a zero increment.
     """
-    if args:
-        warnings.warn(
-            "positional arguments to encode_deltapath are deprecated; "
-            "use encode_deltapath(graph, edge_priority=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(args) > 1:
-            raise TypeError(
-                f"encode_deltapath takes one positional argument "
-                f"({1 + len(args)} given)"
-            )
-        if edge_priority is None:
-            edge_priority = args[0]
     acyclic, removed = remove_recursion(graph)
     cav: Dict[str, int] = {n: 0 for n in acyclic.nodes}
     icc: Dict[str, int] = {}

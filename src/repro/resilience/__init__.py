@@ -9,8 +9,8 @@ while parts of it are failing. Four mechanisms, one config:
   mode when the budget runs out.
 * :class:`~repro.resilience.retry.RetryPolicy` +
   :class:`~repro.resilience.retry.DeadLetterQueue` — transient
-  per-sample failures are retried, deterministic ones quarantined with
-  full context; nothing vanishes.
+  decode failures are retried per group, deterministic ones
+  quarantined with full context; nothing vanishes.
 * :class:`~repro.resilience.breaker.CircuitBreaker` — decode-error
   storms trip the breaker and traffic sheds to bounded raw-sample
   retention (:class:`~repro.resilience.retry.FallbackStore`), replayed

@@ -151,7 +151,7 @@ class ChaosInjector:
             obs.counter("resilience.chaos_slow_consumers").inc()
             time.sleep(self.config.slow_consumer_s)
 
-    # -- per-sample decode hook -----------------------------------------
+    # -- per-group decode hook ------------------------------------------
     def decode_fault(self) -> None:
         with self._lock:
             hit = self._rng.random() < self.config.decode_fault_rate
@@ -762,6 +762,7 @@ def _chaos_iteration(
         canonical_query_answers,
         query_equivalence_failures,
     )
+    from repro.service.batch import SampleBatch
 
     failures: List[str] = []
     injector = ChaosInjector(chaos_cfg)
@@ -799,8 +800,9 @@ def _chaos_iteration(
 
     try:
         midpoint = len(obs_list) // 2
-        for idx, (node, snap) in enumerate(obs_list):
-            if idx == midpoint and idx:
+        epoch = service.engine.epoch_of(plan)
+        for start, end in ((0, midpoint), (midpoint, len(obs_list))):
+            if start:
                 # Mid-flood drain + flush: the store ends the iteration
                 # with multiple segments, so windowed queries cross real
                 # segment boundaries and the compaction below has an
@@ -810,7 +812,10 @@ def _chaos_iteration(
                 except ReproError as exc:
                     failures.append(f"mid-flood flush failed: {exc}")
                 flush_segments_retried()
-            service.submit(node, snap, plan=plan)
+            for lo in range(start, end, 8):
+                service.submit_batch(SampleBatch.from_observations(
+                    obs_list[lo:min(lo + 8, end)], epoch=epoch
+                ))
         try:
             service.flush(timeout=30.0)
         except ReproError as exc:

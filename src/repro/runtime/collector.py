@@ -21,7 +21,7 @@ large runs that measure collisions no longer hold every truth context in
 memory, and runs that measure neither hold nothing.
 
 A collector can also stream observations onward: give it a ``sink``
-(e.g. :meth:`repro.service.ContextService.sink`) and every snapshot is
+(e.g. :meth:`repro.service.ContextService.batch_sink`) and every snapshot is
 handed off as ``sink(node, snapshot, probe)`` for ingestion/aggregation.
 A failing sink must not take the instrumented program down with it:
 ``sink_errors`` picks the policy — ``"raise"`` (propagate, the historical

@@ -18,7 +18,6 @@ on tuples the interpreter already has.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace as _dc_replace
 from typing import (
     Callable,
@@ -158,7 +157,7 @@ class DeltaPathPlan:
 
 def build_plan_from_graph(
     graph: CallGraph,
-    *args,
+    *,
     width: Width = W64,
     application_only: bool = False,
     edge_priority: Optional[Callable] = None,
@@ -183,33 +182,6 @@ def build_plan_from_graph(
     Section 8 hot-edge optimization. Eliding is incompatible with call
     path tracking (the agent enforces this).
     """
-    if args:
-        warnings.warn(
-            "positional arguments to build_plan_from_graph are "
-            "deprecated; pass keywords, or use repro.api.Encoder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        names = (
-            "width",
-            "application_only",
-            "edge_priority",
-            "elide_zero_av_sites",
-            "initial_anchors",
-        )
-        if len(args) > len(names):
-            raise TypeError(
-                f"build_plan_from_graph takes at most {1 + len(names)} "
-                f"positional arguments ({1 + len(args)} given)"
-            )
-        supplied = dict(zip(names, args))
-        width = supplied.get("width", width)
-        application_only = supplied.get("application_only", application_only)
-        edge_priority = supplied.get("edge_priority", edge_priority)
-        elide_zero_av_sites = supplied.get(
-            "elide_zero_av_sites", elide_zero_av_sites
-        )
-        initial_anchors = supplied.get("initial_anchors", initial_anchors)
     t_start = time.perf_counter()
     with obs.span("plan.build", nodes=len(graph.nodes)) as sp:
         if application_only:
@@ -296,7 +268,7 @@ def _assemble_plan(
 
 def build_plan(
     program: Program,
-    *args,
+    *,
     policy: Policy = Policy.ZERO_CFA,
     width: Width = W64,
     application_only: bool = False,
@@ -305,35 +277,6 @@ def build_plan(
     initial_anchors: Iterable[str] = (),
 ) -> DeltaPathPlan:
     """Full pipeline: program -> static call graph -> plan."""
-    if args:
-        warnings.warn(
-            "positional arguments to build_plan are deprecated; pass "
-            "keywords, or use repro.api.Encoder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        names = (
-            "policy",
-            "width",
-            "application_only",
-            "edge_priority",
-            "elide_zero_av_sites",
-            "initial_anchors",
-        )
-        if len(args) > len(names):
-            raise TypeError(
-                f"build_plan takes at most {1 + len(names)} positional "
-                f"arguments ({1 + len(args)} given)"
-            )
-        supplied = dict(zip(names, args))
-        policy = supplied.get("policy", policy)
-        width = supplied.get("width", width)
-        application_only = supplied.get("application_only", application_only)
-        edge_priority = supplied.get("edge_priority", edge_priority)
-        elide_zero_av_sites = supplied.get(
-            "elide_zero_av_sites", elide_zero_av_sites
-        )
-        initial_anchors = supplied.get("initial_anchors", initial_anchors)
     graph = build_callgraph(program, policy=policy, include_dynamic=False)
     return build_plan_from_graph(
         graph,

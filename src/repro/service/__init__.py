@@ -22,10 +22,9 @@ everything that happens to the collected integers afterwards:
   counts), with keyword-only ``epoch=`` / ``decoded=`` filters.
 * :class:`ContextService` — the facade wiring all of it together, with
   full metrics (counters, queue depth, cache hit rates, latency
-  histograms). Ingest with :meth:`ContextService.submit_batch`; the
-  scalar ``submit`` / ``submit_many`` / ``sink`` calls remain as
-  deprecated shims. Also exported from :mod:`repro.api` / the package
-  root.
+  histograms). Ingest with :meth:`ContextService.submit_batch` (or
+  the buffering :meth:`ContextService.batch_sink`). Also exported from
+  :mod:`repro.api` / the package root.
 
 Benchmark with ``python -m repro serve-bench``.
 """

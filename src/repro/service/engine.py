@@ -270,8 +270,9 @@ class DecodeEngine:
 
         The dedup-then-decode core of the batch path: the caller groups
         a batch by key and each *distinct* key decodes exactly once —
-        through the same memoized path as :meth:`decode_path`, so batch
-        and scalar decoding can never disagree. Per-key failures are
+        through the same memoized path as :meth:`decode_path`, so a
+        batch's first attempt and a group's retries can never disagree.
+        Per-key failures are
         returned, not raised: the result is a list of
         ``(key, decoded_or_None, error_or_None)`` aligned with ``keys``,
         letting the service dead-letter one poisoned group while the

@@ -122,7 +122,13 @@ class BoundedQueue:
     or evicted whole, and its whole sample count is accounted.
     """
 
-    def __init__(self, capacity: int = 4096, policy: str = "block"):
+    def __init__(
+        self,
+        capacity: int = 4096,
+        policy: str = "block",
+        *,
+        on_drop: Optional[Callable[[int], None]] = None,
+    ):
         if capacity < 1:
             raise ServiceError("queue capacity must be at least 1")
         if policy not in POLICIES:
@@ -139,8 +145,15 @@ class BoundedQueue:
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
         self.dropped = 0
+        self._on_drop = on_drop
 
     # ------------------------------------------------------------------
+    def _drop(self, count: int) -> None:
+        """Count ``count`` dropped samples (caller holds the lock)."""
+        self.dropped += count
+        if self._on_drop is not None:
+            self._on_drop(count)
+
     def _fits(self, count: int) -> bool:
         """Admission check (lock held): room for ``count`` more samples.
 
@@ -185,12 +198,12 @@ class BoundedQueue:
                 return self._reject_closed(on_closed, count)
             if not self._fits(count):
                 if self.policy == "error":
-                    self.dropped += count
+                    self._drop(count)
                     raise IngestOverflowError(
                         f"ingestion queue full ({self.capacity} samples)"
                     )
                 if self.policy == "drop-newest":
-                    self.dropped += count
+                    self._drop(count)
                     return False
                 if self.policy == "drop-oldest":
                     # Evict whole items (oldest first) until the new one
@@ -199,13 +212,13 @@ class BoundedQueue:
                         evicted = self._items.popleft()
                         shed = item_samples(evicted)
                         self._size -= shed
-                        self.dropped += shed
+                        self._drop(shed)
                 else:  # block
                     if not self._not_full.wait_for(
                         lambda: self._fits(count) or self._closed,
                         timeout=timeout,
                     ):
-                        self.dropped += count
+                        self._drop(count)
                         return False
                     if self._closed:
                         # Closed while we were blocked: the samples were
@@ -219,7 +232,7 @@ class BoundedQueue:
 
     def _reject_closed(self, on_closed: str, count: int) -> bool:
         """Account a closed-queue rejection (caller holds the lock)."""
-        self.dropped += count
+        self._drop(count)
         if on_closed == "raise":
             raise ServiceError("queue is closed")
         return False

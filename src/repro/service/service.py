@@ -15,9 +15,11 @@ per shard. Retained contexts live delta-encoded in a shared
 contexts, per-function rollups, UCP counts) merge shards on read and
 take a uniform keyword-only ``epoch=`` / ``decoded=`` contract.
 
-The scalar calls (:meth:`submit`, :meth:`submit_many`, :meth:`sink`)
-remain as thin compatibility shims over the batch path; each emits one
-:class:`DeprecationWarning` per call site.
+Every configuration, armed or not, makes the same first attempt on a
+drained batch: one ``decode_batch`` over its distinct groups and one
+``add_counts`` for the ones that decoded. The circuit breaker and chaos
+decode faults act per group inside that attempt, and only the groups
+that failed go on to the retry ladder.
 
 Hot swaps plug straight into PR 1's machinery: call
 :meth:`ContextService.install_update` with the :class:`PlanUpdate` used
@@ -57,12 +59,10 @@ from __future__ import annotations
 
 import os
 import random
-import sys
 import threading
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import (
@@ -199,8 +199,6 @@ class ContextService:
         self.store = ContextStore(compression=self.config.store_compression)
         self.tree = ShardedContextTree(self.config.shards, store=self.store)
         self.metrics = ServiceMetrics()
-        self._legacy_lock = threading.Lock()
-        self._legacy_sites: Set[Tuple[str, str, int]] = set()
 
         # Resilience wiring. The imports are method-local because
         # repro.resilience imports repro.service.ingest — importing it
@@ -227,7 +225,9 @@ class ContextService:
             self._retry_rng = random.Random(0)
 
         self._queue = BoundedQueue(
-            self.config.queue_capacity, self.config.backpressure
+            self.config.queue_capacity,
+            self.config.backpressure,
+            on_drop=lambda n: self.metrics.count("dropped", n),
         )
         self._pool = WorkerPool(
             self._queue,
@@ -465,11 +465,7 @@ class ContextService:
         if self._degraded:
             # The pool is retired: queueing would strand the samples, so
             # they go straight to bounded raw retention.
-            retained = 0
-            for sample in batch:
-                if self._retain_fallback(sample):
-                    retained += 1
-            return retained
+            return sum(self._retain_fallback(sample) for sample in batch)
         if self._procs is not None:
             # Lane routing is by function name (stable across processes)
             # so each context always decodes on its shard owner; drops
@@ -478,7 +474,8 @@ class ContextService:
         # Drops of every flavour (newest, oldest, timeout, error, and
         # closed-while-racing-stop) are tallied by the queue itself, by
         # sample count, so accounting stays exact even when the
-        # discarded batch is not the one being submitted.
+        # discarded batch is not the one being submitted; the queue's
+        # ``on_drop`` hook exports the same tally as service.dropped.
         if self._queue.put(batch, timeout=timeout, on_closed="drop"):
             return count
         return 0
@@ -521,127 +518,6 @@ class ContextService:
                 self.submit_batch(full)
 
         _sink.flush = flush
-        return _sink
-
-    # -- scalar compatibility shims ------------------------------------
-    def _warn_legacy(self, api: str, replacement: str) -> None:
-        """One :class:`DeprecationWarning` per (api, call site)."""
-        frame = sys._getframe(2)
-        site = (api, frame.f_code.co_filename, frame.f_lineno)
-        with self._legacy_lock:
-            if site in self._legacy_sites:
-                return
-            self._legacy_sites.add(site)
-        warnings.warn(
-            f"ContextService.{api}() is a compatibility shim over the "
-            f"batch-first API; prefer {replacement}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def submit(
-        self,
-        node: str,
-        snapshot: Tuple[Sequence, int],
-        *,
-        plan: Optional[DeltaPathPlan] = None,
-        weight: int = 1,
-        timeout: Optional[float] = None,
-    ) -> bool:
-        """Queue one observation for ingestion (scalar shim).
-
-        .. deprecated:: batch-first API
-            Prefer :meth:`submit_batch` (or :meth:`batch_sink`); this
-            shim feeds the same grouped decode path one sample at a
-            time and warns once per call site.
-
-        ``plan`` names the plan the snapshot was captured under (e.g.
-        ``probe.plan``); it resolves to the epoch the sample is stamped
-        with. Omitted, the current epoch is assumed — only correct when
-        no hot swap can be in flight between capture and submission.
-        Returns False when the sample was dropped by the backpressure
-        policy (or retained raw in degraded mode without aggregation).
-        """
-        self._warn_legacy("submit", "submit_batch()")
-        return self._submit_sample(
-            node, snapshot, plan=plan, weight=weight, timeout=timeout
-        )
-
-    def _submit_sample(
-        self,
-        node: str,
-        snapshot: Tuple[Sequence, int],
-        *,
-        plan: Optional[DeltaPathPlan] = None,
-        weight: int = 1,
-        timeout: Optional[float] = None,
-    ) -> bool:
-        if not self._started:
-            raise ServiceError("service not started; call start() first")
-        if self._stopped:
-            raise ServiceError("service is stopped")
-        epoch = (
-            self.engine.epoch if plan is None else self.engine.epoch_of(plan)
-        )
-        stack, current_id = snapshot
-        sample = Sample(
-            node=node,
-            stack=tuple(stack),
-            current_id=current_id,
-            epoch=epoch,
-            weight=weight,
-        )
-        self.metrics.count("submitted")
-        self.metrics.observe_queue_depth(len(self._queue))
-        if self._degraded:
-            return self._retain_fallback(sample)
-        if self._procs is not None:
-            packed = SampleBatch()
-            packed.append(
-                node, (stack, current_id), epoch=epoch, weight=weight
-            )
-            return self._procs.submit(packed, timeout=timeout) == 1
-        return self._queue.put(sample, timeout=timeout, on_closed="drop")
-
-    def submit_many(
-        self,
-        observations: Sequence[Tuple[str, Tuple[Sequence, int]]],
-        *,
-        plan: Optional[DeltaPathPlan] = None,
-    ) -> int:
-        """Submit many ``(node, snapshot)`` pairs; returns accepted count.
-
-        .. deprecated:: batch-first API
-            Prefer packing the observations with
-            :meth:`SampleBatch.from_observations` and calling
-            :meth:`submit_batch` — one queue item, one decode pass.
-        """
-        self._warn_legacy("submit_many", "submit_batch()")
-        accepted = 0
-        for node, snapshot in observations:
-            if self._submit_sample(node, snapshot, plan=plan):
-                accepted += 1
-        return accepted
-
-    def sink(self) -> Callable:
-        """A per-observation collector sink (scalar shim).
-
-        .. deprecated:: batch-first API
-            Prefer :meth:`batch_sink`, which buffers observations into
-            columnar batches (same epoch-stamping contract, one queue
-            item per ``batch_max`` samples).
-
-        The collector calls it as ``sink(node, snapshot, probe)``; the
-        probe's current plan stamps the sample's epoch, so collection
-        keeps working across hot swaps with no extra wiring.
-        """
-        self._warn_legacy("sink", "batch_sink()")
-
-        def _sink(node, snapshot, probe=None):
-            self._submit_sample(
-                node, snapshot, plan=getattr(probe, "plan", None)
-            )
-
         return _sink
 
     def flush(self, timeout: float = 30.0) -> None:
@@ -786,112 +662,90 @@ class ContextService:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _handle_items(self, items: Sequence) -> None:
-        """Drain handler: dedup-then-decode a batch of queue items.
-
-        ``items`` mixes loose :class:`Sample` objects and whole
-        :class:`SampleBatch` columns. Everything is collapsed into
-        distinct ``(epoch, node, stack, id)`` groups first; each group
-        decodes once. With the breaker or chaos armed, groups walk the
-        full per-group retry ladder (so fault injection and breaker
-        state machines see every group); otherwise the fast path decodes
-        the whole group set and lands the counts with one locked pass
-        per shard.
-        """
+    def _handle_items(self, items: Sequence[SampleBatch]) -> None:
+        """Drain handler: group a drained list of batches, then make
+        the one first attempt on the groups."""
         start = time.perf_counter()
-        total = 0
-        # key -> [n_samples, weight, sources]; a source is either a
-        # Sample or a (batch, group-key) pair — materialized only if
-        # the group fails and its samples must be quarantined/retained.
-        groups: Dict[Tuple, list] = {}
-        for item in items:
-            if isinstance(item, SampleBatch):
-                total += len(item)
-                for key, (n, w) in item.groups().items():
-                    gkey = (
-                        key[0], item.node_of(key), item.stack_of(key), key[3]
-                    )
-                    slot = groups.get(gkey)
-                    if slot is None:
-                        groups[gkey] = [n, w, [(item, key)]]
-                    else:
-                        slot[0] += n
-                        slot[1] += w
-                        slot[2].append((item, key))
-            else:
-                total += 1
-                gkey = (item.epoch, item.node, item.stack, item.current_id)
-                slot = groups.get(gkey)
-                if slot is None:
-                    groups[gkey] = [1, item.weight, [item]]
-                else:
-                    slot[0] += 1
-                    slot[1] += item.weight
-                    slot[2].append(item)
+        total = sum(len(batch) for batch in items)
+        groups = self._group(items)
         with obs.span("service.batch", samples=total, groups=len(groups)):
             self.metrics.count("ingested", total)
             self.metrics.count("batch.groups", len(groups))
             self.metrics.count("batch.dedup_saved", total - len(groups))
-            if self._breaker is not None or self._chaos is not None:
-                for gkey, (n, w, sources) in groups.items():
-                    self._ingest_group(gkey, n, w, sources)
-            else:
-                self._ingest_groups_fast(groups)
+            self._ingest_groups(groups)
             self.metrics.count("batches")
             self.metrics.batch_latency.observe(time.perf_counter() - start)
 
     @staticmethod
+    def _group(batches: Sequence[SampleBatch]) -> Dict[Tuple, list]:
+        """``(epoch, node, stack, id) -> [n_samples, weight, sources]``;
+        a source is a ``(batch, group-key)`` pair (see :meth:`_materialize`).
+        """
+        groups: Dict[Tuple, list] = {}
+        for batch in batches:
+            for key, (n, w) in batch.groups().items():
+                gkey = (
+                    key[0], batch.node_of(key), batch.stack_of(key), key[3]
+                )
+                slot = groups.get(gkey)
+                if slot is None:
+                    groups[gkey] = [n, w, [(batch, key)]]
+                else:
+                    slot[0] += n
+                    slot[1] += w
+                    slot[2].append((batch, key))
+        return groups
+
+    @staticmethod
     def _materialize(sources) -> List[Sample]:
         """The actual samples behind a group's sources (failure path)."""
-        out: List[Sample] = []
-        for src in sources:
-            if isinstance(src, tuple):
-                batch, key = src
-                out.extend(batch.sample(i) for i in batch.indices_of(key))
-            else:
-                out.append(src)
-        return out
+        return [
+            batch.sample(i)
+            for batch, key in sources
+            for i in batch.indices_of(key)
+        ]
 
-    def _ingest_groups_fast(self, groups: Dict[Tuple, list]) -> None:
-        """Un-armed path: one decode pass, one shard pass."""
+    def _ingest_groups(self, groups: Dict[Tuple, list]) -> None:
+        """The first attempt on one drained batch's groups.
+
+        An armed breaker that refuses a group retains it raw; an armed
+        chaos fault fails it transiently. The rest decode in one
+        ``decode_batch``, the breaker hears one outcome per admitted
+        group, the successes land in one ``add_counts`` and only the
+        failures go on to :meth:`_ingest_failed` — so each group ends in
+        exactly one accounting bucket.
+        """
+        breaker = self._breaker
+        chaos = self._chaos
+        admitted = []
+        results = []
+        for key, slot in groups.items():
+            if breaker is not None and not breaker.allow():
+                self._retain_group(slot)
+                continue
+            if chaos is not None:
+                try:
+                    chaos.decode_fault()
+                except Exception as exc:  # noqa: BLE001 - presumed transient
+                    results.append((key, None, exc))
+                    continue
+            admitted.append(key)
         t0 = time.perf_counter()
+        if admitted:
+            results.extend(self.engine.decode_batch(admitted))
         entries = []
         aggregated = 0
-        for key, decoded, exc in self.engine.decode_batch(list(groups)):
-            n, weight, sources = groups[key]
+        failed = []
+        for key, decoded, exc in results:
             if exc is not None:
-                if isinstance(exc, (DecodingError, EpochError)):
-                    # Deterministic: retrying cannot change the outcome.
-                    self.metrics.record_error(
-                        f"{key[1]}@epoch{key[0]}: {exc}"
-                    )
-                    for sample in self._materialize(sources):
-                        self._dlq.quarantine(
-                            sample, exc, 1,
-                            fingerprint=self._fingerprint_of(key[0]),
-                        )
-                    self.metrics.count("dead_lettered", n)
-                    obs.counter("resilience.dead_letters").inc(n)
-                elif self._retry_policy.max_attempts <= 1:
-                    self.metrics.record_error(
-                        f"{key[1]}@epoch{key[0]} (after 1 attempts): {exc!r}"
-                    )
-                    for sample in self._materialize(sources):
-                        self._dlq.quarantine(
-                            sample, exc, 1,
-                            fingerprint=self._fingerprint_of(key[0]),
-                        )
-                    self.metrics.count("dead_lettered", n)
-                    obs.counter("resilience.dead_letters").inc(n)
-                else:
-                    # Presumed transient: hand the group to the retry
-                    # ladder, crediting the failed decode as attempt 1.
-                    self.metrics.count("retries")
-                    obs.counter("resilience.retries").inc()
-                    time.sleep(self._retry_policy.delay(1, self._retry_rng))
-                    self._ingest_group(key, n, weight, sources, attempts=1)
+                if breaker is not None:
+                    breaker.record_failure()
+                failed.append((key, exc))
                 continue
+            if breaker is not None:
+                breaker.record_success()
             path, has_gaps, used_epoch = decoded
+            n, weight, _sources = groups[key]
             if used_epoch != key[0]:  # pragma: no cover - invariant
                 self.metrics.count("epoch_mismatches", n)
                 continue
@@ -900,149 +754,78 @@ class ContextService:
         if entries:
             self.tree.add_counts(entries)
             self.metrics.count("aggregated", aggregated)
-        self.metrics.decode_latency.observe(time.perf_counter() - t0)
+        if admitted:
+            self.metrics.decode_latency.observe(time.perf_counter() - t0)
+        for key, exc in failed:
+            self._ingest_failed(key, groups[key], exc)
 
-    def _ingest_group(
-        self, key: Tuple, n: int, weight: int, sources, attempts: int = 0
-    ) -> None:
-        """Armed path: the scalar retry ladder, applied per group.
-
-        Identical semantics to :meth:`_ingest_sample`, but one decode
-        covers all ``n`` samples of the group — every accounting
-        outcome (aggregate, dead-letter, retain) moves the whole group,
-        keeping the conservation law's induction step intact.
-        ``attempts`` credits decode attempts already burned by the fast
-        path before it handed the group over.
-        """
+    def _ingest_failed(self, key: Tuple, slot: list, exc: Exception) -> None:
+        """The failure ladder: a deterministic failure dead-letters at
+        once; a transient one is retained raw while the breaker is open,
+        else retried with backoff up to the policy's attempts, then
+        dead-lettered."""
         epoch, node, stack, current_id = key
         breaker = self._breaker
-        if breaker is not None and not breaker.allow():
-            for sample in self._materialize(sources):
-                self._retain_fallback(sample)
-            return
+        attempts = 1
         while True:
+            if isinstance(exc, (DecodingError, EpochError)):
+                self._dead_letter_group(key, slot, exc, attempts)
+                return
+            if breaker is not None and breaker.state == "open":
+                self._retain_group(slot)
+                return
+            if attempts >= self._retry_policy.max_attempts:
+                self._dead_letter_group(key, slot, exc, attempts)
+                return
+            self.metrics.count("retries")
+            obs.counter("resilience.retries").inc()
+            time.sleep(self._retry_policy.delay(attempts, self._retry_rng))
             attempts += 1
-            t0 = time.perf_counter()
             try:
                 if self._chaos is not None:
                     self._chaos.decode_fault()
                 path, has_gaps, used_epoch = self.engine.decode_path(
                     node, (stack, current_id), epoch=epoch
                 )
-            except (DecodingError, EpochError) as exc:
+            except Exception as retry_exc:  # noqa: BLE001 - classified above
                 if breaker is not None:
                     breaker.record_failure()
-                self.metrics.record_error(f"{node}@epoch{epoch}: {exc}")
-                for sample in self._materialize(sources):
-                    self._dlq.quarantine(
-                        sample, exc, attempts,
-                        fingerprint=self._fingerprint_of(epoch),
-                    )
-                self.metrics.count("dead_lettered", n)
-                obs.counter("resilience.dead_letters").inc(n)
-                return
-            except Exception as exc:  # noqa: BLE001 - presumed transient
-                if breaker is not None:
-                    breaker.record_failure()
-                    if breaker.state == "open":
-                        for sample in self._materialize(sources):
-                            self._retain_fallback(sample)
-                        return
-                if attempts >= self._retry_policy.max_attempts:
-                    self.metrics.record_error(
-                        f"{node}@epoch{epoch} (after "
-                        f"{attempts} attempts): {exc!r}"
-                    )
-                    for sample in self._materialize(sources):
-                        self._dlq.quarantine(sample, exc, attempts)
-                    self.metrics.count("dead_lettered", n)
-                    obs.counter("resilience.dead_letters").inc(n)
-                    return
-                self.metrics.count("retries")
-                obs.counter("resilience.retries").inc()
-                time.sleep(self._retry_policy.delay(attempts, self._retry_rng))
+                exc = retry_exc
                 continue
-            break
-        self.metrics.decode_latency.observe(time.perf_counter() - t0)
-        if breaker is not None:
-            breaker.record_success()
-        if used_epoch != epoch:  # pragma: no cover - invariant
-            self.metrics.count("epoch_mismatches", n)
-            return
-        self.tree.add(path, has_gaps, weight, epoch=epoch)
-        self.metrics.count("aggregated", n)
-
-    def _ingest_sample(self, sample: Sample) -> None:
-        """Decode and aggregate one sample, or account for its failure.
-
-        The failure ladder: breaker-open sheds to raw retention;
-        deterministic decode failures dead-letter immediately;
-        transient exceptions retry with backoff, then dead-letter.
-        Exactly one accounting outcome happens per call — that is the
-        conservation law's induction step.
-        """
-        breaker = self._breaker
-        if breaker is not None and not breaker.allow():
-            self._retain_fallback(sample)
-            return
-        attempts = 0
-        while True:
-            attempts += 1
-            t0 = time.perf_counter()
-            try:
-                if self._chaos is not None:
-                    self._chaos.decode_fault()
-                path, has_gaps, used_epoch = self.engine.decode_path(
-                    sample.node, sample.snapshot, epoch=sample.epoch
-                )
-            except (DecodingError, EpochError) as exc:
-                # Deterministic: the snapshot cannot decode under its
-                # epoch's plan, and retrying will not change that.
-                if breaker is not None:
-                    breaker.record_failure()
-                self.metrics.record_error(
-                    f"{sample.node}@epoch{sample.epoch}: {exc}"
-                )
-                self._quarantine(sample, exc, attempts)
+            if breaker is not None:
+                breaker.record_success()
+            n, weight, _sources = slot
+            if used_epoch != epoch:  # pragma: no cover - invariant
+                self.metrics.count("epoch_mismatches", n)
                 return
-            except Exception as exc:  # noqa: BLE001 - presumed transient
-                if breaker is not None:
-                    breaker.record_failure()
-                    if breaker.state == "open":
-                        # Tripped mid-retry: stop burning attempts, the
-                        # sample waits out the storm in raw retention.
-                        self._retain_fallback(sample)
-                        return
-                if attempts >= self._retry_policy.max_attempts:
-                    self.metrics.record_error(
-                        f"{sample.node}@epoch{sample.epoch} (after "
-                        f"{attempts} attempts): {exc!r}"
-                    )
-                    self._quarantine(sample, exc, attempts)
-                    return
-                self.metrics.count("retries")
-                obs.counter("resilience.retries").inc()
-                time.sleep(self._retry_policy.delay(attempts, self._retry_rng))
-                continue
-            break
-        self.metrics.decode_latency.observe(time.perf_counter() - t0)
-        if breaker is not None:
-            breaker.record_success()
-        if used_epoch != sample.epoch:  # pragma: no cover - invariant
-            self.metrics.count("epoch_mismatches")
+            self.tree.add(path, has_gaps, weight, epoch=epoch)
+            self.metrics.count("aggregated", n)
             return
-        self.tree.add(path, has_gaps, sample.weight, epoch=sample.epoch)
-        self.metrics.count("aggregated")
 
-    def _quarantine(
-        self, sample: Sample, exc: BaseException, attempts: int
+    def _dead_letter_group(
+        self, key: Tuple, slot: list, exc: Exception, attempts: int
     ) -> None:
-        self._dlq.quarantine(
-            sample, exc, attempts,
-            fingerprint=self._fingerprint_of(sample.epoch),
-        )
-        self.metrics.count("dead_lettered")
-        obs.counter("resilience.dead_letters").inc()
+        """Dead-letter a group's samples, stamped with the plan
+        fingerprint of their epoch."""
+        epoch, node = key[0], key[1]
+        if isinstance(exc, (DecodingError, EpochError)):
+            self.metrics.record_error(f"{node}@epoch{epoch}: {exc}")
+        else:
+            self.metrics.record_error(
+                f"{node}@epoch{epoch} (after {attempts} attempts): {exc!r}"
+            )
+        n, _weight, sources = slot
+        fingerprint = self._fingerprint_of(epoch)
+        for sample in self._materialize(sources):
+            self._dlq.quarantine(
+                sample, exc, attempts, fingerprint=fingerprint
+            )
+        self.metrics.count("dead_lettered", n)
+        obs.counter("resilience.dead_letters").inc(n)
+
+    def _retain_group(self, slot: list) -> None:
+        for sample in self._materialize(slot[2]):
+            self._retain_fallback(sample)
 
     def _retain_fallback(self, sample: Sample) -> bool:
         if self._fallback.retain(sample):
@@ -1051,16 +834,14 @@ class ContextService:
         self.metrics.count("fallback_dropped")
         return False
 
-    def _shed_queue_to_fallback(self) -> int:
+    def _shed_queue_to_fallback(self) -> None:
         """Drain whatever sits in the queue into raw retention."""
-        shed = 0
         while True:
             items = self._queue.get_batch(256, timeout=0)
             if not items:
-                return shed
+                return
             for sample in iter_samples(items):
                 self._retain_fallback(sample)
-                shed += 1
 
     def _enter_degraded(self) -> None:
         """Supervisor callback: restart budget exhausted.
@@ -1078,14 +859,11 @@ class ContextService:
         if self._procs is not None:
             self._drain_dead_lanes()
 
-    def _drain_dead_lanes(self) -> int:
+    def _drain_dead_lanes(self) -> None:
         """Retain raw whatever dead workers left queued in their lanes."""
-        shed = 0
         for batch in self._procs.drain_leftovers(only_dead=True):
             for sample in batch:
                 self._retain_fallback(sample)
-                shed += 1
-        return shed
 
     @property
     def degraded(self) -> bool:
@@ -1098,18 +876,22 @@ class ContextService:
         """Re-ingest retained raw samples through the normal decode path.
 
         No-op while the breaker is open (that is what the retention is
-        *for*). Replay happens on the calling thread; each replayed
-        sample ends aggregated or dead-lettered. Returns replay count.
+        *for*). Replay happens on the calling thread: the samples are
+        packed into one batch and take the same first attempt as a
+        drained batch, so each ends aggregated, dead-lettered, or
+        retained again (a half-open breaker admits only its probes).
+        Returns the number of samples replayed.
         """
         if self._breaker is not None and self._breaker.state == "open":
             return 0
-        replayed = 0
-        for sample in self._fallback.drain(limit):
-            self.metrics.count("fallback_replayed")
-            obs.counter("resilience.fallback_replays").inc()
-            self._ingest_sample(sample)
-            replayed += 1
-        return replayed
+        samples = self._fallback.drain(limit)
+        if samples:
+            self.metrics.count("fallback_replayed", len(samples))
+            obs.counter("resilience.fallback_replays").inc(len(samples))
+            self._ingest_groups(
+                self._group([SampleBatch.from_samples(samples)])
+            )
+        return len(samples)
 
     def dead_letters(self) -> List:
         """The quarantined samples (newest-bounded; see DeadLetterQueue)."""
@@ -1629,7 +1411,6 @@ class ContextService:
     def service_metrics(self) -> Dict[str, object]:
         """Counters + latency histograms + cache + shard balance."""
         out = self.metrics.snapshot(queue_depth=len(self._queue))
-        out["dropped"] = self._queue.dropped
         out["caches"] = self.engine.cache_stats()
         stats = self.tree.shard_stats()
         out["shards"] = {

@@ -49,7 +49,7 @@ class TestConfigsAndTargets:
         names = {config.name for config in CONFIGS}
         assert len(CONFIGS) >= 4
         assert {
-            "default", "uncached", "scalar", "multiproc-2", "compact-on",
+            "default", "uncached", "resilient", "multiproc-2", "compact-on",
         } <= names
         # Each non-default config flips exactly one axis vs default.
         default = resolve_configs(["default"])[0]
@@ -60,8 +60,7 @@ class TestConfigsAndTargets:
                 knob
                 for knob in (
                     "cached", "shards", "workers", "resilience",
-                    "batch", "compression", "worker_processes",
-                    "compact",
+                    "compression", "worker_processes", "compact",
                 )
                 if getattr(config, knob) != getattr(default, knob)
             ]
@@ -70,7 +69,9 @@ class TestConfigsAndTargets:
     def test_resolve_all_and_subsets(self):
         assert resolve_configs(None) == list(CONFIGS)
         assert resolve_configs(["all"]) == list(CONFIGS)
-        assert [c.name for c in resolve_configs(["scalar"])] == ["scalar"]
+        assert [c.name for c in resolve_configs(["resilient"])] == [
+            "resilient"
+        ]
         assert resolve_targets(None) == list(TARGETS)
         assert resolve_targets(["query"]) == ["query"]
 
@@ -88,10 +89,10 @@ class TestConfigsAndTargets:
 
 class TestRunMatrix:
     def test_cells_and_flat_gated_keys(self, stubbed):
-        result = run_matrix(["default", "scalar"], ["serve", "query"])
+        result = run_matrix(["default", "resilient"], ["serve", "query"])
         assert set(result["cells"]) == {
             "default/serve", "default/query",
-            "scalar/serve", "scalar/query",
+            "resilient/serve", "resilient/query",
         }
         assert result["gated"]["default/serve/ingest_per_s"] == 100.0
         assert len(result["gated"]) == 4

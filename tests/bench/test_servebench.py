@@ -126,14 +126,11 @@ class TestStudies:
             plan, stream, workers=2, shards=4, batch_max=64
         )
         assert out["batch_max"] == 64
-        for side in ("scalar", "batch"):
-            assert out[side]["samples"] == TINY["samples"]
-            assert out[side]["dropped"] == 0
-            assert out[side]["per_s"] > 0
-        # The two APIs must agree exactly; speed is asserted only at
-        # full scale (CI serve-bench gate), not on tiny streams.
+        assert out["batch"]["samples"] == TINY["samples"]
+        assert out["batch"]["dropped"] == 0
+        assert out["batch"]["per_s"] > 0
+        # The batch service must agree exactly with a per-sample decode.
         assert out["accounting_match"]
-        assert out["speedup"] > 0
 
     def test_cct_paths_are_prefix_closed(self):
         paths = _cct_paths(200, seed=3)
@@ -207,7 +204,8 @@ class TestServeBench:
         out = render_serve_bench(result)
         assert "speedup cached/uncached" in out
         assert "lost 0" in out
-        assert "batch vs scalar ingestion" in out
+        assert "batch ingestion" in out
+        assert "match the per-sample decode" in out
         assert "process-fleet batch ingest" in out
         assert "context store footprint" in out
         assert "hottest contexts:" in out

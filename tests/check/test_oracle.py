@@ -148,8 +148,8 @@ class TestBatchOracle:
     def test_catches_a_lossy_batch_path(self, monkeypatch):
         # Mutation: make grouping inflate one group's weight (sample
         # counts stay conserved, so the service still drains — only the
-        # query results go wrong). The differential oracle must notice
-        # the two services diverging.
+        # query results go wrong). The oracle must notice the service
+        # diverging from the walk's ground truth.
         from repro.check.oracle import check_batch
         from repro.service.batch import SampleBatch
 
@@ -166,6 +166,37 @@ class TestBatchOracle:
         failures = check_batch(generate_case(0), observations=16)
         assert failures
         assert all(f.startswith("batch: ") for f in failures)
+
+    def test_catches_a_dropped_group(self, monkeypatch):
+        # Mutation (a): the first attempt lands every decoded group but
+        # one. The accounting still reads lossless, so only the walk's
+        # own paths can tell.
+        import random
+
+        from repro.check.invariants import batch_equivalence_scenario
+        from repro.check.oracle import _collect_observations
+        from repro.service.shards import ShardedContextTree
+
+        real_add = ShardedContextTree.add_counts
+        dropped = []
+
+        def drop_one(self, entries, **kwargs):
+            entries = list(entries)
+            if entries and not dropped:
+                dropped.append(entries.pop(0))
+            return real_add(self, entries, **kwargs)
+
+        monkeypatch.setattr(ShardedContextTree, "add_counts", drop_one)
+        plan = build_plan_from_graph(_diamond())
+        paths = []
+        observations = _collect_observations(
+            plan, random.Random(3), 16, paths
+        )
+        failures = batch_equivalence_scenario(
+            plan, observations, paths=paths
+        )
+        assert dropped
+        assert failures
 
 
 class TestMultiprocOracle:

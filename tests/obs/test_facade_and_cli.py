@@ -113,12 +113,14 @@ class TestLayerInstrumentation:
 
 class TestServiceRegistryNamespace:
     def test_service_stats_include_the_flattened_registry(self):
-        from repro.service import ContextService
+        from repro.service import ContextService, SampleBatch
 
         plan = build_plan_from_graph(chain(), width=Width(16))
         with ContextService(plan, workers=1, shards=2) as service:
             node, snapshot = "main", ((), 0)
-            service.submit(node, snapshot, plan=plan)
+            service.submit_batch(SampleBatch().append(
+                node, snapshot, epoch=service.engine.epoch_of(plan)
+            ))
             service.flush()
             stats = service.stats()
         assert stats["submitted"] == 1

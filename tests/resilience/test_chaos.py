@@ -80,13 +80,13 @@ class TestOracleHelpers:
 
     def test_conservation_failures_on_clean_service(self):
         from repro.runtime.plan import build_plan_from_graph
-        from repro.service import ContextService, ServiceConfig
+        from repro.service import ContextService, SampleBatch, ServiceConfig
         from repro.workloads.paperfigures import figure5_graph
 
         plan = build_plan_from_graph(figure5_graph())
         service = ContextService(plan, ServiceConfig(workers=1, shards=2))
         service.start()
-        service.submit("A", ((), 0), plan=plan)
+        service.submit_batch(SampleBatch().append("A", ((), 0), epoch=0))
         service.flush()
         service.stop()
         assert conservation_failures(service) == []

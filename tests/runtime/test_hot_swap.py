@@ -34,6 +34,16 @@ def unwind(probe, path):
         probe.after_call(caller, label, callee)
 
 
+def submit_one(service, node, snapshot, plan):
+    """Submit one observation stamped with ``plan``'s epoch."""
+    from repro.service import SampleBatch
+
+    epoch = service.engine.epoch_of(plan)
+    return service.submit_batch(
+        SampleBatch().append(node, snapshot, epoch=epoch)
+    )
+
+
 def sample_graph():
     g = CallGraph("main")
     g.add_edge("main", "a", "s1")
@@ -412,7 +422,7 @@ class TestHotSwapUnderIngestion:
             def pre_producer(obs):
                 node, snapshot = obs
                 for i in range(PRE):
-                    service.submit(node, snapshot, plan=self.plan)
+                    submit_one(service, node, snapshot, self.plan)
                     if i == PRE // 2:
                         halfway.set()
 
@@ -420,7 +430,7 @@ class TestHotSwapUnderIngestion:
                 swapped.wait(timeout=10)
                 node, snapshot = post_x
                 for _ in range(POST):
-                    service.submit(node, snapshot, plan=self.update.plan)
+                    submit_one(service, node, snapshot, self.update.plan)
 
             threads = [
                 threading.Thread(target=pre_producer, args=(pre_ace,)),
@@ -456,7 +466,7 @@ class TestHotSwapUnderIngestion:
         node, snapshot = self.snap(self.plan, self.PATH_ACE)
         with ContextService(self.plan, workers=1) as service:
             for _ in range(64):
-                service.submit(node, snapshot, plan=self.plan)
+                submit_one(service, node, snapshot, self.plan)
             # Swap while (at least some of) those samples are queued.
             service.install_update(self.update)
             service.flush()
@@ -470,7 +480,7 @@ class TestHotSwapUnderIngestion:
         from repro.service import ContextService
 
         with ContextService(self.plan) as service:
-            sink = service.sink()
+            sink = service.batch_sink()
             probe = DeltaPathProbe(self.plan, cpt=True)
             probe.begin_execution("main")
             probe.enter_function("main")
@@ -482,6 +492,7 @@ class TestHotSwapUnderIngestion:
             walk(probe, [("e", "load_x", "x")])
             sink("x", probe.snapshot("x"), probe)  # stamped epoch 1
 
+            sink.flush()
             service.flush()
             assert service.tree.count_of(("main", "b", "c", "e")) == 1
             assert service.tree.count_of(("main", "b", "c", "e", "x")) == 1

@@ -14,7 +14,7 @@ from repro.errors import QueryError
 from repro.resilience import ResilienceConfig
 from repro.resilience.checkpoint import plan_fingerprint
 from repro.runtime.plan import build_plan_from_graph
-from repro.service import ContextService, ServiceConfig
+from repro.service import ContextService, SampleBatch, ServiceConfig
 from repro.workloads.paperfigures import figure5_graph
 
 
@@ -28,9 +28,15 @@ def observations(plan):
     return _collect_observations(plan, random.Random(5), 24)
 
 
+def one(node, snap, epoch=0):
+    """A one-sample batch (the plan-0 epoch unless told otherwise)."""
+    return SampleBatch().append(node, snap, epoch=epoch)
+
+
 def ingest_all(service, plan, observations):
+    epoch = service.engine.epoch_of(plan)
     for node, snap in observations:
-        service.submit(node, snap, plan=plan)
+        service.submit_batch(one(node, snap, epoch))
 
 
 def segment_config(tmp_path, **kwargs):
@@ -161,7 +167,7 @@ class TestForensics:
     def test_dead_letters_carry_epoch_fingerprint(self, plan, tmp_path):
         service = ContextService(plan, segment_config(tmp_path))
         service.start()
-        service.submit("not-a-node", ((), 0))
+        service.submit_batch(one("not-a-node", ((), 0)))
         service.flush()
         service.stop()
         (letter,) = service.dead_letters()
@@ -181,7 +187,7 @@ class TestForensics:
     def test_forensics_joins_letters_to_history(self, plan, tmp_path):
         service = ContextService(plan, segment_config(tmp_path))
         service.start()
-        service.submit("not-a-node", ((), 0))
+        service.submit_batch(one("not-a-node", ((), 0)))
         service.flush()
         service.install_plan(plan)  # supersede epoch 0
         service.stop()
@@ -195,7 +201,7 @@ class TestForensics:
     def test_forensics_without_segment_dir(self, plan):
         service = ContextService(plan)
         service.start()
-        service.submit("not-a-node", ((), 0))
+        service.submit_batch(one("not-a-node", ((), 0)))
         service.flush()
         service.stop()
         (group,) = service.forensics()
@@ -210,8 +216,7 @@ class TestServiceCompaction:
 
     def build_segments(self, service, plan, observations, parts=4):
         for chunk in self.chunked(observations, parts):
-            for node, snap in chunk:
-                service.submit(node, snap, plan=plan)
+            ingest_all(service, plan, chunk)
             service.flush()
             service.flush_segments()
             time.sleep(0.002)  # distinct segment windows

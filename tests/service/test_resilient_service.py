@@ -12,7 +12,7 @@ from repro.errors import CheckpointError, ServiceError
 from repro.resilience import ResilienceConfig
 from repro.resilience.chaos import ChaosConfig, ChaosInjector
 from repro.runtime.plan import build_plan_from_graph
-from repro.service import ContextService, ServiceConfig
+from repro.service import ContextService, SampleBatch, ServiceConfig
 from repro.workloads.paperfigures import figure5_graph
 
 
@@ -26,9 +26,15 @@ def observations(plan):
     return _collect_observations(plan, random.Random(5), 24)
 
 
+def one(node, snap, epoch=0):
+    """A one-sample batch (the plan-0 epoch unless told otherwise)."""
+    return SampleBatch().append(node, snap, epoch=epoch)
+
+
 def ingest_all(service, plan, observations):
+    epoch = service.engine.epoch_of(plan)
     for node, snap in observations:
-        service.submit(node, snap, plan=plan)
+        service.submit_batch(one(node, snap, epoch))
 
 
 class TestTruthfulDeadlines:
@@ -39,7 +45,7 @@ class TestTruthfulDeadlines:
         service.start()
         release = threading.Event()
         service._pool._handler = lambda batch: release.wait(30)
-        service.submit("A", ((), 0), plan=plan)
+        service.submit_batch(one("A", ((), 0)))
         with pytest.raises(ServiceError):
             service.flush(timeout=0.2)
         assert service.metrics.flush_timeout == 1
@@ -53,7 +59,7 @@ class TestTruthfulDeadlines:
         service.start()
         release = threading.Event()
         service._pool._handler = lambda batch: release.wait(30)
-        service.submit("A", ((), 0), plan=plan)
+        service.submit_batch(one("A", ((), 0)))
         time.sleep(0.05)  # let the worker take the batch and stall
         assert service.stop(timeout=0.2) is False
         assert service.metrics.flush_timeout >= 1
@@ -74,7 +80,7 @@ class TestQuarantine:
     def test_deterministic_decode_failure_dead_letters(self, plan):
         service = ContextService(plan, ServiceConfig(workers=1, shards=2))
         service.start()
-        service.submit("not-a-node", ((), 0))
+        service.submit_batch(one("not-a-node", ((), 0)))
         service.flush()
         service.stop()
         letters = service.dead_letters()
@@ -106,7 +112,7 @@ class TestQuarantine:
 
         service.engine.decode_path = flaky
         service.start()
-        service.submit("A", ((), 0), plan=plan)
+        service.submit_batch(one("A", ((), 0)))
         service.flush()
         service.stop()
         assert service.metrics.aggregated == 1
@@ -127,13 +133,48 @@ class TestQuarantine:
 
         service.engine.decode_path = always_fail
         service.start()
-        service.submit("A", ((), 0), plan=plan)
+        service.submit_batch(one("A", ((), 0)))
         service.flush()
         service.stop()
         letters = service.dead_letters()
         assert len(letters) == 1
         assert letters[0].attempts == 2
         assert letters[0].error_type == "RuntimeError"
+
+    def test_exhausted_retries_keep_the_plan_fingerprint(
+        self, plan, observations
+    ):
+        from repro.resilience.checkpoint import plan_fingerprint
+
+        injector = ChaosInjector(
+            ChaosConfig(seed=1, worker_kill_rate=0.0, slow_consumer_rate=0.0,
+                        decode_fault_rate=1.0, checkpoint_crash_rate=0.0)
+        )
+        service = ContextService(
+            plan,
+            ServiceConfig(workers=1, shards=2),
+            resilience=ResilienceConfig(
+                retry_attempts=2, retry_backoff=0.0001,
+                retry_backoff_max=0.001, breaker=False,
+            ),
+            chaos=injector,
+        )
+        service.start()
+        for _ in range(4):
+            service.submit_batch(
+                SampleBatch.from_observations(observations, epoch=0)
+            )
+        service.flush()
+        service.stop()
+        letters = service.dead_letters()
+        assert len(letters) == 4 * len(observations)
+        assert {letter.attempts for letter in letters} == {2}
+        assert {letter.fingerprint for letter in letters} == {
+            plan_fingerprint(plan)
+        }
+        groups = service.forensics()
+        assert len(groups) == 1
+        assert groups[0]["fingerprint_match"]
 
 
 class TestBreakerFallback:
@@ -297,6 +338,24 @@ class TestDegradedMode:
 
 
 class TestServiceMetricsShape:
+    def test_armed_decode_latency_is_observed_once_per_batch(
+        self, plan, observations
+    ):
+        service = ContextService(
+            plan,
+            ServiceConfig(workers=1, shards=2),
+            resilience=ResilienceConfig(),
+        )
+        service.start()
+        service.submit_batch(
+            SampleBatch.from_observations(observations, epoch=0)
+        )
+        service.flush()
+        service.stop()
+        out = service.service_metrics()
+        assert out["batch.groups"] > out["batches"]
+        assert out["decode_latency"]["count"] == out["batches"]
+
     def test_resilience_section_present(self, plan):
         service = ContextService(
             plan,
@@ -304,7 +363,7 @@ class TestServiceMetricsShape:
             resilience=ResilienceConfig(),
         )
         service.start()
-        service.submit("A", ((), 0), plan=plan)
+        service.submit_batch(one("A", ((), 0)))
         service.flush()
         service.stop()
         out = service.service_metrics()
@@ -326,5 +385,5 @@ class TestServiceMetricsShape:
         service.start()
         service.stop()
         with pytest.raises(ServiceError):
-            service.submit("A", ((), 0))
+            service.submit_batch(one("A", ((), 0)))
         assert service.metrics.submitted == 0

@@ -8,7 +8,7 @@ from repro.graph.callgraph import CallGraph
 from repro.runtime.agent import DeltaPathProbe
 from repro.runtime.collector import ContextCollector
 from repro.runtime.plan import build_plan_from_graph
-from repro.service import ContextService, ServiceConfig
+from repro.service import ContextService, SampleBatch, ServiceConfig
 
 
 def sample_graph():
@@ -34,6 +34,11 @@ def walk_snapshot(plan, path):
     return node, probe.snapshot(node)
 
 
+def one(node, snap, epoch=0, weight=1):
+    """A one-sample batch (the plan-0 epoch unless told otherwise)."""
+    return SampleBatch().append(node, snap, epoch=epoch, weight=weight)
+
+
 PATH_ACE = [("main", "s1", "a"), ("a", "s3", "c"), ("c", "s6", "e")]
 PATH_BCD = [("main", "s2", "b"), ("b", "s4", "c"), ("c", "s5", "d")]
 
@@ -48,7 +53,7 @@ class TestLifecycle:
         service = ContextService(plan)
         node, snap = walk_snapshot(plan, PATH_ACE)
         with pytest.raises(ServiceError):
-            service.submit(node, snap)
+            service.submit_batch(one(node, snap))
 
     def test_stop_is_final(self, plan):
         service = ContextService(plan).start()
@@ -60,14 +65,14 @@ class TestLifecycle:
     def test_context_manager(self, plan):
         node, snap = walk_snapshot(plan, PATH_ACE)
         with ContextService(plan) as service:
-            assert service.submit(node, snap)
+            assert service.submit_batch(one(node, snap))
             service.flush()
             assert service.top_contexts(1) == [(1, ("main", "a", "c", "e"))]
 
     def test_negative_top_k_raises(self, plan):
         node, snap = walk_snapshot(plan, PATH_ACE)
         with ContextService(plan) as service:
-            assert service.submit(node, snap)
+            assert service.submit_batch(one(node, snap))
             service.flush()
             # a negative k must not drop the last |k| entries
             with pytest.raises(ServiceError, match="k >= 0"):
@@ -84,8 +89,8 @@ class TestEndToEnd:
         bcd = walk_snapshot(plan, PATH_BCD)
         with ContextService(plan, shards=4, workers=2) as service:
             for _ in range(3):
-                assert service.submit(*ace)
-            assert service.submit(*bcd, weight=2)
+                assert service.submit_batch(one(*ace))
+            assert service.submit_batch(one(*bcd, weight=2))
             service.flush()
 
             assert service.top_contexts(5) == [
@@ -106,7 +111,9 @@ class TestEndToEnd:
     def test_submit_many_and_metrics(self, plan):
         obs = [walk_snapshot(plan, PATH_ACE)] * 4
         with ContextService(plan) as service:
-            assert service.submit_many(obs) == 4
+            assert service.submit_batch(
+                SampleBatch.from_observations(obs, epoch=0)
+            ) == 4
             service.flush()
             m = service.service_metrics()
             assert m["submitted"] == 4
@@ -126,8 +133,8 @@ class TestEndToEnd:
     def test_decode_error_is_counted_not_fatal(self, plan):
         node, snap = walk_snapshot(plan, PATH_ACE)
         with ContextService(plan) as service:
-            assert service.submit("not-a-node", snap)
-            assert service.submit(node, snap)
+            assert service.submit_batch(one("not-a-node", snap))
+            assert service.submit_batch(one(node, snap))
             service.flush()
             m = service.service_metrics()
             assert m["decode_errors"] == 1
@@ -139,7 +146,7 @@ class TestEndToEnd:
 class TestCollectorSink:
     def test_collector_streams_into_service(self, plan):
         with ContextService(plan) as service:
-            collector = ContextCollector(sink=service.sink())
+            collector = ContextCollector(sink=service.batch_sink())
             probe = DeltaPathProbe(plan, cpt=True)
             probe.begin_execution("main")
             probe.enter_function("main")
@@ -148,6 +155,7 @@ class TestCollectorSink:
                 probe.before_call(caller, label, callee)
                 probe.enter_function(callee)
                 collector.on_entry(callee, 1, probe)
+            collector.close()
             service.flush()
             assert service.tree.total_samples == 4  # main, a, c, e entries
             assert service.tree.count_of(("main", "a", "c", "e")) == 1
@@ -156,7 +164,9 @@ class TestCollectorSink:
     def test_sink_without_probe_uses_current_epoch(self, plan):
         with ContextService(plan) as service:
             node, snap = walk_snapshot(plan, PATH_ACE)
-            service.sink()(node, snap)  # probe omitted
+            sink = service.batch_sink()
+            sink(node, snap)  # probe omitted
+            sink.flush()
             service.flush()
             assert service.tree.total_samples == 1
 
@@ -201,7 +211,7 @@ class TestEncoderFacade:
         assert service.config.workers == 1
         node, snap = walk_snapshot(plan, PATH_BCD)
         with service:
-            service.submit(node, snap)
+            service.submit_batch(one(node, snap))
             service.flush()
             assert service.top_contexts(1) == [(1, ("main", "b", "c", "d"))]
 
@@ -260,38 +270,62 @@ class TestBatchFirstAPI:
             ContextService(plan, ServiceConfig(store_compression="lz4"))
 
 
-class TestDeprecationShims:
-    def test_old_positional_submit_still_works(self, plan):
+class TestDroppedCounterIsExported:
+    """Every queue drop reaches the exported ``service.dropped``."""
+
+    def assert_exported(self, service):
+        from repro import obs
+
+        dropped = service.accounting()["dropped"]
+        assert dropped > 0
+        assert obs.get_registry().flatten()["service.dropped"] == dropped
+        assert service.stats()["registry"]["service.dropped"] == dropped
+        assert service.service_metrics()["dropped"] == dropped
+
+    @pytest.mark.parametrize(
+        "policy", ["drop-newest", "drop-oldest", "block", "error"]
+    )
+    def test_policy_drops(self, plan, policy):
+        import threading
+
+        from repro.errors import IngestOverflowError
+
         node, snap = walk_snapshot(plan, PATH_ACE)
-        with ContextService(plan) as service:
-            with pytest.warns(DeprecationWarning, match="submit_batch"):
-                assert service.submit(node, snap)
+        service = ContextService(plan, ServiceConfig(
+            workers=1, shards=2, queue_capacity=8, batch_size=4,
+            backpressure=policy,
+        )).start()
+        release = threading.Event()
+        handle = service._handle_items
+
+        def stalled(items):
+            release.wait(10)
+            handle(items)
+
+        service._pool._handler = stalled
+        try:
+            for _ in range(6):
+                batch = SampleBatch.from_observations([(node, snap)] * 4,
+                                                      epoch=0)
+                try:
+                    service.submit_batch(batch, timeout=0.01)
+                except IngestOverflowError:
+                    pass
+            release.set()
             service.flush()
-            assert service.top_contexts(1) == [(1, ("main", "a", "c", "e"))]
+            self.assert_exported(service)
+        finally:
+            release.set()
+            service.stop()
 
-    def test_one_warning_per_call_site(self, plan):
-        import warnings as warnings_mod
-
+    def test_closed_queue_drop(self, plan):
         node, snap = walk_snapshot(plan, PATH_ACE)
-        with ContextService(plan) as service:
-            with warnings_mod.catch_warnings(record=True) as caught:
-                warnings_mod.simplefilter("always")
-                for _ in range(5):
-                    service.submit(node, snap)  # one site, five calls
-                service.submit(node, snap)  # a second, distinct site
-            legacy = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "compatibility shim" in str(w.message)
-            ]
-            assert len(legacy) == 2
+        service = ContextService(plan, ServiceConfig(workers=1, shards=2))
+        service.start()
+        try:
+            service._queue.close()  # a producer racing stop()
+            assert service.submit_batch(one(node, snap)) == 0
             service.flush()
-            assert service.service_metrics()["aggregated"] == 6
-
-    def test_submit_many_and_sink_warn_too(self, plan):
-        node, snap = walk_snapshot(plan, PATH_ACE)
-        with ContextService(plan) as service:
-            with pytest.warns(DeprecationWarning, match="submit_batch"):
-                service.submit_many([(node, snap)])
-            with pytest.warns(DeprecationWarning, match="batch_sink"):
-                service.sink()
+            self.assert_exported(service)
+        finally:
+            service.stop()

@@ -120,8 +120,10 @@ class TestMultiprocessIngest:
         ).start()
         try:
             node, snap = snapshots["ace"]
-            with pytest.warns(DeprecationWarning):
-                assert service.submit(node, snap, plan=plan)
+            one = SampleBatch().append(
+                node, snap, epoch=service.engine.epoch_of(plan)
+            )
+            assert service.submit_batch(one) == 1
             service.flush(timeout=30)
             assert service.accounting()["aggregated"] == 1
         finally:

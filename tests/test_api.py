@@ -109,30 +109,20 @@ class TestEncodingProtocol:
 
 
 class TestDeprecatedPositionalShims:
-    def test_encode_deltapath_positional_priority_warns(self):
-        g = diamond()
-        with pytest.warns(DeprecationWarning):
-            enc = encode_deltapath(g, lambda e: 0.0)
-        assert isinstance(enc, DeltaPathEncoding)
+    """The positional-option shims are gone: options are keyword-only."""
 
-    def test_encode_anchored_positional_width_warns(self):
-        g = diamond()
-        with pytest.warns(DeprecationWarning):
-            enc = encode_anchored(g, W16)
-        assert enc.width == W16
-
-    def test_build_plan_from_graph_positional_warns(self):
-        g = diamond()
-        with pytest.warns(DeprecationWarning):
-            plan = build_plan_from_graph(g, W16)
-        assert plan.encoding.width == W16
-
-    def test_build_plan_positional_policy_warns(self):
+    def test_positional_options_raise_type_error(self):
         from repro.analysis.callgraph_builder import Policy
 
-        program = figure6_program()
-        with pytest.warns(DeprecationWarning):
-            build_plan(program, Policy.ZERO_CFA)
+        g = diamond()
+        with pytest.raises(TypeError):
+            encode_deltapath(g, lambda e: 0.0)
+        with pytest.raises(TypeError):
+            encode_anchored(g, W16)
+        with pytest.raises(TypeError):
+            build_plan_from_graph(g, W16)
+        with pytest.raises(TypeError):
+            build_plan(figure6_program(), Policy.ZERO_CFA)
 
     def test_keyword_calls_do_not_warn(self):
         g = diamond()
