@@ -26,15 +26,27 @@ context path as a list of strings, the file carries
   ``[pid, count, gap_weight, epoch]`` rows;
 * a footer carrying the totals actually written.
 
+One framing function, :meth:`CheckpointStore.write_encoded`, writes
+every checkpoint from an :class:`EncodedCheckpoint` (the sections as
+the file holds them). The service hands it sections walked straight
+off its context trie; :meth:`CheckpointStore.write` first encodes a
+path-row :class:`CheckpointState` with :func:`delta_encode_rows`, the
+reference the walk is tested against byte for byte.
+
 Version-1 files (paths spelled out per row, no epochs) still load:
 their rows are normalized with the checkpoint's own epoch. A file is
 *valid* only if every line's checksum matches, the header parses, the
-sections decompress and pass their inner CRCs, every pid resolves, and
-the footer agrees with the observed record/row/sample totals — so a
-torn write (crash mid-file, missing footer, truncated last line) or bit
-rot (checksum mismatch) disqualifies the file rather than corrupting a
-recovery. :meth:`CheckpointStore.load_newest` walks files newest-first
-and returns the first that validates.
+sections decompress and pass their inner CRCs, the trie passes a
+one-pass check (every node's parent is -1 or an earlier node, every
+name id is in range, every row pid is -1 or a node), every row is one
+a tree could hold (``0 <= gap_weight <= count``), and the footer agrees
+with the observed record/row/sample totals — so a torn write (crash
+mid-file, missing footer, truncated last line) or bit rot (checksum
+mismatch) disqualifies the file rather than corrupting a recovery.
+:meth:`CheckpointStore.load_newest` walks files newest-first and
+returns the first that validates; :meth:`CheckpointStore.
+load_newest_encoded` does the same without spelling out a path, which
+is what recovery interns back into the store node by node.
 
 Durability discipline on write: serialize to ``.tmp-...`` in the same
 directory, ``fsync`` the file, then ``os.replace`` onto the final name
@@ -65,6 +77,7 @@ from repro.errors import CheckpointError, QueryError
 
 __all__ = [
     "CheckpointState",
+    "EncodedCheckpoint",
     "CheckpointStore",
     "CheckpointDaemon",
     "plan_fingerprint",
@@ -120,7 +133,10 @@ class CheckpointState:
     ``(path, count, gap_weight, epoch)``; legacy 3-tuple rows (no
     per-row epoch) are accepted and stamped with the checkpoint's own
     ``epoch``, so states built by pre-batch code — and rows loaded from
-    version-1 files — compare equal to their round-tripped selves.
+    version-1 files — compare equal to their round-tripped selves. A
+    row no tree could hold (a negative count or gap weight, or more
+    gap-crossing observations than observations) raises
+    :class:`CheckpointError`.
     """
 
     epoch: int
@@ -140,11 +156,71 @@ class CheckpointState:
             )
             for row in self.rows
         )
+        for path, count, gaps, _epoch in normalized:
+            if not 0 <= gaps <= count:
+                raise CheckpointError(
+                    f"row {path!r} has count {count} and gap weight "
+                    f"{gaps}; a tree holds 0 <= gaps <= count"
+                )
         object.__setattr__(self, "rows", normalized)
 
     @property
     def total_samples(self) -> int:
         return sum(row[1] for row in self.rows)
+
+    def encode(self) -> "EncodedCheckpoint":
+        """The file's sections for these rows (:func:`delta_encode_rows`)."""
+        names, nodes, pids = _delta_encode_rows(self.rows)
+        return EncodedCheckpoint(
+            epoch=self.epoch,
+            fingerprint=self.fingerprint,
+            names=names,
+            nodes=nodes,
+            rows=[
+                (pid, row[1], row[2], row[3])
+                for pid, row in zip(pids, self.rows)
+            ],
+        )
+
+
+@dataclass(frozen=True)
+class EncodedCheckpoint:
+    """A checkpoint as its file holds it: paths left as a trie.
+
+    ``nodes`` is the flat ``[parent, name_id, ...]`` trie over
+    ``names``, every parent -1 or an earlier node, and ``rows`` are
+    ``(node, count, gap_weight, epoch)`` in file order (node -1 is the
+    empty context). :meth:`CheckpointStore.write_encoded` frames it
+    as-is, so a writer holding its contexts as a trie (the live
+    :class:`~repro.service.store.ContextStore`) never builds a path.
+    """
+
+    epoch: int
+    fingerprint: str
+    names: List[str]
+    nodes: List[int]
+    rows: List[Tuple[int, int, int, int]]
+
+    @property
+    def total_samples(self) -> int:
+        return sum(row[1] for row in self.rows)
+
+    def decode(self) -> CheckpointState:
+        """The same checkpoint with every row's path spelled out."""
+        names, nodes = self.names, self.nodes
+        paths: List[Tuple[str, ...]] = []
+        for at in range(0, len(nodes), 2):
+            parent = nodes[at]
+            prefix = paths[parent] if parent >= 0 else ()
+            paths.append(prefix + (names[nodes[at + 1]],))
+        return CheckpointState(
+            epoch=self.epoch,
+            fingerprint=self.fingerprint,
+            rows=tuple(
+                (paths[node] if node >= 0 else (), count, gaps, epoch)
+                for node, count, gaps, epoch in self.rows
+            ),
+        )
 
 
 def _record(payload: dict) -> str:
@@ -247,6 +323,30 @@ def _delta_decode_path(pid, nodes_flat, names):
     return tuple(out)
 
 
+def _valid_trie(names, nodes_flat, rows) -> bool:
+    """One pass over decoded sections: every node's parent is -1 or an
+    earlier node, every name id is in range, every row's pid is -1 or a
+    node, and every row is one a tree could hold (0 <= gaps <= count).
+
+    Parents before children is what every writer emits, and it rules
+    out cycles without walking any row's path to the root.
+    """
+    width = len(names)
+    for node in range(len(nodes_flat) // 2):
+        if not (
+            -1 <= nodes_flat[2 * node] < node
+            and 0 <= nodes_flat[2 * node + 1] < width
+        ):
+            return False
+    count = len(nodes_flat) // 2
+    for pid, total, gaps, _epoch in rows:
+        if not (isinstance(pid, int) and -1 <= pid < count):
+            return False
+        if not 0 <= gaps <= total:
+            return False
+    return True
+
+
 def fsync_dir(directory: str) -> None:
     """Best-effort fsync of a directory (durability of a rename)."""
     try:
@@ -318,12 +418,27 @@ class CheckpointStore:
     ) -> str:
         """Durably write ``state``; returns the final checkpoint path.
 
+        The rows' paths are delta-encoded first (:meth:`CheckpointState.
+        encode`); the file is then framed by :meth:`write_encoded`.
+        """
+        return self.write_encoded(state.encode(), fault=fault)
+
+    def write_encoded(
+        self,
+        encoded: EncodedCheckpoint,
+        fault: Optional[Callable[[int], None]] = None,
+    ) -> str:
+        """Durably write ``encoded``; returns the final checkpoint path.
+
+        The one framing function behind every checkpoint: header, the
+        ``names`` and ``nodes`` sections, ``rows`` records and footer.
         ``fault`` (chaos) is called with the running record count after
         each record is serialized; raising from it models a crash — the
         temp file is abandoned and never renamed, so readers only ever
         see previous, complete checkpoints.
         """
         start = time.perf_counter()
+        rows = encoded.rows
         with self._lock:
             listing = self._listing()
             seq = (listing[-1][0] + 1) if listing else 1
@@ -339,17 +454,15 @@ class CheckpointStore:
                     fh.write(_record({
                         "kind": "header",
                         "version": FORMAT_VERSION,
-                        "epoch": state.epoch,
-                        "fingerprint": state.fingerprint,
-                        "rows": len(state.rows),
+                        "epoch": encoded.epoch,
+                        "fingerprint": encoded.fingerprint,
+                        "rows": len(rows),
                     }))
                     records += 1
                     if fault is not None:
                         fault(records)
-                    rows = list(state.rows)
-                    names, nodes_flat, pids = _delta_encode_rows(rows)
                     for kind, section in (
-                        ("names", names), ("nodes", nodes_flat)
+                        ("names", encoded.names), ("nodes", encoded.nodes)
                     ):
                         payload = {"kind": kind}
                         payload.update(_pack_section(section))
@@ -358,13 +471,9 @@ class CheckpointStore:
                         if fault is not None:
                             fault(records)
                     for lo in range(0, len(rows), self.rows_per_record):
-                        chunk = rows[lo:lo + self.rows_per_record]
                         fh.write(_record({
                             "kind": "rows",
-                            "rows": [
-                                [pids[lo + i], row[1], row[2], row[3]]
-                                for i, row in enumerate(chunk)
-                            ],
+                            "rows": rows[lo:lo + self.rows_per_record],
                         }))
                         records += 1
                         if fault is not None:
@@ -373,7 +482,7 @@ class CheckpointStore:
                         "kind": "footer",
                         "records": records + 1,
                         "rows": len(rows),
-                        "samples": state.total_samples,
+                        "samples": encoded.total_samples,
                     }))
                     records += 1
                     fh.flush()
@@ -404,6 +513,18 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     def load_file(self, path: str) -> Optional[CheckpointState]:
         """Parse and validate one checkpoint file; None when invalid."""
+        encoded = self.load_encoded(path)
+        return None if encoded is None else encoded.decode()
+
+    def load_encoded(self, path: str) -> Optional[EncodedCheckpoint]:
+        """Parse and validate one checkpoint file, paths left as a trie;
+        None when invalid.
+
+        The trie is checked in one pass (:func:`_valid_trie`), not by
+        walking each row to the root. A version-1 file's spelled-out
+        rows are encoded as the current writer would encode them,
+        stamped with the file's own epoch.
+        """
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
@@ -421,7 +542,12 @@ class CheckpointStore:
             OLDEST_READABLE_VERSION <= version <= FORMAT_VERSION
         ):
             return None
-        compact_rows: List[Tuple[object, int, int, int]] = []  # v2
+        epoch, fingerprint = header.get("epoch"), header.get("fingerprint")
+        if not isinstance(epoch, int) or epoch < 0:
+            return None
+        if not isinstance(fingerprint, str):
+            return None
+        rows: List[Tuple[object, int, int, int]] = []  # (pid, ...) rows
         legacy_rows: List[Tuple[Tuple[str, ...], int, int]] = []  # v1
         names: Optional[list] = None
         nodes_flat: Optional[list] = None
@@ -441,9 +567,9 @@ class CheckpointStore:
                                 (tuple(path_list), int(count), int(gaps))
                             )
                     else:
-                        for pid, count, gaps, epoch in payload["rows"]:
-                            compact_rows.append(
-                                (pid, int(count), int(gaps), int(epoch))
+                        for pid, count, gaps, row_epoch in payload["rows"]:
+                            rows.append(
+                                (pid, int(count), int(gaps), int(row_epoch))
                             )
                 except (KeyError, TypeError, ValueError):
                     return None
@@ -468,39 +594,46 @@ class CheckpointStore:
         if footer is None:
             return None  # torn write: footer never made it to disk
         if version == 1:
-            # Legacy rows carry no per-row epoch; CheckpointState stamps
-            # them with the checkpoint's own epoch on normalization.
-            rows: List[tuple] = list(legacy_rows)
-        else:
-            if names is None or nodes_flat is None:
-                return None  # a section never made it to disk
-            rows = []
-            for pid, count, gaps, epoch in compact_rows:
-                path = _delta_decode_path(pid, nodes_flat, names)
-                if path is None:
-                    return None  # dangling pid: corrupt sections
-                rows.append((path, count, gaps, epoch))
+            names, nodes_flat, pids = _delta_encode_rows(legacy_rows)
+            rows = [
+                (pid, count, gaps, epoch)
+                for pid, (_path, count, gaps) in zip(pids, legacy_rows)
+            ]
+        elif names is None or nodes_flat is None:
+            return None  # a section never made it to disk
+        if not _valid_trie(names, nodes_flat, rows):
+            return None
+        encoded = EncodedCheckpoint(
+            epoch=epoch,
+            fingerprint=fingerprint,
+            names=names,
+            nodes=nodes_flat,
+            rows=rows,
+        )
         if (
             footer.get("records") != len(lines)
             or footer.get("rows") != len(rows)
             or header.get("rows") != len(rows)
+            or footer.get("samples") != encoded.total_samples
         ):
             return None
-        state = CheckpointState(
-            epoch=int(header["epoch"]),
-            fingerprint=str(header["fingerprint"]),
-            rows=tuple(rows),
-        )
-        if footer.get("samples") != state.total_samples:
-            return None
-        return state
+        return encoded
 
     def load_newest(self) -> Optional[Tuple[str, CheckpointState]]:
         """Newest checkpoint that validates, or None if none do."""
+        return self._newest(self.load_file)
+
+    def load_newest_encoded(
+        self,
+    ) -> Optional[Tuple[str, EncodedCheckpoint]]:
+        """:meth:`load_newest` with the paths left as a trie."""
+        return self._newest(self.load_encoded)
+
+    def _newest(self, load):
         for _, path in reversed(self._listing()):
-            state = self.load_file(path)
-            if state is not None:
-                return path, state
+            loaded = load(path)
+            if loaded is not None:
+                return path, loaded
             obs.counter("resilience.checkpoint_rejected").inc()
         return None
 

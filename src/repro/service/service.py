@@ -908,11 +908,7 @@ class ContextService:
         current epoch, and the plan fingerprint that :meth:`recover`
         verifies.
         """
-        from repro.resilience.checkpoint import (
-            CheckpointState,
-            CheckpointStore,
-            plan_fingerprint,
-        )
+        from repro.resilience.checkpoint import CheckpointStore
 
         store = self._store
         if directory is not None:
@@ -932,18 +928,37 @@ class ContextService:
             # sync; the parent snapshot below covers only parent-side
             # rows (leftover re-ingest, fallback replay).
             self._procs.sync(timeout=10.0)
-        state = CheckpointState(
-            epoch=self.engine.epoch,
-            fingerprint=plan_fingerprint(self.engine.plan),
-            rows=tuple(self.tree.rows()),
-        )
+        encoded = self._encoded_checkpoint()
         fault = (
             self._chaos.checkpoint_fault() if self._chaos is not None else None
         )
-        with obs.span("resilience.checkpoint", rows=len(state.rows)):
-            path = store.write(state, fault=fault)
+        with obs.span("resilience.checkpoint", rows=len(encoded.rows)):
+            path = store.write_encoded(encoded, fault=fault)
         self._checkpoints_written += 1
         return path
+
+    def _encoded_checkpoint(self):
+        """This tree's checkpoint, its sections taken straight from the
+        context store's trie (:meth:`ContextStore.encode_counted`), so no
+        path is decoded: the bytes :meth:`CheckpointStore.write` would
+        make of ``tree.rows()``."""
+        from repro.resilience.checkpoint import (
+            EncodedCheckpoint,
+            plan_fingerprint,
+        )
+
+        epoch = self.engine.epoch
+        fingerprint = plan_fingerprint(self.engine.plan)
+        names, nodes, rows = self.tree.store.encode_counted(
+            self.tree.count_rows()
+        )
+        return EncodedCheckpoint(
+            epoch=epoch,
+            fingerprint=fingerprint,
+            names=names,
+            nodes=nodes,
+            rows=rows,
+        )
 
     def flush_segments(self) -> Optional[str]:
         """Flush the aggregation delta into one durable query segment.
@@ -1050,22 +1065,24 @@ class ContextService:
             else CheckpointStore(source)
         )
         t0 = time.perf_counter()
-        found = store.load_newest()
+        found = store.load_newest_encoded()
         if found is None:
             raise CheckpointError(
                 f"no valid checkpoint in {store.directory!r}"
             )
-        path, state = found
+        path, encoded = found
         fingerprint = plan_fingerprint(self.engine.plan)
-        if state.fingerprint != fingerprint and not allow_mismatch:
+        if encoded.fingerprint != fingerprint and not allow_mismatch:
             raise CheckpointError(
                 f"checkpoint {path!r} was written under a different plan "
-                f"(fingerprint {state.fingerprint[:12]}… vs installed "
+                f"(fingerprint {encoded.fingerprint[:12]}… vs installed "
                 f"{fingerprint[:12]}…); pass allow_mismatch=True to force"
             )
-        restored = self.tree.restore_rows(state.rows)
+        restored = self.tree.restore_trie(
+            encoded.names, encoded.nodes, encoded.rows
+        )
         self.metrics.count("recovered", restored)
-        self.engine.advance_epoch_to(state.epoch)
+        self.engine.advance_epoch_to(encoded.epoch)
         if self._segments is not None:
             # A compaction swap the dead process left half-done is
             # resolved first (roll forward when its output is fully
@@ -1081,8 +1098,13 @@ class ContextService:
             # Rebase against the durable segments themselves: counts
             # they already hold are never re-emitted, and recovered
             # counts that never reached a segment (checkpoint ran ahead
-            # of the flush cadence) go out with the next flush.
-            self._segments.rebase(self.tree.rows(), reconcile_store=True)
+            # of the flush cadence) go out with the next flush. The
+            # tree's own rows are only the fallback when the store cannot
+            # be read, so they are decoded only then.
+            def tree_rows():
+                yield from self.tree.rows()
+
+            self._segments.rebase(tree_rows(), reconcile_store=True)
             self._segments.set_fingerprint(
                 self._fingerprint_of(self.engine.epoch)
             )
@@ -1092,8 +1114,8 @@ class ContextService:
         )
         return {
             "path": path,
-            "epoch": state.epoch,
-            "rows": len(state.rows),
+            "epoch": encoded.epoch,
+            "rows": len(encoded.rows),
             "samples": restored,
         }
 
@@ -1107,7 +1129,8 @@ class ContextService:
         additively into one tree reconstructs the fleet total exactly
         (row keys never collide across workers; colliding keys from an
         old pre-crash generation sum correctly because
-        :meth:`ShardedContextTree.restore_rows` is additive).  The
+        :meth:`ShardedContextTree.restore_trie` is additive, and shared
+        prefixes merge in the one store as ``intern`` merges them).  The
         segment baseline is rebuilt from the durable segments of every
         store (parent + per-worker), so the first post-recovery flush
         emits exactly the counts that never reached a segment.
@@ -1126,20 +1149,22 @@ class ContextService:
         for directory in worker_dirs:
             found = CheckpointStore(
                 os.path.join(directory, "checkpoints")
-            ).load_newest()
+            ).load_newest_encoded()
             if found is None:
                 continue
-            path, state = found
-            if state.fingerprint != fingerprint and not allow_mismatch:
+            path, encoded = found
+            if encoded.fingerprint != fingerprint and not allow_mismatch:
                 raise CheckpointError(
                     f"worker checkpoint {path!r} was written under a "
                     f"different plan (fingerprint "
-                    f"{state.fingerprint[:12]}… vs installed "
+                    f"{encoded.fingerprint[:12]}… vs installed "
                     f"{fingerprint[:12]}…); pass allow_mismatch=True"
                 )
-            restored += self.tree.restore_rows(state.rows)
-            rows_seen += len(state.rows)
-            epoch = max(epoch, state.epoch)
+            restored += self.tree.restore_trie(
+                encoded.names, encoded.nodes, encoded.rows
+            )
+            rows_seen += len(encoded.rows)
+            epoch = max(epoch, encoded.epoch)
             loaded.append(path)
         if not loaded:
             raise CheckpointError(

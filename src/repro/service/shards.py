@@ -347,9 +347,11 @@ class ShardedContextTree:
         Rows come back in a **stable** order — sorted by (path, epoch),
         never by trie-append or dict-insertion order — so two trees
         holding the same aggregate state snapshot to identical row
-        lists regardless of how ingest interleaved. Checkpoints and
-        query segments written from these rows are therefore
-        byte-deterministic.
+        lists regardless of how ingest interleaved. Query segments
+        written from these rows are therefore byte-deterministic, and
+        so are checkpoints, which
+        :meth:`~repro.service.store.ContextStore.encode_counted` writes
+        in exactly this order without decoding them.
         """
         counted = self.count_rows()
         paths = self.store.paths(key[0] for key, _count, _gaps in counted)
@@ -382,6 +384,58 @@ class ShardedContextTree:
                 self.add(path, has_gaps=True, weight=gaps, epoch=epoch)
                 restored += gaps
         return restored
+
+    def restore_trie(
+        self,
+        names: List[str],
+        nodes: List[int],
+        rows: Iterable[Tuple[int, int, int, int]],
+    ) -> int:
+        """Merge encoded checkpoint rows back in; returns samples restored.
+
+        Each ``(node, count, gaps, epoch)`` row lands by pid with the
+        effect :meth:`restore_rows` has for the decoded row: counts, gap
+        counts, gap samples, leaf totals and samples, and a row that
+        restores nothing leaves no trace. The contexts that land are
+        interned straight from the ``(names, nodes)`` trie
+        (:meth:`ContextStore.intern_trie`), so no path is built.
+        """
+        landed: List[Tuple[int, int, int, int]] = []
+        for node, count, gaps, epoch in rows:
+            plain = count - gaps
+            gap_weight = gaps if gaps > 0 else 0
+            weight = (plain if plain > 0 else 0) + gap_weight
+            if weight:
+                landed.append((node, epoch, weight, gap_weight))
+        ids, name_ids = self.store.intern_trie(
+            names, nodes, [entry[0] for entry in landed]
+        )
+        n_shards = len(self._shards)
+        by_shard: Dict[int, List[tuple]] = {}
+        for node, epoch, weight, gap_weight in landed:
+            if node >= 0:
+                pid, leaf = ids[node], name_ids[nodes[2 * node + 1]]
+            else:
+                pid, leaf = node, None
+            by_shard.setdefault(pid % n_shards, []).append(
+                ((pid, epoch), leaf, weight, gap_weight)
+            )
+        for shard_index, entries in by_shard.items():
+            shard = self._shards[shard_index]
+            with shard.lock:
+                for key, leaf, weight, gap_weight in entries:
+                    shard.counts[key] = shard.counts.get(key, 0) + weight
+                    leaf_key = (leaf, key[1])
+                    shard.leaf_totals[leaf_key] = (
+                        shard.leaf_totals.get(leaf_key, 0) + weight
+                    )
+                    if gap_weight:
+                        shard.gap_counts[key] = (
+                            shard.gap_counts.get(key, 0) + gap_weight
+                        )
+                        shard.gap_samples += gap_weight
+                    shard.samples += weight
+        return sum(entry[2] for entry in landed)
 
     def render(self, min_total: int = 1, max_depth: Optional[int] = None) -> str:
         return self.merged_report().render(

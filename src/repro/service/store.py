@@ -24,11 +24,16 @@ works across shards) and guarded by one lock; after the
 dedup-then-decode pass interning happens once per *distinct* context per
 batch, so the lock is not on the per-sample path.
 
-Whole-store reads (checkpoints, inclusive rollups), the changed
+Whole-store reads (inclusive rollups, ``tree.rows()``), the changed
 contexts of a segment flush and the candidates of a decoded top-K all
 decode many pids at once through :meth:`ContextStore.paths`, which
 unseals each block at most once per call and builds each trie node's
 path once, from its parent's path.
+
+Checkpoints decode nothing: :meth:`ContextStore.encode_counted` writes
+the counted contexts' sub-trie straight out in one preorder walk, and
+recovery maps a checkpoint's trie back in node by node
+(:meth:`ContextStore.intern_trie`), so neither direction builds a path.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import threading
 import zlib
 from array import array
 from collections import OrderedDict
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ServiceError, StoreCorruptionError
@@ -196,6 +202,52 @@ class ContextStore:
                 self._pid_cache[path] = node
             return node
 
+    def intern_trie(
+        self, names: List[str], nodes: List[int], leaves: List[int]
+    ) -> Tuple[array, array]:
+        """Intern the contexts ``leaves`` of an encoded trie, node by node.
+
+        ``nodes`` is a flat ``[parent, name_id, ...]`` list over
+        ``names`` in which every parent is -1 or an earlier node (the
+        checkpoint sections); ``leaves`` are node ids (-1 is the empty
+        context). The ancestors of ``leaves`` are interned in node
+        order, each from its parent's store id (one child-index lookup,
+        no path built), so shared prefixes merge with what the store
+        holds, and ids and names are handed out in the order
+        :meth:`intern` over the decoded leaves would hand them out. The
+        leaves become retained contexts. Returns ``(ids, name_ids)``:
+        the store id of every interned node and of every name it uses.
+        The lock is held per chunk of :data:`_PATHS_CHUNK` nodes.
+        """
+        count = len(nodes) // 2
+        keep = bytearray(count)
+        for node in leaves:
+            while node >= 0 and not keep[node]:
+                keep[node] = 1
+                node = nodes[2 * node]
+        name_ids = array("q", [-1]) * len(names)
+        ids = array("q", bytes(8 * count))
+        for lo in range(0, count, _PATHS_CHUNK):
+            with self._lock:
+                children = self._children
+                for node in range(lo, min(lo + _PATHS_CHUNK, count)):
+                    if not keep[node]:
+                        continue
+                    parent = nodes[2 * node]
+                    parent = ids[parent] if parent >= 0 else _ROOT
+                    name = nodes[2 * node + 1]
+                    name_id = name_ids[name]
+                    if name_id < 0:
+                        name_id = name_ids[name] = self._name_id(names[name])
+                    child = children.get(self._child_key(parent, name_id))
+                    if child is None:
+                        child = self._add_node(parent, name_id)
+                    ids[node] = child
+        with self._lock:
+            for node in leaves:
+                self._paths[ids[node] if node >= 0 else _ROOT] = True
+        return ids, name_ids
+
     def lookup(self, path: Tuple[str, ...]) -> Optional[int]:
         """The pid of ``path`` if it was ever interned, else None."""
         with self._lock:
@@ -307,6 +359,110 @@ class ContextStore:
                             built[node] = path
                     out.append(path)
         return out
+
+    def encode_counted(
+        self, counted: List[Tuple[Tuple[int, int], int, int]]
+    ) -> Tuple[List[str], List[int], List[Tuple[int, int, int, int]]]:
+        """Checkpoint sections for ``counted``, from one walk of the trie.
+
+        ``counted`` is ``((pid, epoch), count, gaps)`` per key, as
+        :meth:`~repro.service.shards.ShardedContextTree.count_rows`
+        returns it; read it first, so every counted pid is already a
+        node here. Returns ``(names, nodes, rows)``: the trie of the
+        counted pids and their ancestors as a flat ``[parent, name_id,
+        ...]`` list, numbered in preorder with children visited in
+        name-string order and names numbered as the walk first meets
+        them, and one ``(node, count, gaps, epoch)`` row per key in
+        that preorder, each node's rows by ascending epoch and the
+        empty context's (node -1) first. Rows sorted by ``(path,
+        epoch)`` come out in exactly this order, so the result equals
+        ``delta_encode_rows`` over ``tree.rows()`` without decoding or
+        sorting a path. The lock is held per block; sealed blocks never
+        change and the open block only grows.
+        """
+        block_size = self.block_size
+        with self._lock:
+            total = len(self._sealed) * block_size + len(self._open_parent)
+        parents, name_col = array("q"), array("q")
+        for lo in range(0, total, block_size):
+            block, n = lo // block_size, min(block_size, total - lo)
+            with self._lock:
+                if block < len(self._sealed):
+                    view = self._block_view(block)
+                else:
+                    view = (self._open_parent, self._open_name)
+                parents.extend(view[0][:n])
+                name_col.extend(view[1][:n])
+        with self._lock:
+            names = self._names[:]
+        # Keep the ancestors of counted pids only.
+        keep = bytearray(total)
+        for key, _count, _gaps in counted:
+            pid = key[0]
+            while pid >= 0 and not keep[pid]:
+                keep[pid] = 1
+                pid = parents[pid]
+        # Kept nodes sorted by parent, then by name string *descending*
+        # (packed integers), so each parent's children are one run of
+        # ``kids`` that a stack pops in ascending name order.
+        width = len(names)
+        rank = array("q", bytes(8 * width))
+        for order, name_id in enumerate(
+            sorted(range(width), key=names.__getitem__, reverse=True)
+        ):
+            rank[name_id] = order
+        kids = array("q", [
+            key % total for key in sorted([
+                ((parents[node] + 1) * width + rank[name_col[node]]) * total
+                + node
+                for node in compress(range(total), keep)
+            ])
+        ])
+        first = array("q", bytes(8 * (total + 1)))  # by parent + 1
+        stop = array("q", bytes(8 * (total + 1)))
+        for at, node in enumerate(kids):
+            slot = parents[node] + 1
+            if first[slot] == stop[slot]:
+                first[slot] = at
+            stop[slot] = at + 1
+        # Preorder walk, numbering nodes and names as they are met.
+        # ``local`` is indexed by node + 1 and holds the local id + 1,
+        # so the root (-1) maps to -1 with no branch.
+        local = array("q", bytes(8 * (total + 1)))
+        local_name = array("q", [-1]) * width
+        out_names: List[str] = []
+        nodes = array("q")
+        emit = nodes.append
+        stack = list(kids[first[0]:stop[0]])
+        met = 0
+        while stack:
+            node = stack.pop()
+            name_id = name_col[node]
+            name = local_name[name_id]
+            if name < 0:
+                name = local_name[name_id] = len(out_names)
+                out_names.append(names[name_id])
+            met += 1
+            local[node + 1] = met
+            emit(local[parents[node] + 1] - 1)
+            emit(name)
+            lo, hi = first[node + 1], stop[node + 1]
+            if hi > lo:
+                stack.extend(kids[lo:hi])
+        # Rows by (preorder id, epoch), again as packed integers.
+        if not counted:
+            return out_names, nodes.tolist(), []
+        epochs = [key[1] for key, _count, _gaps in counted]
+        low, span = min(epochs), max(epochs) - min(epochs) + 1
+        size = len(counted)
+        rows = []
+        for key in sorted([
+            (local[row[0][0] + 1] * span + epoch - low) * size + at
+            for at, (row, epoch) in enumerate(zip(counted, epochs))
+        ]):
+            (pid, epoch), count, gaps = counted[key % size]
+            rows.append((local[pid + 1] - 1, count, gaps, epoch))
+        return out_names, nodes.tolist(), rows
 
     def name_of(self, name_id: int) -> str:
         """The interned function name behind ``name_id``."""

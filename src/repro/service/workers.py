@@ -199,18 +199,9 @@ def _worker_entry(spec: WorkerSpec, plan, lock) -> None:
 
     def persist_shards() -> None:
         nonlocal checkpoints
-        from repro.resilience.checkpoint import (
-            CheckpointState,
-            plan_fingerprint,
-        )
-
-        state = CheckpointState(
-            epoch=service.engine.epoch,
-            fingerprint=plan_fingerprint(service.engine.plan),
-            rows=tuple(service.tree.rows()),
-        )
+        encoded = service._encoded_checkpoint()
         try:
-            ckpt.write(state)
+            ckpt.write_encoded(encoded)
             checkpoints += 1
         except Exception:  # noqa: BLE001 - counted by the store
             pass
@@ -636,7 +627,12 @@ class ProcessWorkerPool:
     def close(self) -> None:
         self._closed = True
         for lane in self._lanes:
-            lane.close()
+            # A worker SIGKILLed inside its lane's lock leaves that lock
+            # held for good, and nothing consumes the lane any more:
+            # skip it rather than block shutdown on it
+            # (:meth:`drain_leftovers` rebuilds a wedged lane).
+            if self._lane_usable(lane):
+                lane.close()
 
     def join(self, timeout: float = 30.0) -> None:
         deadline = time.monotonic() + timeout

@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 
+from repro import obs
 from repro.errors import CheckpointError, ResilienceError
 from repro.resilience.checkpoint import (
     CheckpointState,
@@ -243,6 +244,83 @@ class TestFormatVersions:
 
         _rewrite_record(path, "rows", dangle)
         assert store.load_file(path) is None
+
+
+class TestRowsNoTreeCouldHold:
+    """Ingest lands weights >= 1 and every shard keeps gap counts at or
+    below counts, so a row with a negative count or gap weight, or more
+    gaps than observations, can only be corruption."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (("main",), -1, 0, 0),
+            (("main",), 2, -1, 0),
+            (("main",), 2, 5, 0),
+            (("main",), 2, 3),  # legacy 3-tuple
+        ],
+    )
+    def test_state_rejects_the_row(self, row):
+        with pytest.raises(CheckpointError, match="gap weight"):
+            CheckpointState(epoch=0, fingerprint="fp", rows=(row,))
+
+    def test_zero_counts_and_all_gap_rows_are_fine(self):
+        state = CheckpointState(
+            epoch=0,
+            fingerprint="fp",
+            rows=((("main",), 0, 0, 0), (("main", "x"), 4, 4, 0)),
+        )
+        assert state.total_samples == 4
+
+    def plant(self, tmp_path):
+        """A valid checkpoint, then a newer one whose rows are those of
+        the three-row reproduction, every checksum and total consistent:
+        ``("main","a")`` count 2 gaps 5, ``("main","b")`` count -3,
+        ``("main",)`` count 4 gaps 1, footer samples 3."""
+        store = CheckpointStore(str(tmp_path))
+        good = store.write(small_state(epoch=1))
+        planted = store.write(CheckpointState(
+            epoch=2,
+            fingerprint="fp",
+            rows=(
+                (("main", "a"), 5, 2, 0),
+                (("main", "b"), 3, 0, 0),
+                (("main",), 4, 1, 0),
+            ),
+        ))
+
+        def bad_rows(payload):
+            assert payload["rows"] == [[1, 5, 2, 0], [2, 3, 0, 0], [0, 4, 1, 0]]
+            payload["rows"] = [[1, 2, 5, 0], [2, -3, 0, 0], [0, 4, 1, 0]]
+
+        _rewrite_record(planted, "rows", bad_rows)
+        _rewrite_record(planted, "footer", lambda p: p.update(samples=3))
+        return store, good, planted
+
+    def test_load_file_rejects_the_planted_rows(self, tmp_path):
+        store, _good, planted = self.plant(tmp_path)
+        assert store.load_file(planted) is None
+        assert store.load_encoded(planted) is None
+
+    def test_load_newest_falls_back_and_counts_the_rejection(self, tmp_path):
+        store, good, _planted = self.plant(tmp_path)
+        before = obs.counter("resilience.checkpoint_rejected").value
+        path, state = store.load_newest()
+        assert path == good
+        assert state.epoch == 1
+        assert obs.counter("resilience.checkpoint_rejected").value == before + 1
+
+    def test_v1_rows_get_the_same_check(self, tmp_path):
+        path = os.path.join(str(tmp_path), "ckpt-00000001.dpck")
+        records = [
+            {"kind": "header", "version": 1, "epoch": 0,
+             "fingerprint": "fp", "rows": 2},
+            {"kind": "rows", "rows": [[["main"], 4, 1], [["main", "a"], 1, 2]]},
+            {"kind": "footer", "records": 3, "rows": 2, "samples": 5},
+        ]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_line(r) for r in records)
+        assert CheckpointStore(str(tmp_path)).load_file(path) is None
 
 
 class TestFingerprint:

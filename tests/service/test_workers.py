@@ -8,6 +8,7 @@ process boundary.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -365,6 +366,22 @@ class TestPoolPlumbing:
         assert stats["alive"] == 0
         assert stats["workers"][0]["lane"]["closed"] is True
         assert pool.accounting()["dropped"] == 0
+
+    def test_stop_skips_a_lane_wedged_by_a_killed_worker(self, plan):
+        pool = ProcessWorkerPool(
+            plan, ServiceConfig(worker_processes=1, shards=2)
+        ).start()
+        # Hold the lane lock for good, as a worker SIGKILLed inside its
+        # critical section leaves it, then kill the worker.
+        assert pool._lanes[0]._lock.acquire(timeout=5.0)
+        pool.kill_worker(0)
+        stopper = threading.Thread(
+            target=pool.stop, kwargs={"timeout": 5.0}, daemon=True
+        )
+        stopper.start()
+        stopper.join(timeout=30.0)
+        assert not stopper.is_alive(), "stop() blocked on a wedged lane"
+        pool.destroy()
 
     def test_rejects_zero_processes(self, plan):
         with pytest.raises(ServiceError):
