@@ -7,7 +7,7 @@ measure the instrumentation instead of the encoder. Two studies:
 1. **Probe hot-loop overhead.** The probe cycle
    (``before_call``/``enter_function``/``snapshot``/``exit_function``/
    ``after_call``) timed under four configurations: a baseline probe
-   whose ``snapshot`` has the pre-obs body, the shipped probe with
+   whose ``snapshot`` is the shipped body minus obs, the shipped probe with
    sampling disabled (the production default — one integer increment and
    one test per snapshot), sampling every Nth snapshot, and sampling
    plus an enabled tracer. The acceptance bar is disabled-mode overhead
@@ -64,17 +64,20 @@ PROFILER_TARGET_PCT = 5.0
 
 
 class _BaselineProbe(DeltaPathProbe):
-    """The probe with the pre-obs ``snapshot`` body: the cost floor.
+    """The probe with the ``snapshot`` body minus obs: the cost floor.
 
     Overriding just ``snapshot`` isolates exactly what ``repro.obs``
     added to the hot path (the sample counter, the rate test, and — when
-    sampling — the timed observation).
+    sampling — the timed observation); the stack interning both bodies
+    share stays on both sides.
     """
 
     def snapshot(self, node):
+        if self._stale:
+            self._intern()
         if self._id > self.max_id_seen:
             self.max_id_seen = self._id
-        return tuple(self._stack), self._id
+        return self._interned, self._id
 
 
 def _chain_workload(depth: int) -> Tuple[CallGraph, List[Tuple[str, str, str]]]:

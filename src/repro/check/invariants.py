@@ -10,7 +10,14 @@ operation:
   anchor (paper Figure 2's disjoint-sub-range invariant);
 * the anchor stack is well-formed: ANCHOR entries name real anchors,
   RECURSION entries carry their call site, saved IDs are non-negative
-  and fit the width.
+  and fit the width;
+* every snapshot hands out the interned stack: the tuple equals the
+  live stack, it is the probe's table entry for ``stack_key``, and the
+  key's ``(depth, UCPs)`` stats match the stack.
+
+The wrapper forwards ``stack_key``, ``stack_table`` and ``stack_stats``,
+so a :class:`~repro.runtime.collector.ContextCollector` records a
+checked probe through the same integer path as the bare one.
 
 Violations are collected (and optionally raised) as
 :class:`InvariantViolation` — an invariant breach is a bug in the
@@ -96,7 +103,9 @@ class CheckedProbe(Probe):
         self._sweep(f"after_call({caller}@{label})")
 
     def snapshot(self, node: str):
-        return self.inner.snapshot(node)
+        snap = self.inner.snapshot(node)
+        self._check_interned(node, snap[0])
+        return snap
 
     def end_execution(self) -> None:
         self.inner.end_execution()
@@ -109,6 +118,18 @@ class CheckedProbe(Probe):
     @property
     def plan(self) -> DeltaPathPlan:
         return self.inner.plan
+
+    @property
+    def stack_key(self) -> int:
+        return self.inner.stack_key
+
+    @property
+    def stack_table(self):
+        return self.inner.stack_table
+
+    @property
+    def stack_stats(self):
+        return self.inner.stack_stats
 
     # ------------------------------------------------------------------
     # The invariants
@@ -150,6 +171,27 @@ class CheckedProbe(Probe):
                     f"{where}: stack[{depth}] RECURSION entry without a "
                     f"call site"
                 )
+
+    def _check_interned(self, node: str, stack) -> None:
+        """The snapshot's stack is the interned live stack."""
+        probe = self.inner
+        live = tuple(probe._stack)
+        key = probe.stack_key
+        if stack != live:
+            self._violate(
+                f"snapshot({node}): interned stack {stack!r} differs from "
+                f"the live stack {live!r}"
+            )
+        if probe.stack_table[key] is not stack:
+            self._violate(
+                f"snapshot({node}): stack is not the table entry of key {key}"
+            )
+        ucps = sum(1 for entry in live if entry.kind is EntryKind.UCP)
+        if probe.stack_stats[key] != (len(live), ucps):
+            self._violate(
+                f"snapshot({node}): stats {probe.stack_stats[key]} of key "
+                f"{key} differ from (depth, UCPs) = {(len(live), ucps)}"
+            )
 
     def _check_entry_bound(self, node: str) -> None:
         """``0 <= ID < ICC[n]`` at the moment ``node`` is entered.

@@ -16,7 +16,9 @@ oracle         cross-checks
                partition bijection, site consistency, ``num_sets``
 ``runtime``    DeltaPathProbe (wrapped in the invariant-checking
                probe) vs a stack-walk shadow on random graph walks,
-               with optional mid-walk hot swaps on additive deltas
+               with detours through uninstrumented code (hazardous
+               UCPs, decoded as gaps) and optional mid-walk hot swaps
+               on additive deltas
 ``service``    ingestion-queue overflow during hot swap: accounting
                conservation and epoch-correct decoding
 ``batch``      ``submit_batch`` ingestion with hot swaps landing
@@ -300,8 +302,10 @@ def check_runtime(
     """Drive the DeltaPath agent through seeded random walks of the
     graph, decoding snapshots against the walk's own edge history (the
     stack-walk ground truth), with every probe operation swept by the
-    invariant checker. Additive delta streams additionally exercise a
-    mid-walk ``hot_swap`` at a snapshot-safe point."""
+    invariant checker. Some calls detour through an uninstrumented
+    function, so UCP entries are pushed, popped and decoded as gaps.
+    Additive delta streams additionally exercise a mid-walk
+    ``hot_swap`` at a snapshot-safe point."""
     failures: List[str] = []
     try:
         plan = build_plan_from_graph(case.graph, width=case.width)
@@ -337,6 +341,12 @@ def check_runtime(
         if failures:
             break
     return [f"runtime: {f}" for f in failures]
+
+
+#: A function no plan encodes, standing in for a dynamically loaded class.
+_DETOUR = "<uninstrumented>"
+#: Chance that a walk step calls through :data:`_DETOUR`.
+_DETOUR_P = 0.15
 
 
 def _run_walk(
@@ -381,6 +391,31 @@ def _run_walk(
                 except PlanSwapError:
                     pass  # documented: retry later / restart
 
+    def detour(node: str, depth: int) -> None:
+        """``node`` calls an encoded function through uninstrumented
+        code: a hazardous UCP, which decodes as a gap. Targets whose SID
+        matches the stale expected-SID register are skipped — that miss
+        is inherent to the mechanism (see the agent's module docs)."""
+        expected = probe.inner._expected_sid
+        info = probe.plan.node_info
+        targets = [
+            n for n in graph.nodes if n in info and info[n][0] != expected
+        ]
+        if not targets:
+            return
+        target = targets[rng.randrange(len(targets))]
+        probe.before_call(node, _DETOUR, _DETOUR)
+        probe.enter_function(_DETOUR)
+        probe.before_call(_DETOUR, _DETOUR, target)
+        probe.enter_function(target)
+        shadow.extend(("<?>", target))
+        walk(target, depth + 1)
+        del shadow[-2:]
+        probe.exit_function(target)
+        probe.after_call(_DETOUR, _DETOUR, target)
+        probe.exit_function(_DETOUR)
+        probe.after_call(node, _DETOUR, _DETOUR)
+
     def walk(node: str, depth: int) -> None:
         maybe_snapshot(node)
         if failures or depth >= max_depth:
@@ -389,6 +424,11 @@ def _run_walk(
         if not out:
             return
         for _ in range(rng.randint(0, min(2, len(out)))):
+            if rng.random() < _DETOUR_P:
+                detour(node, depth)
+                if failures:
+                    return
+                continue
             edge = out[rng.randrange(len(out))]
             probe.before_call(edge.caller, edge.label, edge.callee)
             probe.enter_function(edge.callee)

@@ -43,7 +43,7 @@ Two implementation notes relative to the paper's Section 4.1:
 from __future__ import annotations
 
 import time
-from typing import Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro import obs
 from repro.core.stackmodel import EntryKind, StackEntry
@@ -87,6 +87,20 @@ class DeltaPathProbe(Probe):
         self._call_records: List[object] = []
         # Frame records: (flags, replaced owner-top or None).
         self._frames: List[Tuple[int, Optional[Tuple[str, bool]]]] = []
+        # Interned encoding stacks. Every push and pop marks the stack
+        # stale; the next snapshot interns it, so a snapshot hands out
+        # the one shared tuple of each distinct stack and its small
+        # integer key (key 0 is the empty stack).
+        self._stale = False
+        self._stack_keys: Dict[Tuple[StackEntry, ...], int] = {(): 0}
+        #: Key -> the interned stack tuple.
+        self.stack_table: List[Tuple[StackEntry, ...]] = [()]
+        #: Key -> ``(depth, UCP entries)`` of that stack (Table 2's
+        #: per-context stack depth and hazardous-UCP count).
+        self.stack_stats: List[Tuple[int, int]] = [(0, 0)]
+        #: Key of the stack the last :meth:`snapshot` returned.
+        self.stack_key = 0
+        self._interned: Tuple[StackEntry, ...] = ()
         # Statistics.
         self.ucp_detections = 0
         self.max_stack_depth = 0
@@ -139,6 +153,7 @@ class DeltaPathProbe(Probe):
     def begin_execution(self, entry: str) -> None:
         self._id = 0
         self._stack.clear()
+        self._stale = True
         self._call_records.clear()
         self._frames.clear()
         self._expected_sid = self.plan.entry_sid
@@ -170,6 +185,7 @@ class DeltaPathProbe(Probe):
                     site=CallSite(caller, label),
                 )
             )
+            self._stale = True
             self._id = 0
             if self.cpt:
                 self._call_records.append(
@@ -212,6 +228,7 @@ class DeltaPathProbe(Probe):
                         kind=EntryKind.ANCHOR, node=node, saved_id=self._id
                     )
                 )
+                self._stale = True
                 self._id = 0
                 depth = len(self._stack)
                 if depth > self.max_stack_depth:
@@ -242,6 +259,7 @@ class DeltaPathProbe(Probe):
                         resume_executed=resume_executed,
                     )
                 )
+                self._stale = True
                 self._id = 0
                 self._owner.append((node, True))
                 self.ucp_detections += 1
@@ -250,6 +268,7 @@ class DeltaPathProbe(Probe):
             self._stack.append(
                 StackEntry(kind=EntryKind.ANCHOR, node=node, saved_id=self._id)
             )
+            self._stale = True
             self._id = 0
             if self.cpt:
                 self._owner.append((node, True))
@@ -298,6 +317,7 @@ class DeltaPathProbe(Probe):
                 raise RuntimeEncodingError(
                     f"expected RECURSION on stack top, found {entry.kind}"
                 )
+            self._stale = True
             self._id = entry.saved_id
         else:
             self._id -= kind_or_av
@@ -390,6 +410,7 @@ class DeltaPathProbe(Probe):
         # All checks passed: commit atomically.
         self._bind_plan(update.plan)
         self._stack = list(remapped.stack)
+        self._stale = True
         self._id = remapped.current_id
         self._call_records = new_records
         if self.cpt:
@@ -412,14 +433,21 @@ class DeltaPathProbe(Probe):
     # Observation
     # ------------------------------------------------------------------
     def snapshot(self, node: str) -> Tuple[Tuple[StackEntry, ...], int]:
-        """The current encoding: ``(stack, ID)`` — hashable, decodable."""
+        """The current encoding: ``(stack, ID)`` — hashable, decodable.
+
+        The stack is interned: equal stacks are the *same* tuple object
+        for the life of the probe, and :attr:`stack_key` names it. Only
+        the first snapshot after a push or pop pays for interning.
+        """
         if self._id > self.max_id_seen:
             self.max_id_seen = self._id
         self._obs_n = n = self._obs_n + 1
         rate = self._obs_rate
         if rate and not n % rate:
             t0 = time.perf_counter()
-            out = (tuple(self._stack), self._id)
+            if self._stale:
+                self._intern()
+            out = (self._interned, self._id)
             self._obs_hist.observe(time.perf_counter() - t0)
             tracer = self._obs_tracer
             if tracer.enabled:
@@ -427,7 +455,9 @@ class DeltaPathProbe(Probe):
                     "probe.snapshot", node=node, stack_depth=len(out[0])
                 )
             return out
-        return tuple(self._stack), self._id
+        if self._stale:
+            self._intern()
+        return self._interned, self._id
 
     def end_execution(self) -> None:
         """Flush the sampled-observation tallies into the registry."""
@@ -435,20 +465,27 @@ class DeltaPathProbe(Probe):
             obs.counter("probe.snapshots").inc(self._obs_n)
             self._obs_n = 0
 
-    def context_metrics(self) -> dict:
-        """Per-observation metrics for the Table 2 collector.
+    def _intern(self) -> None:
+        """Point :attr:`stack_key` at the live stack, interning it if new.
 
-        ``stack_depth`` counts the paper's way directly: the entry
-        function is always an anchor, so the stack's bottom element
-        records the entry node ("ideally, the stack only contains one
-        element") and ``len(stack)`` is the paper's depth.
+        ``stack_stats`` counts the paper's way: the entry function is
+        always an anchor, so the stack's bottom element records the
+        entry node ("ideally, the stack only contains one element") and
+        ``len(stack)`` is the paper's depth.
         """
-        ucp_entries = sum(1 for e in self._stack if e.kind is EntryKind.UCP)
-        return {
-            "stack_depth": len(self._stack),
-            "ucp": ucp_entries,
-            "id": self._id,
-        }
+        stack = tuple(self._stack)
+        key = self._stack_keys.get(stack)
+        if key is None:
+            key = len(self.stack_table)
+            self._stack_keys[stack] = key
+            self.stack_table.append(stack)
+            self.stack_stats.append((
+                len(stack),
+                sum(1 for e in stack if e.kind is EntryKind.UCP),
+            ))
+        self.stack_key = key
+        self._interned = self.stack_table[key]
+        self._stale = False
 
     # ------------------------------------------------------------------
     def _pop(self, kind: EntryKind, node: str) -> StackEntry:
@@ -457,6 +494,7 @@ class DeltaPathProbe(Probe):
                 f"encoding stack empty popping {kind.name} at {node!r}"
             )
         entry = self._stack.pop()
+        self._stale = True
         if entry.kind is not kind:
             raise RuntimeEncodingError(
                 f"expected {kind.name} on stack top at {node!r}, found "

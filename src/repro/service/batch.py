@@ -46,9 +46,10 @@ The layout (documented for readers in docs/RESILIENCE.md):
   current_id, thread, weight;
 * a ``<I`` CRC32 trailer over everything before it.
 
-``from_bytes`` rejects short buffers, bad magic, unknown versions and
-CRC mismatches with :class:`~repro.errors.ServiceError` — a torn or
-corrupted buffer never half-loads.
+``from_bytes`` rejects short buffers, bad magic, unknown versions, CRC
+mismatches, out-of-range table indices and weights below 1 with
+:class:`~repro.errors.ServiceError` — a torn or corrupted buffer never
+half-loads, and no buffer can subtract counts.
 """
 
 from __future__ import annotations
@@ -234,33 +235,60 @@ class SampleBatch:
         weight: int = 1,
         thread: int = 0,
     ) -> "SampleBatch":
-        """Pack ``(node, snapshot)`` pairs captured under one epoch.
+        """Pack ``(node, snapshot)`` pairs captured under one epoch."""
+        nodes: List[str] = []
+        stacks: List[Sequence[StackEntry]] = []
+        ids: List[int] = []
+        for node, (stack, current_id) in observations:
+            nodes.append(node)
+            stacks.append(stack)
+            ids.append(current_id)
+        return cls.from_columns(
+            nodes, stacks, ids, array("q", [epoch]) * len(nodes),
+            weight=weight, thread=thread,
+        )
 
-        The bulk-ingest fast path: per-call constants are hoisted out of
-        the loop, so packing costs little more than the array appends.
+    @classmethod
+    def from_columns(
+        cls,
+        nodes: Sequence[str],
+        stacks: Sequence[Sequence[StackEntry]],
+        ids: Sequence[int],
+        epochs: Sequence[int],
+        *,
+        weight: int = 1,
+        thread: int = 0,
+    ) -> "SampleBatch":
+        """Pack aligned per-sample columns: the one bulk packer.
+
+        Equal to appending the samples one by one, table order and all,
+        but no Python code runs per sample: the tables are interned once
+        per distinct name and once per distinct stack *object* (probe
+        snapshots share one tuple per stack), and the columns are mapped
+        through them at C speed.
         """
         if weight < 1:
             raise ServiceError(f"sample weight must be >= 1, got {weight}")
         batch = cls()
         if weight != 1:
             batch._uniform = False
-        cols = batch._cols
-        add_node = cols["node_idx"].append
-        add_stack = cols["stack_idx"].append
-        add_id = cols["current_id"].append
         node_id = batch._node_id
-        stack_id = batch._stack_id
-        for node, snapshot in observations:
-            stack, current_id = snapshot
-            add_node(node_id(node))
-            add_stack(
-                stack_id(stack if type(stack) is tuple else tuple(stack))
+        node_idx = {node: node_id(node) for node in dict.fromkeys(nodes)}
+        by_object = dict(zip(map(id, stacks), stacks))
+        stack_idx = {
+            key: batch._stack_id(
+                stack if type(stack) is tuple else tuple(stack)
             )
-            add_id(current_id)
-        # The per-sample columns above drive the loop; the three
-        # constant columns are stamped wholesale at C speed.
-        count = len(cols["node_idx"])
-        cols["epoch"] = array("q", [epoch]) * count
+            for key, stack in by_object.items()
+        }
+        cols = batch._cols
+        count = len(nodes)
+        cols["epoch"] = array("q", epochs)
+        cols["node_idx"] = array("q", map(node_idx.__getitem__, nodes))
+        cols["stack_idx"] = array(
+            "q", map(stack_idx.__getitem__, map(id, stacks))
+        )
+        cols["current_id"] = array("q", ids)
         cols["thread"] = array("q", [thread]) * count
         cols["weight"] = array("q", [weight]) * count
         return batch
@@ -486,7 +514,12 @@ class SampleBatch:
                 col.byteswap()
             offset += 8 * samples
             batch._cols[name] = col
-        batch._uniform = all(w == 1 for w in batch._cols["weight"])
+        weights = batch._cols["weight"]
+        if weights and min(weights) < 1:
+            raise ServiceError(
+                f"sample-batch weight {min(weights)} is below 1"
+            )
+        batch._uniform = all(w == 1 for w in weights)
         for idx in batch._cols["node_idx"]:
             if not 0 <= idx < len(batch._nodes):
                 raise ServiceError(f"sample-batch node index {idx} is out of range")

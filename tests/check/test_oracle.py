@@ -133,6 +133,40 @@ class TestRuntimeOracle:
         assert any("negative" in v for v in probe.violations)
 
 
+    def test_checked_probe_catches_wrong_stack_stats(self):
+        plan = build_plan_from_graph(_diamond())
+        probe = CheckedProbe(DeltaPathProbe(plan, cpt=True))
+        probe.begin_execution("main")
+        probe.enter_function("main")
+        probe.snapshot("main")
+        assert probe.violations == []
+        probe.inner.stack_stats[probe.stack_key] = (0, 0)  # corrupt
+        probe.snapshot("main")
+        assert any("stats" in v for v in probe.violations)
+
+    def test_catches_a_stale_interned_stack_after_a_ucp_pop(self, monkeypatch):
+        """Mutant: popping a UCP entry skips re-interning, so the next
+        snapshot still hands out the stack with the UCP on it."""
+        import repro.check.oracle as oracle_mod
+        from repro.core.stackmodel import EntryKind
+
+        class StaleAfterUcpPop(DeltaPathProbe):
+            def _pop(self, kind, node):
+                stale = self._stale
+                popped = super()._pop(kind, node)
+                if kind is EntryKind.UCP:
+                    self._stale = stale
+                return popped
+
+        clean = [f for seed in range(20) for f in check_runtime(generate_case(seed))]
+        assert clean == []
+        monkeypatch.setattr(oracle_mod, "DeltaPathProbe", StaleAfterUcpPop)
+        failures = [
+            f for seed in range(20) for f in check_runtime(generate_case(seed))
+        ]
+        assert any(f.startswith("runtime: ") for f in failures)
+
+
 class TestBatchOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_clean_cases_pass_batch_vs_scalar(self, seed):

@@ -90,6 +90,43 @@ class TestCollectorStats:
         assert stats.max_stack_depth >= 1  # entry anchor element
         assert stats.max_id >= 1
 
+    def test_unique_holds_interned_snapshot_pairs(self):
+        collector = ContextCollector()
+        _run(collector)
+        unique = collector.unique
+        assert len(unique) == collector.stats().unique_encodings == 5
+        for node, (stack, current_id) in unique:
+            assert isinstance(node, str) and isinstance(current_id, int)
+            assert isinstance(stack, tuple)
+
+    def test_two_probes_keep_their_keys_apart(self):
+        """Each probe numbers its stacks from 0; a collector fed by two
+        probes must resolve each key through its own probe."""
+        program = parse_program(SRC)
+        plan = build_plan(program)
+        one = DeltaPathProbe(plan)
+        two = DeltaPathProbe(plan)
+        # Shift the second probe's keys: a bogus stack takes key 1, so
+        # the stack both runs share is key 1 in one and key 2 in two.
+        bogus = ("bogus",)
+        two._stack_keys[bogus] = len(two.stack_table)
+        two.stack_table.append(bogus)
+        two.stack_stats.append((9, 9))
+        shared = ContextCollector()
+        Interpreter(program, probe=one, seed=0, collector=shared).run()
+        first = shared.unique
+        Interpreter(program, probe=two, seed=0, collector=shared).run()
+        assert shared.unique == first  # same contexts, same pairs
+        alone = ContextCollector()
+        Interpreter(program, probe=DeltaPathProbe(plan), seed=0, collector=alone).run()
+        both = shared.stats()
+        single = alone.stats()
+        assert both.unique_encodings == single.unique_encodings == 5
+        assert both.total_contexts == 2 * single.total_contexts
+        assert both.max_stack_depth == single.max_stack_depth
+        assert both.avg_stack_depth == single.avg_stack_depth
+        assert both.max_id == single.max_id
+
     def test_collisions_none_without_truth(self):
         collector = ContextCollector()
         _run(collector)

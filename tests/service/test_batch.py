@@ -69,6 +69,20 @@ class TestConstruction:
             assert sample.weight == 3
             assert sample.thread == 9
 
+    def test_from_columns_equals_per_sample_append(self):
+        shared = (entry(),)
+        nodes = ["a", "b", "a", "c", "b"]
+        stacks = [shared, (), (entry(),), [entry()], shared]
+        ids = [1, 2, 1, 4, 5]
+        epochs = [0, 0, 1, 1, 1]
+        packed = SampleBatch.from_columns(nodes, stacks, ids, epochs)
+        appended = SampleBatch()
+        for node, stack, current_id, epoch in zip(nodes, stacks, ids, epochs):
+            appended.append(node, (stack, current_id), epoch=epoch)
+        assert packed == appended
+        assert packed.to_bytes() == appended.to_bytes()
+        assert len(packed._stacks) == 2  # equal stacks intern once
+
     def test_interning_tables_stay_small(self):
         batch = SampleBatch()
         for _ in range(100):
@@ -163,6 +177,22 @@ class TestSerialization:
         body = bytes(blob[:-4])
         blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
         with pytest.raises(ServiceError, match="version"):
+            SampleBatch.from_bytes(bytes(blob))
+
+    def test_weight_below_one_rejected(self):
+        """A CRC-valid buffer whose weight column holds -7 must not load:
+        it would subtract counts from the tree."""
+        import struct
+        import zlib
+
+        blob = bytearray(
+            SampleBatch().append("n", ((), 3), epoch=0).to_bytes()
+        )
+        # The weight column is the last 8 bytes before the CRC trailer.
+        blob[-12:-4] = struct.pack("<q", -7)
+        body = bytes(blob[:-4])
+        blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(ServiceError, match="weight"):
             SampleBatch.from_bytes(bytes(blob))
 
     def test_unserializable_label_is_loud(self):

@@ -34,6 +34,14 @@ def walk_snapshot(plan, path):
     return node, probe.snapshot(node)
 
 
+def entry_stack(plan):
+    """The stack a fresh probe snapshots at the entry function."""
+    probe = DeltaPathProbe(plan, cpt=True)
+    probe.begin_execution(plan.graph.entry)
+    probe.enter_function(plan.graph.entry)
+    return probe.snapshot(plan.graph.entry)[0]
+
+
 def one(node, snap, epoch=0, weight=1):
     """A one-sample batch (the plan-0 epoch unless told otherwise)."""
     return SampleBatch().append(node, snap, epoch=epoch, weight=weight)
@@ -169,6 +177,62 @@ class TestCollectorSink:
             sink.flush()
             service.flush()
             assert service.tree.total_samples == 1
+
+
+class TestSinkFailures:
+    """A failed submit loses nothing silently: every observation the
+    collector made is submitted, counted as a sink failure, or still
+    buffered."""
+
+    def drive(self, plan, policy, observations=250, stop_after=150):
+        service = ContextService(plan).start()
+        sink = service.batch_sink(batch_max=100)
+        collector = ContextCollector(sink=sink, sink_errors=policy)
+        probe = DeltaPathProbe(plan, cpt=True)
+        probe.begin_execution("main")
+        probe.enter_function("main")
+        for n in range(observations):
+            collector.on_entry("main", 1, probe)
+            if n + 1 == stop_after:
+                service.stop()
+        return service, sink, collector
+
+    @pytest.mark.parametrize("policy", ["drop", "retain"])
+    def test_every_observation_is_accounted(self, plan, policy):
+        service, sink, collector = self.drive(plan, policy)
+        submitted = service.service_metrics()["submitted"]
+        assert submitted == 100
+        assert collector.sink_failures == 100  # the whole failed batch
+        assert sink.buffered() == 50
+        assert collector.total == (
+            submitted + collector.sink_failures + sink.buffered()
+        )
+        collector.close()  # the tail fails the same way
+        assert sink.buffered() == 0
+        assert collector.total == submitted + collector.sink_failures
+        retained = list(collector.sink_retained)
+        if policy == "retain":
+            assert len(retained) == 150
+            node, (stack, current_id) = retained[0]
+            assert node == "main" and stack == entry_stack(plan)
+        else:
+            assert retained == []
+
+    def test_raise_policy_carries_the_unsubmitted_batch(self, plan):
+        service = ContextService(plan).start()
+        sink = service.batch_sink(batch_max=3)
+        node, snap = walk_snapshot(plan, PATH_ACE)
+        sink(node, snap)
+        sink(node, snap)
+        service.stop()
+        with pytest.raises(ServiceError) as raised:
+            sink(node, snap)
+        assert raised.value.unsubmitted == [(node, snap)] * 3
+        assert sink.buffered() == 0
+        sink(node, snap)
+        with pytest.raises(ServiceError) as raised:
+            sink.flush()
+        assert raised.value.unsubmitted == [(node, snap)]
 
 
 class TestCollectorTruthModes:
