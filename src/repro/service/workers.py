@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.errors import ServiceError
+from repro.errors import IngestOverflowError, ServiceError
 from repro.service.batch import SampleBatch
 from repro.service.ingest import WorkerState
 
@@ -428,19 +428,27 @@ class ProcessWorkerPool:
 
         Every sample lands in exactly one bucket: pushed (accepted) or
         counted dropped by its lane — whole-batch-per-lane accounting,
-        same conservation shape as ``BoundedQueue.put``.
+        same conservation shape as ``BoundedQueue.put``. Under
+        ``backpressure="error"`` a full lane counts its part dropped and
+        the other parts are still pushed; the first overflow is raised
+        once every part has landed.
         """
         if self._closed:
             return 0
         accepted = 0
+        overflows: List[IngestOverflowError] = []
         for slot, part in enumerate(batch.split_by_node(self.nworkers)):
             if not len(part):
                 continue
             with self._guards[slot]:
-                accepted += self._push(self._lanes[slot], part, timeout)
+                accepted += self._push(
+                    self._lanes[slot], part, timeout, overflows
+                )
+        if overflows:
+            raise overflows[0]
         return accepted
 
-    def _push(self, lane, part: SampleBatch, timeout) -> int:
+    def _push(self, lane, part: SampleBatch, timeout, overflows) -> int:
         payload = part.to_bytes()
         samples = len(part)
         if len(payload) > lane.capacity_bytes:
@@ -450,17 +458,23 @@ class ProcessWorkerPool:
             half = samples // 2
             rows = list(part)
             return self._push(
-                lane, SampleBatch.from_samples(rows[:half]), timeout
+                lane, SampleBatch.from_samples(rows[:half]), timeout,
+                overflows,
             ) + self._push(
-                lane, SampleBatch.from_samples(rows[half:]), timeout
+                lane, SampleBatch.from_samples(rows[half:]), timeout,
+                overflows,
             )
-        if lane.push(
-            payload, samples,
-            policy=self._config.backpressure, timeout=timeout,
-            on_closed="drop",
-        ):
-            return samples
-        return 0
+        try:
+            pushed = lane.push(
+                payload, samples,
+                policy=self._config.backpressure, timeout=timeout,
+                on_closed="drop",
+            )
+        except IngestOverflowError as exc:
+            # The lane counted the part dropped before raising.
+            overflows.append(exc)
+            return 0
+        return samples if pushed else 0
 
     # -- supervisor surface --------------------------------------------
     def worker_states(self) -> List[WorkerState]:

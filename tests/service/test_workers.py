@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import IngestOverflowError, ServiceError
 from repro.graph.callgraph import CallGraph
 from repro.resilience import ResilienceConfig
 from repro.runtime.agent import DeltaPathProbe
@@ -382,6 +382,36 @@ class TestPoolPlumbing:
         stopper.join(timeout=30.0)
         assert not stopper.is_alive(), "stop() blocked on a wedged lane"
         pool.destroy()
+
+    def test_error_backpressure_lands_every_lane_before_raising(
+        self, plan, snapshots
+    ):
+        """A full lane under ``backpressure="error"`` counts its own part
+        dropped; the later lanes' parts are still pushed, so every
+        sample is queued or dropped before the overflow is raised."""
+        pool = ProcessWorkerPool(plan, ServiceConfig(
+            worker_processes=2, shards=2, lane_slots=1, backpressure="error",
+        ))  # never started: nothing drains the lanes
+        try:
+            node_e, snap_e = snapshots["ace"]  # routes to lane 0
+            node_c, snap_c = walk_snapshot(plan, PATH_ACE[:2])  # lane 1
+            fill = SampleBatch().append(node_e, snap_e, epoch=0)
+            assert pool.submit(fill) == 1  # lane 0's only slot
+            batch = SampleBatch()
+            for _ in range(3):
+                batch.append(node_e, snap_e, epoch=0)
+                batch.append(node_c, snap_c, epoch=0)
+            with pytest.raises(IngestOverflowError):
+                pool.submit(batch)
+            lanes = pool._lanes
+            assert (lanes[0].queued_samples, lanes[0].dropped) == (1, 3)
+            assert (lanes[1].queued_samples, lanes[1].dropped) == (3, 0)
+            assert sum(
+                lane.queued_samples + lane.dropped for lane in lanes
+            ) == len(fill) + len(batch)
+        finally:
+            pool.stop(drain=False)
+            pool.destroy()
 
     def test_rejects_zero_processes(self, plan):
         with pytest.raises(ServiceError):
