@@ -1,6 +1,7 @@
 """The benchmark matrix: configs, gating semantics, history, CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -99,6 +100,9 @@ class TestRunMatrix:
         for cell in result["cells"].values():
             assert cell["elapsed_s"] >= 0
             assert "metrics" in cell and "gated" in cell
+            # The host's usable cores travel with every cell, so a
+            # scaling number is read against the cores that made it.
+            assert cell["cores"] == len(os.sched_getaffinity(0))
 
     def test_parallel_jobs_produce_the_same_cells(self, stubbed):
         serial = run_matrix(["default"], ["serve", "query"], jobs=1)
@@ -172,6 +176,20 @@ class TestGate:
         assert report.ok
         assert report.added and report.missing
         assert "gate ok" in report.summary()
+
+    def test_decode_gates_on_each_rate_not_the_ratio(self):
+        for metric in ("decode_per_s", "decode_uncached_per_s"):
+            assert GATED_METRICS[metric].higher_better
+        assert "decode_speedup_x" not in GATED_METRICS
+        # A faster uncached decoder shrinks the ratio; neither rate
+        # dropped, so the gate holds.
+        report = diff_against_baseline(
+            {"a/serve/decode_per_s": 400.0,
+             "a/serve/decode_uncached_per_s": 40.0},
+            {"a/serve/decode_per_s": 400.0,
+             "a/serve/decode_uncached_per_s": 8.0},
+        )
+        assert report.ok and report.improvements
 
     def test_unknown_metric_defaults_to_higher_better(self):
         report = diff_against_baseline(

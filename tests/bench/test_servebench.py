@@ -175,6 +175,26 @@ class TestStudies:
 
 
 class TestServeBench:
+    def test_matrix_cell_gates_each_decode_rate(self, monkeypatch):
+        from repro.bench import servebench
+
+        monkeypatch.setattr(servebench, "QUICK_SAMPLES", 300)
+        monkeypatch.setattr(servebench, "QUICK_CONTEXTS", 12)
+        cell = servebench.run({"quick": True, "seed": 3})
+        metrics, gated = cell["metrics"], cell["gated"]
+        assert set(gated) == {
+            "ingest_per_s", "decode_per_s", "decode_uncached_per_s",
+            "store_bytes_per_context",
+        }
+        assert gated["decode_per_s"] == metrics["decode_per_s"] > 0
+        assert gated["decode_uncached_per_s"] == \
+            metrics["decode_uncached_per_s"] > 0
+        # The ratio is still reported, ungated.
+        assert metrics["decode_speedup_x"] == pytest.approx(
+            metrics["decode_per_s"] / metrics["decode_uncached_per_s"]
+        )
+        assert metrics["ingest_lost"] == 0
+
     def test_result_shape_and_acceptance(self, result):
         assert result["benchmark"] == "serve-bench"
         assert result["workload"]["contexts"] == TINY["contexts"]
