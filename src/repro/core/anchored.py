@@ -27,7 +27,8 @@ genuinely too small for the graph's in-degrees and we raise
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
@@ -72,6 +73,13 @@ class AnchoredEncoding:
     bound: Dict[Tuple[str, str], int]
     av: Dict[CallSite, int]
     restarts: int
+    #: Decode tables, one per (node, anchor), each built on first use:
+    #: the ascending addition values of the node's incoming edges in the
+    #: anchor's territory, and the matching edges (plain lists: an
+    #: UNBOUNDED width's values outgrow any machine word).
+    _in_tables: Dict[
+        Tuple[str, str], Tuple[List[int], List[CallEdge]]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Instrumentation queries
@@ -170,28 +178,31 @@ class AnchoredEncoding:
         stop: Optional[str] = None,
     ) -> List[CallEdge]:
         """Decode one piece: a path from ``stop`` (default: ``anchor``)
-        to ``node``, whose edges lie in ``anchor``'s territory."""
+        to ``node``, whose edges lie in ``anchor``'s territory.
+
+        Each step takes the incoming edge with the largest addition
+        value not above the residual: one bisect in the (node, anchor)
+        table.
+        """
         start = stop if stop is not None else anchor
+        tables = self._in_tables
         path: List[CallEdge] = []
         current = node
         residual = value
         while current != start:
-            best: Optional[CallEdge] = None
-            best_av = -1
-            for edge in self.graph.in_edges(current):
-                if anchor not in self.territories.edge_anchors(edge):
-                    continue
-                av = self.av[edge.site]
-                if best_av < av <= residual:
-                    best = edge
-                    best_av = av
-            if best is None:
+            table = tables.get((current, anchor))
+            if table is None:
+                table = self._in_table(current, anchor)
+            values, edges = table
+            i = bisect_right(values, residual)
+            if not i:
                 raise DecodingError(
                     f"no incoming edge of {current!r} in territory of "
                     f"{anchor!r} matches residual {residual}"
                 )
+            best = edges[i - 1]
             path.append(best)
-            residual -= best_av
+            residual -= values[i - 1]
             current = best.caller
         if residual != 0:
             raise DecodingError(
@@ -199,6 +210,24 @@ class AnchoredEncoding:
             )
         path.reverse()
         return path
+
+    def _in_table(
+        self, node: str, anchor: str
+    ) -> Tuple[List[int], List[CallEdge]]:
+        """Build and publish the (node, anchor) decode table.
+
+        Where several edges share a value the first in insertion order
+        is kept. Threads racing on one key may each build it; every
+        build is the same, and lists are never changed once published.
+        """
+        by_value: Dict[int, CallEdge] = {}
+        for edge in self.graph.in_edges(node):
+            if anchor in self.territories.edge_anchors(edge):
+                by_value.setdefault(self.av[edge.site], edge)
+        values = sorted(by_value)
+        table = (values, [by_value[v] for v in values])
+        self._in_tables[(node, anchor)] = table
+        return table
 
     def decode_context(
         self, node: str, stack: Iterable[Tuple[str, int]], value: int
