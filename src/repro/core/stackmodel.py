@@ -91,6 +91,13 @@ class StackEntry:
             object.__setattr__(self, "_hash", cached)
         return cached
 
+    def __getstate__(self):
+        # The pinned hash is only valid under this process's string-hash
+        # seed; an unpickled entry computes its own.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 def pack_entry(
     entry: StackEntry, method_ids: Dict[str, int], id_bits: int = 30

@@ -19,8 +19,9 @@ changing an answer:
   was deliberately dropped.
 
 Every mutation is one **generation swap** executed under the exclusive
-:class:`~repro.query.locks.DirectoryLock` with the PR 5 durability
-discipline, in this order:
+:class:`~repro.query.locks.DirectoryLock`, each file written by the one
+atomic writer of :mod:`repro.durable` (``docs/RESILIENCE.md``,
+"Durable files"), in this order:
 
 1. write the new retired-totals file (if retention dropped rows);
 2. write the CRC'd **intent journal** (``compact.dpqj``) durably —
@@ -49,6 +50,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
+from repro.durable import (
+    delta_encode_rows,
+    fsync_dir,
+    load_records,
+    pack_section,
+    row_records,
+    split_body,
+    trie_paths,
+    valid_trie,
+    write_records,
+)
 from repro.errors import QueryError
 from repro.query.locks import (
     DEFAULT_LEASE_S,
@@ -56,26 +68,13 @@ from repro.query.locks import (
     LockHeldError,
     live_pins,
 )
-from repro.query.manifest import (
-    SegmentStore,
-    load_manifest_info,
-    write_manifest,
-)
+from repro.query.manifest import SegmentStore, load_manifest_info
 from repro.query.segment import (
     Segment,
     SegmentState,
     load_segment,
     segment_name,
     write_segment,
-)
-from repro.resilience.checkpoint import (
-    delta_decode_path,
-    delta_encode_rows,
-    fsync_dir,
-    pack_section,
-    parse_record_line,
-    record_line,
-    unpack_section,
 )
 
 __all__ = [
@@ -98,7 +97,6 @@ JOURNAL_VERSION = 1
 RETIRED_VERSION = 1
 _RETIRED_PREFIX = "retired-"
 _RETIRED_SUFFIX = ".dpqr"
-_ROWS_PER_RECORD = 512
 #: Manifest tombstones kept after their file is confirmed deleted.
 _TOMBSTONE_KEEP = 64
 
@@ -172,57 +170,34 @@ def write_journal(
 ) -> str:
     """Durably declare a generation swap before performing it.
 
-    Same record discipline as everything else; the temp/fsync/rename
-    means a crash mid-write leaves *no* journal (clean roll-back: the
-    swap never started), never a torn one.
+    The atomic replace means a crash mid-write leaves *no* journal
+    (clean roll-back: the swap never started), never a torn one.
     """
-    final = os.path.join(directory, JOURNAL_NAME)
-    tmp = os.path.join(directory, f".tmp-journal-{os.getpid()}")
     header = {"kind": "compact-intent", "version": JOURNAL_VERSION}
     header.update(intent)
-    records = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(record_line(header))
-        records += 1
-        if fault is not None:
-            fault(records)
-        fh.write(record_line({"kind": "footer", "records": records + 1}))
-        records += 1
-        if fault is not None:
-            fault(records)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, final)
-    fsync_dir(directory)
-    return final
+    return write_records(
+        os.path.join(directory, JOURNAL_NAME), [header], fault=fault
+    )
 
 
 def load_journal(directory: str) -> Optional[dict]:
     """The pending swap intent, or None when absent or untrustworthy.
 
     Validation is total, mirroring segments: any torn line, bad CRC,
-    malformed header/footer, alien kind, or unknown version rejects
-    the file (counted in ``query.journal_rejected`` by callers that
-    then discard it).
+    malformed header/footer, alien kind, extra record, or unknown
+    version rejects the file (counted in ``query.journal_rejected`` by
+    callers that then discard it).
     """
-    path = os.path.join(directory, JOURNAL_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError):
+    read = load_records(
+        os.path.join(directory, JOURNAL_NAME),
+        "compact-intent",
+        (JOURNAL_VERSION,),
+    )
+    if read is None:
         return None
-    if len(lines) != 2:
-        return None
-    header = parse_record_line(lines[0])
-    footer = parse_record_line(lines[1])
-    if header is None or footer is None:
-        return None
-    if header.get("kind") != "compact-intent":
-        return None
-    if header.get("version") != JOURNAL_VERSION:
-        return None
-    if footer.get("kind") != "footer" or footer.get("records") != 2:
-        return None
+    header, body, _footer = read
+    if body:
+        return None  # a journal is its header and footer alone
     from_gen = header.get("from_generation")
     to_gen = header.get("to_generation")
     if not isinstance(from_gen, int) or not isinstance(to_gen, int):
@@ -319,123 +294,62 @@ def write_retired(
     Same trie encoding as segment rows so the formats cannot drift;
     not served by queries — only writer reconciliation reads it.
     """
-    final = os.path.join(directory, retired_name(generation))
-    tmp = os.path.join(directory, f".tmp-retired-{os.getpid()}")
     rows = sorted(
         (path, count, gaps, epoch)
         for (path, epoch), (count, gaps) in totals.items()
     )
-    records = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(record_line({
+    names, nodes_flat, pids = delta_encode_rows(rows)
+    records = [
+        {
             "kind": "retired",
             "version": RETIRED_VERSION,
             "generation": int(generation),
             "rows": len(rows),
-        }))
-        records += 1
-        if fault is not None:
-            fault(records)
-        names, nodes_flat, pids = delta_encode_rows(rows)
-        for kind, section in (("names", names), ("nodes", nodes_flat)):
-            payload = {"kind": kind}
-            payload.update(pack_section(section))
-            fh.write(record_line(payload))
-            records += 1
-            if fault is not None:
-                fault(records)
-        for lo in range(0, len(rows), _ROWS_PER_RECORD):
-            chunk = rows[lo:lo + _ROWS_PER_RECORD]
-            fh.write(record_line({
-                "kind": "rows",
-                "rows": [
-                    [pids[lo + i], row[1], row[2], row[3]]
-                    for i, row in enumerate(chunk)
-                ],
-            }))
-            records += 1
-            if fault is not None:
-                fault(records)
-        fh.write(record_line({
-            "kind": "footer",
-            "records": records + 1,
-            "rows": len(rows),
-            "samples": sum(r[1] for r in rows),
-        }))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, final)
-    fsync_dir(directory)
-    return final
+        },
+        {"kind": "names", **pack_section(names)},
+        {"kind": "nodes", **pack_section(nodes_flat)},
+        *row_records([
+            [pid, row[1], row[2], row[3]] for pid, row in zip(pids, rows)
+        ]),
+    ]
+    footer = {"rows": len(rows), "samples": sum(r[1] for r in rows)}
+    return write_records(
+        os.path.join(directory, retired_name(generation)), records, footer,
+        fault=fault,
+    )
 
 
 def load_retired(path: str) -> Optional[Dict[_Key, Tuple[int, int]]]:
     """Parse and fully validate a retired-totals file; None when bad."""
+    read = load_records(path, "retired", (RETIRED_VERSION,))
+    if read is None:
+        return None
+    header, body, footer = read
+    split = split_body(body, ("names", "nodes"))
+    if split is None:
+        return None
+    sections, raw_rows = split
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError):
+        rows = [
+            (pid, int(count), int(gaps), int(epoch))
+            for pid, count, gaps, epoch in raw_rows
+        ]
+    except (TypeError, ValueError):
         return None
-    if not lines:
+    names, nodes_flat = sections.get("names"), sections.get("nodes")
+    if not valid_trie(names, nodes_flat, [row[0] for row in rows]):
         return None
-    header = parse_record_line(lines[0])
-    if header is None or header.get("kind") != "retired":
-        return None
-    if header.get("version") != RETIRED_VERSION:
-        return None
-    names: Optional[list] = None
-    nodes_flat: Optional[list] = None
-    compact_rows: List[tuple] = []
-    footer = None
-    for line in lines[1:]:
-        payload = parse_record_line(line)
-        if payload is None:
-            return None
-        if footer is not None:
-            return None
-        kind = payload.get("kind")
-        if kind == "rows":
-            try:
-                for pid, count, gaps, epoch in payload["rows"]:
-                    compact_rows.append(
-                        (pid, int(count), int(gaps), int(epoch))
-                    )
-            except (KeyError, TypeError, ValueError):
-                return None
-        elif kind == "names":
-            names = unpack_section(payload)
-            if not isinstance(names, list) or not all(
-                isinstance(n, str) for n in names
-            ):
-                return None
-        elif kind == "nodes":
-            nodes_flat = unpack_section(payload)
-            if (
-                not isinstance(nodes_flat, list)
-                or len(nodes_flat) % 2
-                or not all(isinstance(v, int) for v in nodes_flat)
-            ):
-                return None
-        elif kind == "footer":
-            footer = payload
-        else:
-            return None
-    if footer is None or names is None or nodes_flat is None:
-        return None
+    paths = trie_paths(names, nodes_flat)
     totals: Dict[_Key, Tuple[int, int]] = {}
-    samples = 0
-    for pid, count, gaps, epoch in compact_rows:
-        decoded = delta_decode_path(pid, nodes_flat, names)
-        if decoded is None or count < 0 or gaps < 0:
+    for pid, count, gaps, epoch in rows:
+        if count < 0 or gaps < 0:
             return None
-        totals[(decoded, epoch)] = (count, gaps)
-        samples += count
+        totals[(paths[pid] if pid >= 0 else (), epoch)] = (count, gaps)
     if (
-        footer.get("records") != len(lines)
-        or footer.get("rows") != len(compact_rows)
-        or header.get("rows") != len(compact_rows)
-        or footer.get("samples") != samples
-        or len(totals) != len(compact_rows)
+        footer.get("rows") != len(rows)
+        or header.get("rows") != len(rows)
+        or footer.get("samples") != sum(row[1] for row in rows)
+        or len(totals) != len(rows)
     ):
         return None
     return totals

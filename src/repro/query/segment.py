@@ -7,22 +7,16 @@ once written they are never modified, so any query answer computed
 over a set of segments is reproducible forever (the property the
 chaos harness asserts across crash/recovery).
 
-File format — line-oriented checksummed records, one per line, exactly
-the PR 5 checkpoint discipline (the helpers are imported from
-:mod:`repro.resilience.checkpoint` so the formats cannot drift):
-
-    ``<crc32 of payload, 8 hex chars> <payload JSON>``
-
-Record kinds, in file order:
+File format: the line records, footer and atomic replace of
+:mod:`repro.durable` (``docs/RESILIENCE.md``, "Durable files"). Record
+kinds, in file order:
 
 * ``header`` — format version, the window (``t_lo``/``t_hi``), the
   SHA-256 plan fingerprint the counts were decoded under, and the row
   count;
-* ``names`` — distinct function names (zlib+base64 packed section with
-  an inner CRC32);
-* ``nodes`` — the prefix-trie topology as a flat
-  ``[parent, name_id, ...]`` list (a path is the id of its trie leaf,
-  mirroring the in-memory :class:`~repro.service.store.ContextStore`);
+* ``names`` and ``nodes`` — the context paths as one prefix trie
+  (packed sections; a path is the id of its trie leaf, mirroring the
+  in-memory :class:`~repro.service.store.ContextStore`);
 * ``index`` — the inverted index: ``[[name_id, [row, ...]], ...]``
   sorted posting lists mapping each function to the rows whose context
   contains it. The index is *verified on load* by rebuilding it from
@@ -38,38 +32,33 @@ Record kinds, in file order:
   single implicit span covering the whole window);
 * ``footer`` — the record/row/sample totals actually written.
 
-A file is valid only if every line's checksum matches, the header
-parses, every section unpacks and passes its inner CRC, every pid
-resolves, the index matches the rows, and the footer agrees with the
+Beyond the framing, a file is valid only if every section unpacks and
+passes its inner CRC, the trie passes :func:`~repro.durable.
+valid_trie`, the index matches the rows, and the footer agrees with the
 observed totals. A torn write (crash mid-file), bit rot, or a tampered
 index disqualifies the file — readers skip it (counted in
 ``query.segments_rejected``) rather than serving garbage.
-
-Durability on write: serialize to ``.tmp-seg-*`` in the same
-directory, fsync, ``os.replace`` onto the final name, fsync the
-directory. The ``fault`` hook (chaos) abandons the temp file
-un-renamed, modelling a crash mid-flush.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import QueryError
-from repro.resilience.checkpoint import (
-    delta_decode_path,
+from repro.durable import (
     delta_encode_rows,
-    fsync_dir,
     pack_section,
-    parse_record_line,
-    record_line,
-    unpack_section,
+    read_records,
+    row_records,
+    split_body,
+    trie_paths,
+    valid_trie,
+    write_records,
 )
+from repro.errors import QueryError
 
 __all__ = [
     "FORMAT_VERSION",
@@ -87,8 +76,6 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 _PREFIX = "seg-"
 _SUFFIX = ".dpqs"
-_TMP_PREFIX = ".tmp-seg-"
-_ROWS_PER_RECORD = 512
 
 
 def segment_name(seq: int) -> str:
@@ -313,70 +300,36 @@ def write_segment(
     readers only ever see previous, complete segments.
     """
     start = time.perf_counter()
-    final = os.path.join(directory, segment_name(seq))
-    tmp = os.path.join(directory, f"{_TMP_PREFIX}{seq:08d}-{os.getpid()}")
-    records = 0
+    rows = state.rows
+    names, nodes_flat, pids = delta_encode_rows(rows)
+    records = [
+        {
+            "kind": "header",
+            "version": FORMAT_VERSION,
+            "t_lo": state.t_lo,
+            "t_hi": state.t_hi,
+            "fingerprint": state.fingerprint,
+            "rows": len(rows),
+            "spans": len(state.spans),
+        },
+        {"kind": "names", **pack_section(names)},
+        {"kind": "nodes", **pack_section(nodes_flat)},
+        {"kind": "index", **pack_section(_build_postings(nodes_flat, pids))},
+        {"kind": "spans", **pack_section([[lo, hi] for lo, hi in state.spans])},
+        *row_records([
+            [pid, row[1], row[2], row[3], span]
+            for pid, row, span in zip(pids, rows, state.row_spans)
+        ]),
+    ]
+    footer = {"rows": len(rows), "samples": state.total_samples}
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(record_line({
-                "kind": "header",
-                "version": FORMAT_VERSION,
-                "t_lo": state.t_lo,
-                "t_hi": state.t_hi,
-                "fingerprint": state.fingerprint,
-                "rows": len(state.rows),
-                "spans": len(state.spans),
-            }))
-            records += 1
-            if fault is not None:
-                fault(records)
-            rows = list(state.rows)
-            names, nodes_flat, pids = delta_encode_rows(rows)
-            index = _build_postings(nodes_flat, pids)
-            spans = [[lo, hi] for lo, hi in state.spans]
-            for kind, section in (
-                ("names", names),
-                ("nodes", nodes_flat),
-                ("index", index),
-                ("spans", spans),
-            ):
-                payload = {"kind": kind}
-                payload.update(pack_section(section))
-                fh.write(record_line(payload))
-                records += 1
-                if fault is not None:
-                    fault(records)
-            for lo in range(0, len(rows), _ROWS_PER_RECORD):
-                chunk = rows[lo:lo + _ROWS_PER_RECORD]
-                fh.write(record_line({
-                    "kind": "rows",
-                    "rows": [
-                        [
-                            pids[lo + i],
-                            row[1],
-                            row[2],
-                            row[3],
-                            state.row_spans[lo + i],
-                        ]
-                        for i, row in enumerate(chunk)
-                    ],
-                }))
-                records += 1
-                if fault is not None:
-                    fault(records)
-            fh.write(record_line({
-                "kind": "footer",
-                "records": records + 1,
-                "rows": len(rows),
-                "samples": state.total_samples,
-            }))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
+        final = write_records(
+            os.path.join(directory, segment_name(seq)), records, footer,
+            fault=fault,
+        )
     except BaseException:
         obs.counter("query.segment_write_failures").inc()
         raise
-    fsync_dir(directory)
     obs.counter("query.segments_written").inc()
     obs.histogram("query.segment_write_us").observe_us(
         (time.perf_counter() - start) * 1e6
@@ -390,9 +343,9 @@ def write_segment(
 def load_segment(path: str, seq: Optional[int] = None) -> Optional[Segment]:
     """Read and validate one segment file; None when invalid.
 
-    Validation is total: line checksums, header shape, section CRCs,
-    pid resolution, index-vs-rows equivalence, and footer totals must
-    all hold — anything less and the file is treated as absent.
+    Validation is total: the framing, header shape, section CRCs, the
+    path table, index-vs-rows equivalence, and footer totals must all
+    hold — anything less and the file is treated as absent.
     """
     if seq is None:
         seq = sequence_of(os.path.basename(path))
@@ -411,114 +364,53 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
     invalid (see :func:`load_segment`).
 
     The bytes are decoded exactly as reading the file in text mode
-    would (UTF-8, universal newlines), so a caller that reads the file
-    once can hash and validate the very same bytes.
+    would (:func:`~repro.durable.read_records`), so a caller that reads
+    the file once can hash and validate the very same bytes.
     """
-    try:
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
-    except UnicodeDecodeError:
+    read = read_records(data, "header", _READABLE_VERSIONS)
+    if read is None:
         return None
-    if not lines:
-        return None
-    header = parse_record_line(lines[0])
-    if header is None or header.get("kind") != "header":
-        return None
-    version = header.get("version")
-    if version not in _READABLE_VERSIONS:
-        return None
+    header, body, footer = read
+    version = header["version"]
     t_lo, t_hi = header.get("t_lo"), header.get("t_hi")
     if not isinstance(t_lo, (int, float)) or not isinstance(t_hi, (int, float)):
         return None
-    if t_hi < t_lo:
+    kinds = ("names", "nodes", "index")
+    split = split_body(body, kinds + ("spans",) if version >= 2 else kinds)
+    if split is None:
+        return None  # an unknown record, or spans in a v1 file
+    sections, raw_rows = split
+    rows: List[Tuple[object, int, int, int, int]] = []
+    try:
+        for row in raw_rows:
+            if version >= 2:
+                pid, count, gaps, epoch, span = row
+            else:
+                pid, count, gaps, epoch = row
+                span = 0
+            rows.append((pid, int(count), int(gaps), int(epoch), int(span)))
+    except (TypeError, ValueError):
         return None
-    names: Optional[list] = None
-    nodes_flat: Optional[list] = None
-    index: Optional[list] = None
-    spans: Optional[list] = None
-    compact_rows: List[Tuple[object, int, int, int, int]] = []
-    footer = None
-    for line in lines[1:]:
-        payload = parse_record_line(line)
-        if payload is None:
-            return None
-        if footer is not None:
-            return None  # records after the footer: corrupt
-        kind = payload.get("kind")
-        if kind == "rows":
-            try:
-                for row in payload["rows"]:
-                    if version >= 2:
-                        pid, count, gaps, epoch, span = row
-                    else:
-                        pid, count, gaps, epoch = row
-                        span = 0
-                    compact_rows.append(
-                        (pid, int(count), int(gaps), int(epoch), int(span))
-                    )
-            except (KeyError, TypeError, ValueError):
-                return None
-        elif kind == "spans":
-            if version < 2:
-                return None  # a v1 file has no spans section
-            spans = unpack_section(payload)
-            if not isinstance(spans, list) or not all(
-                isinstance(s, list)
-                and len(s) == 2
-                and all(isinstance(v, (int, float)) for v in s)
-                for s in spans
-            ):
-                return None
-        elif kind == "names":
-            names = unpack_section(payload)
-            if not isinstance(names, list) or not all(
-                isinstance(n, str) for n in names
-            ):
-                return None
-        elif kind == "nodes":
-            nodes_flat = unpack_section(payload)
-            if (
-                not isinstance(nodes_flat, list)
-                or len(nodes_flat) % 2
-                or not all(isinstance(v, int) for v in nodes_flat)
-            ):
-                return None
-        elif kind == "index":
-            index = unpack_section(payload)
-            if not isinstance(index, list):
-                return None
-        elif kind == "footer":
-            footer = payload
-        else:
-            return None
-    if footer is None or names is None or nodes_flat is None or index is None:
-        return None  # torn write: a section or the footer never landed
+    names, nodes_flat = sections.get("names"), sections.get("nodes")
+    pids = [row[0] for row in rows]
+    if not valid_trie(names, nodes_flat, pids):
+        return None
+    index = sections.get("index")
     if version >= 2:
-        if spans is None:
-            return None  # torn write: the spans section never landed
+        spans = sections.get("spans")
+        if not isinstance(spans, list) or not all(
+            isinstance(s, list)
+            and len(s) == 2
+            and all(isinstance(v, (int, float)) for v in s)
+            for s in spans
+        ):
+            return None
         span_windows = [(float(lo), float(hi)) for lo, hi in spans]
         if header.get("spans") != len(span_windows):
             return None
     else:
         span_windows = [(float(t_lo), float(t_hi))]
-    rows: List[tuple] = []
-    pids: List[int] = []
-    row_spans: List[int] = []
-    for pid, count, gaps, epoch, span in compact_rows:
-        decoded = delta_decode_path(pid, nodes_flat, names)
-        if decoded is None:
-            return None  # dangling pid: corrupt sections
-        if count < 0 or gaps < 0:
-            return None
-        if not 0 <= span < len(span_windows):
-            return None  # dangling span id: corrupt sections
-        rows.append((decoded, count, gaps, epoch))
-        pids.append(pid)
-        row_spans.append(span)
-    if (
-        footer.get("records") != len(lines)
-        or footer.get("rows") != len(rows)
-        or header.get("rows") != len(rows)
-    ):
+    if footer.get("rows") != len(rows) or header.get("rows") != len(rows):
         return None
     # The index must be exactly what the rows imply — rebuilt here from
     # the same decoded form, then compared. A segment whose postings
@@ -529,17 +421,23 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
     postings: Dict[int, Tuple[int, ...]] = {
         entry[0]: tuple(entry[1]) for entry in expected
     }
+    paths = trie_paths(names, nodes_flat)
     try:
         state = SegmentState(
             t_lo=float(t_lo),
             t_hi=float(t_hi),
             fingerprint=str(header.get("fingerprint", "")),
-            rows=tuple(rows),
+            rows=tuple(
+                (paths[pid] if pid >= 0 else (), count, gaps, epoch)
+                for pid, count, gaps, epoch, _span in rows
+            ),
             spans=tuple(span_windows),
-            row_spans=tuple(row_spans),
+            row_spans=tuple(row[4] for row in rows),
         )
     except QueryError:
-        return None  # inverted/escaping spans: corrupt sections
+        # An inverted window or span, a negative count, a dangling
+        # span id: the state refuses what no writer made.
+        return None
     if footer.get("samples") != state.total_samples:
         return None
     return Segment(path, seq, state, list(names), postings)

@@ -6,22 +6,19 @@ epoch, and a **plan fingerprint** — a SHA-256 over the canonical graph
 structure, anchor set, and encoding width — so recovery refuses to marry
 counts from one program version to the plan of another.
 
-File format (``ckpt-<seq>.dpck``): line-oriented records, each line
-
-    ``<crc32 of payload, 8 hex chars> <payload JSON>``
+File format (``ckpt-<seq>.dpck``): the line records, footer and atomic
+replace of :mod:`repro.durable` (``docs/RESILIENCE.md``, "Durable
+files"), with a ``header`` record of its own.
 
 Format **version 2** (the current writer) mirrors the in-memory
 :class:`~repro.service.store.ContextStore`: instead of repeating every
 context path as a list of strings, the file carries
 
 * a header (version, epoch, fingerprint, row count);
-* a ``names`` section — the distinct function names, JSON-encoded,
-  zlib-compressed, base64-wrapped, with an inner CRC32 over the raw
-  JSON (defence in depth inside the per-line checksum);
-* a ``nodes`` section — the prefix-trie topology as a flat
-  ``[parent, name_id, parent, name_id, ...]`` list, compressed the same
-  way (a context is the integer id of its trie leaf, so shared prefixes
-  are stored once);
+* ``names`` and ``nodes`` sections — the distinct function names and
+  the prefix-trie topology as a flat ``[parent, name_id, ...]`` list,
+  each packed (:func:`~repro.durable.pack_section`), so shared
+  prefixes are stored once and a context is the id of its trie leaf;
 * ``rows`` records batching up to ``rows_per_record`` compact
   ``[pid, count, gap_weight, epoch]`` rows;
 * a footer carrying the totals actually written.
@@ -30,30 +27,21 @@ One framing function, :meth:`CheckpointStore.write_encoded`, writes
 every checkpoint from an :class:`EncodedCheckpoint` (the sections as
 the file holds them). The service hands it sections walked straight
 off its context trie; :meth:`CheckpointStore.write` first encodes a
-path-row :class:`CheckpointState` with :func:`delta_encode_rows`, the
-reference the walk is tested against byte for byte.
+path-row :class:`CheckpointState` with
+:func:`~repro.durable.delta_encode_rows`, the reference the walk is
+tested against byte for byte.
 
 Version-1 files (paths spelled out per row, no epochs) still load:
-their rows are normalized with the checkpoint's own epoch. A file is
-*valid* only if every line's checksum matches, the header parses, the
-sections decompress and pass their inner CRCs, the trie passes a
-one-pass check (every node's parent is -1 or an earlier node, every
-name id is in range, every row pid is -1 or a node), every row is one
-a tree could hold (``0 <= gap_weight <= count``), and the footer agrees
-with the observed record/row/sample totals — so a torn write (crash
-mid-file, missing footer, truncated last line) or bit rot (checksum
-mismatch) disqualifies the file rather than corrupting a recovery.
-:meth:`CheckpointStore.load_newest` walks files newest-first and
-returns the first that validates; :meth:`CheckpointStore.
-load_newest_encoded` does the same without spelling out a path, which
-is what recovery interns back into the store node by node.
-
-Durability discipline on write: serialize to ``.tmp-...`` in the same
-directory, ``fsync`` the file, then ``os.replace`` onto the final name
-(atomic on POSIX), then best-effort ``fsync`` the directory. A crash at
-any point leaves either the complete new file or no new file — never a
-half-visible one. The ``fault`` hook (chaos: crash after N records)
-deliberately abandons the temp file un-renamed to model exactly that.
+their rows are normalized with the checkpoint's own epoch. Beyond the
+framing, a file is *valid* only if its sections unpack, the trie passes
+:func:`~repro.durable.valid_trie`, every row is one a tree could hold
+(``0 <= gap_weight <= count``), and the footer's row and sample totals
+match — so a torn write or bit rot disqualifies the file rather than
+corrupting a recovery. :meth:`CheckpointStore.load_newest` walks files
+newest-first and returns the first that validates;
+:meth:`CheckpointStore.load_newest_encoded` does the same without
+spelling out a path, which is what recovery interns back into the
+store node by node.
 
 Metrics: ``resilience.checkpoints``, ``resilience.checkpoint_failures``,
 ``resilience.recoveries`` counters; ``resilience.checkpoint_us`` /
@@ -62,17 +50,24 @@ Metrics: ``resilience.checkpoints``, ``resilience.checkpoint_failures``,
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import os
 import threading
 import time
-import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs
+from repro.durable import (
+    delta_encode_rows,
+    load_records,
+    pack_section,
+    row_records,
+    split_body,
+    trie_paths,
+    valid_trie,
+    write_records,
+)
 from repro.errors import CheckpointError, QueryError
 
 __all__ = [
@@ -81,13 +76,6 @@ __all__ = [
     "CheckpointStore",
     "CheckpointDaemon",
     "plan_fingerprint",
-    "record_line",
-    "parse_record_line",
-    "pack_section",
-    "unpack_section",
-    "delta_encode_rows",
-    "delta_decode_path",
-    "fsync_dir",
 ]
 
 FORMAT_VERSION = 2
@@ -95,7 +83,6 @@ FORMAT_VERSION = 2
 OLDEST_READABLE_VERSION = 1
 _PREFIX = "ckpt-"
 _SUFFIX = ".dpck"
-_TMP_PREFIX = ".tmp-ckpt-"
 
 
 def plan_fingerprint(plan) -> str:
@@ -170,7 +157,7 @@ class CheckpointState:
 
     def encode(self) -> "EncodedCheckpoint":
         """The file's sections for these rows (:func:`delta_encode_rows`)."""
-        names, nodes, pids = _delta_encode_rows(self.rows)
+        names, nodes, pids = delta_encode_rows(self.rows)
         return EncodedCheckpoint(
             epoch=self.epoch,
             fingerprint=self.fingerprint,
@@ -207,12 +194,7 @@ class EncodedCheckpoint:
 
     def decode(self) -> CheckpointState:
         """The same checkpoint with every row's path spelled out."""
-        names, nodes = self.names, self.nodes
-        paths: List[Tuple[str, ...]] = []
-        for at in range(0, len(nodes), 2):
-            parent = nodes[at]
-            prefix = paths[parent] if parent >= 0 else ()
-            paths.append(prefix + (names[nodes[at + 1]],))
+        paths = trie_paths(self.names, self.nodes)
         return CheckpointState(
             epoch=self.epoch,
             fingerprint=self.fingerprint,
@@ -221,156 +203,6 @@ class EncodedCheckpoint:
                 for node, count, gaps, epoch in self.rows
             ),
         )
-
-
-def _record(payload: dict) -> str:
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return f"{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x} {body}\n"
-
-
-def _parse_record(line: str) -> Optional[dict]:
-    """Decode one checksummed line; None when torn or corrupt."""
-    if not line.endswith("\n"):
-        return None  # torn final line: the write was interrupted
-    if len(line) < 10 or line[8] != " ":
-        return None
-    try:
-        want = int(line[:8], 16)
-    except ValueError:
-        return None
-    body = line[9:-1]
-    if zlib.crc32(body.encode()) & 0xFFFFFFFF != want:
-        return None
-    try:
-        payload = json.loads(body)
-    except ValueError:
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def _pack_section(obj) -> Dict[str, object]:
-    """JSON → zlib → base64, with an inner CRC32 over the raw JSON."""
-    raw = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    return {
-        "crc": zlib.crc32(raw) & 0xFFFFFFFF,
-        "data": base64.b64encode(zlib.compress(raw, 6)).decode("ascii"),
-    }
-
-
-def _unpack_section(payload: Dict[str, object]):
-    """Inverse of :func:`_pack_section`; None on any corruption."""
-    try:
-        raw = zlib.decompress(base64.b64decode(payload["data"]))
-    except (KeyError, TypeError, ValueError, zlib.error):
-        return None
-    if zlib.crc32(raw) & 0xFFFFFFFF != payload.get("crc"):
-        return None
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-
-
-def _delta_encode_rows(rows):
-    """Collapse row paths into (names, flat trie nodes, per-row pids).
-
-    The same prefix-trie delta encoding the live
-    :class:`~repro.service.store.ContextStore` uses: each trie node is a
-    ``(parent, name_id)`` pair (root = -1), a path is the id of its leaf
-    node, and shared prefixes are stored exactly once.
-    """
-    names: List[str] = []
-    name_ids: Dict[str, int] = {}
-    nodes_flat: List[int] = []
-    children: Dict[Tuple[int, int], int] = {}
-    pids: List[int] = []
-    for row in rows:
-        node = -1
-        for name in row[0]:
-            nid = name_ids.get(name)
-            if nid is None:
-                nid = len(names)
-                names.append(name)
-                name_ids[name] = nid
-            child = children.get((node, nid))
-            if child is None:
-                child = len(nodes_flat) // 2
-                nodes_flat.append(node)
-                nodes_flat.append(nid)
-                children[(node, nid)] = child
-            node = child
-        pids.append(node)
-    return names, nodes_flat, pids
-
-
-def _delta_decode_path(pid, nodes_flat, names):
-    """Resolve one pid against the decoded sections; None when invalid."""
-    count = len(nodes_flat) // 2
-    out: List[str] = []
-    node = pid
-    while node != -1:
-        if not isinstance(node, int) or not 0 <= node < count:
-            return None
-        parent = nodes_flat[2 * node]
-        name_id = nodes_flat[2 * node + 1]
-        if not isinstance(name_id, int) or not 0 <= name_id < len(names):
-            return None
-        if len(out) > count:  # a cycle cannot happen in a valid file
-            return None
-        out.append(names[name_id])
-        node = parent
-    out.reverse()
-    return tuple(out)
-
-
-def _valid_trie(names, nodes_flat, rows) -> bool:
-    """One pass over decoded sections: every node's parent is -1 or an
-    earlier node, every name id is in range, every row's pid is -1 or a
-    node, and every row is one a tree could hold (0 <= gaps <= count).
-
-    Parents before children is what every writer emits, and it rules
-    out cycles without walking any row's path to the root.
-    """
-    width = len(names)
-    for node in range(len(nodes_flat) // 2):
-        if not (
-            -1 <= nodes_flat[2 * node] < node
-            and 0 <= nodes_flat[2 * node + 1] < width
-        ):
-            return False
-    count = len(nodes_flat) // 2
-    for pid, total, gaps, _epoch in rows:
-        if not (isinstance(pid, int) and -1 <= pid < count):
-            return False
-        if not 0 <= gaps <= total:
-            return False
-    return True
-
-
-def fsync_dir(directory: str) -> None:
-    """Best-effort fsync of a directory (durability of a rename)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform dependent
-        pass
-    finally:
-        os.close(fd)
-
-
-# Public names for the durability building blocks. The ``repro.query``
-# segment store reuses exactly this discipline (checksummed line
-# records, packed sections, prefix-trie path delta encoding) for its
-# ``seg-*.dpqs`` files, so the two on-disk formats cannot drift apart.
-record_line = _record
-parse_record_line = _parse_record
-pack_section = _pack_section
-unpack_section = _unpack_section
-delta_encode_rows = _delta_encode_rows
-delta_decode_path = _delta_decode_path
 
 
 class CheckpointStore:
@@ -431,76 +263,44 @@ class CheckpointStore:
         """Durably write ``encoded``; returns the final checkpoint path.
 
         The one framing function behind every checkpoint: header, the
-        ``names`` and ``nodes`` sections, ``rows`` records and footer.
-        ``fault`` (chaos) is called with the running record count after
-        each record is serialized; raising from it models a crash — the
-        temp file is abandoned and never renamed, so readers only ever
-        see previous, complete checkpoints.
+        ``names`` and ``nodes`` sections and ``rows`` records, written
+        by :func:`~repro.durable.write_records`. ``fault`` (chaos) is
+        called with the running record count after each record; raising
+        from it models a crash — the temp file is abandoned and never
+        renamed, so readers only ever see previous, complete checkpoints.
         """
         start = time.perf_counter()
         rows = encoded.rows
+        records = [
+            {
+                "kind": "header",
+                "version": FORMAT_VERSION,
+                "epoch": encoded.epoch,
+                "fingerprint": encoded.fingerprint,
+                "rows": len(rows),
+            },
+            {"kind": "names", **pack_section(encoded.names)},
+            {"kind": "nodes", **pack_section(encoded.nodes)},
+            *row_records(rows, self.rows_per_record),
+        ]
+        footer = {"rows": len(rows), "samples": encoded.total_samples}
         with self._lock:
             listing = self._listing()
             seq = (listing[-1][0] + 1) if listing else 1
             final = os.path.join(
                 self.directory, f"{_PREFIX}{seq:08d}{_SUFFIX}"
             )
-            tmp = os.path.join(
-                self.directory, f"{_TMP_PREFIX}{seq:08d}-{os.getpid()}"
-            )
-            records = 0
             try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(_record({
-                        "kind": "header",
-                        "version": FORMAT_VERSION,
-                        "epoch": encoded.epoch,
-                        "fingerprint": encoded.fingerprint,
-                        "rows": len(rows),
-                    }))
-                    records += 1
-                    if fault is not None:
-                        fault(records)
-                    for kind, section in (
-                        ("names", encoded.names), ("nodes", encoded.nodes)
-                    ):
-                        payload = {"kind": kind}
-                        payload.update(_pack_section(section))
-                        fh.write(_record(payload))
-                        records += 1
-                        if fault is not None:
-                            fault(records)
-                    for lo in range(0, len(rows), self.rows_per_record):
-                        fh.write(_record({
-                            "kind": "rows",
-                            "rows": rows[lo:lo + self.rows_per_record],
-                        }))
-                        records += 1
-                        if fault is not None:
-                            fault(records)
-                    fh.write(_record({
-                        "kind": "footer",
-                        "records": records + 1,
-                        "rows": len(rows),
-                        "samples": encoded.total_samples,
-                    }))
-                    records += 1
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, final)
+                write_records(final, records, footer, fault=fault)
             except BaseException:
                 obs.counter("resilience.checkpoint_failures").inc()
                 raise
-            self._fsync_dir()
             self._prune(keep=self.retain)
         obs.counter("resilience.checkpoints").inc()
         obs.histogram("resilience.checkpoint_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
         return final
-
-    def _fsync_dir(self) -> None:
-        fsync_dir(self.directory)
 
     def _prune(self, keep: int) -> None:
         listing = self._listing()
@@ -520,99 +320,59 @@ class CheckpointStore:
         """Parse and validate one checkpoint file, paths left as a trie;
         None when invalid.
 
-        The trie is checked in one pass (:func:`_valid_trie`), not by
-        walking each row to the root. A version-1 file's spelled-out
-        rows are encoded as the current writer would encode them,
-        stamped with the file's own epoch.
+        The trie is checked in one pass (:func:`~repro.durable.
+        valid_trie`), not by walking each row to the root. A version-1
+        file's spelled-out rows are encoded as the current writer would
+        encode them, stamped with the file's own epoch.
         """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except (OSError, UnicodeDecodeError):
-            # Unreadable or not even text: whatever this file is, it is
-            # not a checkpoint this process can trust.
+        read = load_records(
+            path, "header", range(OLDEST_READABLE_VERSION, FORMAT_VERSION + 1)
+        )
+        if read is None:
             return None
-        if not lines:
-            return None
-        header = _parse_record(lines[0])
-        if header is None or header.get("kind") != "header":
-            return None
-        version = header.get("version")
-        if not isinstance(version, int) or not (
-            OLDEST_READABLE_VERSION <= version <= FORMAT_VERSION
-        ):
-            return None
+        header, body, footer = read
+        version = header["version"]
         epoch, fingerprint = header.get("epoch"), header.get("fingerprint")
         if not isinstance(epoch, int) or epoch < 0:
             return None
         if not isinstance(fingerprint, str):
             return None
-        rows: List[Tuple[object, int, int, int]] = []  # (pid, ...) rows
-        legacy_rows: List[Tuple[Tuple[str, ...], int, int]] = []  # v1
-        names: Optional[list] = None
-        nodes_flat: Optional[list] = None
-        footer = None
-        for line in lines[1:]:
-            payload = _parse_record(line)
-            if payload is None:
-                return None
-            if footer is not None:
-                return None  # records after the footer: corrupt
-            kind = payload.get("kind")
-            if kind == "rows":
-                try:
-                    if version == 1:
-                        for path_list, count, gaps in payload["rows"]:
-                            legacy_rows.append(
-                                (tuple(path_list), int(count), int(gaps))
-                            )
-                    else:
-                        for pid, count, gaps, row_epoch in payload["rows"]:
-                            rows.append(
-                                (pid, int(count), int(gaps), int(row_epoch))
-                            )
-                except (KeyError, TypeError, ValueError):
-                    return None
-            elif kind == "names" and version >= 2:
-                names = _unpack_section(payload)
-                if not isinstance(names, list) or not all(
-                    isinstance(n, str) for n in names
-                ):
-                    return None
-            elif kind == "nodes" and version >= 2:
-                nodes_flat = _unpack_section(payload)
-                if (
-                    not isinstance(nodes_flat, list)
-                    or len(nodes_flat) % 2
-                    or not all(isinstance(v, int) for v in nodes_flat)
-                ):
-                    return None
-            elif kind == "footer":
-                footer = payload
-            else:
-                return None
-        if footer is None:
-            return None  # torn write: footer never made it to disk
-        if version == 1:
-            names, nodes_flat, pids = _delta_encode_rows(legacy_rows)
-            rows = [
-                (pid, count, gaps, epoch)
-                for pid, (_path, count, gaps) in zip(pids, legacy_rows)
-            ]
-        elif names is None or nodes_flat is None:
-            return None  # a section never made it to disk
-        if not _valid_trie(names, nodes_flat, rows):
+        split = split_body(body, ("names", "nodes") if version >= 2 else ())
+        if split is None:
             return None
+        sections, raw_rows = split
+        try:
+            if version == 1:
+                legacy = [
+                    (tuple(path_list), int(count), int(gaps))
+                    for path_list, count, gaps in raw_rows
+                ]
+                names, nodes, pids = delta_encode_rows(legacy)
+                rows = [
+                    (pid, count, gaps, epoch)
+                    for pid, (_path, count, gaps) in zip(pids, legacy)
+                ]
+            else:
+                names, nodes = sections.get("names"), sections.get("nodes")
+                rows = [
+                    (pid, int(count), int(gaps), int(row_epoch))
+                    for pid, count, gaps, row_epoch in raw_rows
+                ]
+        except (TypeError, ValueError):
+            return None
+        if not valid_trie(names, nodes, [row[0] for row in rows]):
+            return None
+        if not all(0 <= gaps <= count for _pid, count, gaps, _e in rows):
+            return None  # no tree holds this row
         encoded = EncodedCheckpoint(
             epoch=epoch,
             fingerprint=fingerprint,
             names=names,
-            nodes=nodes_flat,
+            nodes=nodes,
             rows=rows,
         )
         if (
-            footer.get("records") != len(lines)
-            or footer.get("rows") != len(rows)
+            footer.get("rows") != len(rows)
             or header.get("rows") != len(rows)
             or footer.get("samples") != encoded.total_samples
         ):

@@ -1,7 +1,12 @@
 """Stack-entry packing, width policies, and the verifier itself."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.stackmodel import EntryKind, StackEntry, pack_entry, unpack_entry
 from repro.core.verify import verify_encoding
 from repro.core.widths import UNBOUNDED, W8, W32, W64, Width
@@ -76,6 +81,40 @@ class TestPacking:
     def test_unknown_method_id_rejected(self):
         with pytest.raises(RuntimeEncodingError):
             unpack_entry(999, 0, {})
+
+
+ENTRY = (
+    "from repro.core.stackmodel import EntryKind, StackEntry\n"
+    "entry = StackEntry(kind=EntryKind.ANCHOR, node='Main.main', saved_id=3)\n"
+)
+
+
+def run_under_hash_seed(seed, script, stdin=""):
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=str(seed),
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+    )
+    return subprocess.run(
+        [sys.executable, "-c", ENTRY + script], input=stdin, env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+
+
+def test_unpickled_entry_hashes_under_its_own_seed():
+    """An entry hashed and pickled under one string-hash seed, loaded
+    under another, must be found in a set of equal live entries."""
+    pickled = run_under_hash_seed(
+        1, "import pickle\nhash(entry)\nprint(pickle.dumps(entry).hex())"
+    )
+    found = run_under_hash_seed(
+        2,
+        "import pickle, sys\n"
+        "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "print(loaded == entry, loaded in {entry})",
+        stdin=pickled,
+    )
+    assert found.split() == ["True", "True"]
 
 
 class TestVerifier:

@@ -13,12 +13,13 @@ import time
 
 import pytest
 
+from repro import durable
+from repro.durable import delta_encode_rows
 from repro.resilience import checkpoint as checkpoint_module
 from repro.resilience.checkpoint import (
     CheckpointState,
     CheckpointStore,
     EncodedCheckpoint,
-    delta_encode_rows,
     plan_fingerprint,
 )
 from repro.runtime.plan import build_plan_from_graph
@@ -312,8 +313,8 @@ class TestRecovery:
             raise AssertionError("recovery built a context path")
 
         for target, name in (
-            (checkpoint_module, "_delta_decode_path"),
-            (checkpoint_module, "delta_decode_path"),
+            (durable, "trie_paths"),
+            (checkpoint_module, "trie_paths"),
             (EncodedCheckpoint, "decode"),
             (ContextStore, "paths"),
             (ContextStore, "intern"),
