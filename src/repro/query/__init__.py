@@ -4,13 +4,13 @@ The paper makes calling contexts cheap enough to *collect at scale and
 analyze later*; this package is the "later". Retained context counts
 are promoted out of process memory into an **append-only segment
 store**: each flush of the aggregation tree writes one immutable
-``seg-NNNNNNNN.dpqs`` file covering a wall-clock window, using the
-PR 5 checkpoint durability discipline (per-record CRC32 lines,
-write-temp → fsync → rename → directory-fsync, newest-valid
-selection) plus an embedded **inverted index** (function → context
-rows) verified on load. A ``manifest.dpqm`` caches the time-window →
-segment map; a missing, torn, or newer-versioned manifest degrades to
-a full directory scan, never to wrong answers.
+``seg-NNNNNNNN.dpqs`` file covering a wall-clock window through
+:mod:`repro.durable` (per-record CRC32 lines, write-temp → fsync →
+rename → directory-fsync), plus an embedded **inverted index**
+(function → context rows) verified on load. A ``manifest.dpqm``
+caches the time-window → segment map; a missing, torn, or
+newer-versioned manifest degrades to a full directory scan, never to
+wrong answers.
 
 On top of the segments, :class:`~repro.query.engine.QueryEngine`
 answers the questions a fleet of developers actually asks of a context

@@ -219,6 +219,24 @@ class TestFormatVersions:
             if p["kind"] == "rows":
                 assert all(isinstance(r[0], int) for r in p["rows"])
 
+    @pytest.mark.parametrize("path", [["main", ["x"]], ["main", 3]])
+    def test_v1_path_of_non_strings_is_rejected(self, tmp_path, path):
+        # A list cannot be interned at all: the loader used to raise
+        # TypeError, so load_newest() never reached an older file.
+        store = CheckpointStore(str(tmp_path))
+        good = store.write(small_state(epoch=1))
+        planted = os.path.join(str(tmp_path), "ckpt-00000099.dpck")
+        records = [
+            {"kind": "header", "version": 1, "epoch": 0,
+             "fingerprint": "fp", "rows": 1},
+            {"kind": "rows", "rows": [[path, 1, 0]]},
+            {"kind": "footer", "records": 3, "rows": 1, "samples": 1},
+        ]
+        with open(planted, "w", encoding="utf-8") as fh:
+            fh.writelines(_line(r) for r in records)
+        assert store.load_file(planted) is None
+        assert store.load_newest()[0] == good
+
     def test_future_version_is_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         path = store.write(small_state())
