@@ -182,8 +182,7 @@ GATED_METRICS: Dict[str, GatedMetric] = {
     ),
     "recover_contexts_per_s": GatedMetric(higher_better=True),
     # Quick-size top-K answers land in ~2ms; contention on a shared
-    # runner has been observed to push a p95 past 5ms. Losing the
-    # inverted index costs 10ms+, so a 5ms floor keeps the signal and
+    # runner has been observed to push a p95 past 5ms, so a 5ms floor
     # drops the spikes.
     "topk_ms_p95": GatedMetric(higher_better=False, abs_floor=5.0),
     "write_rows_per_s": GatedMetric(higher_better=True),

@@ -5,7 +5,7 @@ many segments, the shape a long-running service produces) and measures
 the two costs that gate the ``repro.query`` layer:
 
 * **segment write** — rows/s through the full durability discipline
-  (CRC lines, packed sections, inverted index, fsync/rename);
+  (CRC lines, packed sections, fsync/rename, validated read-back);
 * **query latency** — windowed top-K over random windows, plus the
   rollup / diff / paths-through family, all answered from re-loaded
   (validated) segments, and a flame-graph export round-trip;
@@ -58,8 +58,8 @@ def _synthetic_contexts(
     """``n`` distinct contexts with realistic prefix sharing.
 
     Paths fan out from a small set of entry prefixes into per-context
-    leaves, so the trie delta-encoding and the inverted index both see
-    the sharing they were built for.
+    leaves, so the trie delta-encoding sees the sharing it was built
+    for.
     """
     rng = random.Random(seed)
     rows = []
@@ -92,7 +92,7 @@ def _build_store(
             rows=tuple(chunk),
         )
         t0 = time.perf_counter()
-        store.append(state)
+        store.append(state.encode())
         write_ms.append((time.perf_counter() - t0) * 1000.0)
         written_rows += len(chunk)
     total_ms = sum(write_ms)
@@ -256,7 +256,7 @@ def _retention_study(smoke: bool, seed: int) -> Dict[str, object]:
         seg_series: List[int] = []
         kb_series: List[float] = []
         for i, (state, _samples) in enumerate(streams):
-            store.append(state)
+            store.append(state.encode())
             if compact:
                 compactor.compact(now=float(i + 1))
             seg_series.append(len(store.refresh()))

@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pq.add_argument(
         "--through", metavar="FUNC", default=None,
-        help="print every context containing FUNC (inverted index)",
+        help="print every context containing FUNC",
     )
     pq.add_argument(
         "--flame", metavar="PATH", default=None,
@@ -900,13 +900,13 @@ def _run_query(args: argparse.Namespace) -> int:
                 (("main", "parse", "lex"), 25, 0, 0),
                 (("main", "emit"), 10, 2, 0),
             ),
-        ))
+        ).encode())
         store.append(SegmentState(
             t_lo=30.0, t_hi=60.0, fingerprint="demo", rows=(
                 (("main", "parse", "intern"), 12, 0, 1),
                 (("main", "opt", "inline"), 33, 0, 1),
             ),
-        ))
+        ).encode())
         print(f"(demo store: 2 segments in {directory})\n")
     elif not directory:
         sys.exit("query: pass --dir DIR (or --demo)")

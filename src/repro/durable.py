@@ -9,8 +9,10 @@ the only way they reach the disk (temp file, fsync, ``os.replace``,
 directory fsync) and :func:`read_records` the only way they are read
 back; each format then applies its own field rules. Three of them keep
 context paths as a prefix trie, checked by :func:`valid_trie` and
-spelled out by :func:`trie_paths`. ``docs/RESILIENCE.md`` ("Durable
-files") has the rules and the crash points.
+spelled out by :func:`trie_paths`. A writer that dies mid-write leaves
+its temp file behind; :func:`sweep_temp_files` deletes those of dead
+processes when a store opens its directory. ``docs/RESILIENCE.md``
+("Durable files") has the rules and the crash points.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import io
 import json
 import os
 import zlib
+from itertools import repeat
+from operator import lt
 from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -32,6 +36,7 @@ __all__ = [
     "record_line",
     "row_records",
     "split_body",
+    "sweep_temp_files",
     "trie_paths",
     "unpack_section",
     "valid_trie",
@@ -145,6 +150,45 @@ def write_records(
     os.replace(tmp, path)
     fsync_dir(directory)
     return path
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0: an existence check, nothing is sent
+    except (ProcessLookupError, OverflowError):
+        return False  # no such process, or no pid could be this large
+    except OSError:
+        return True  # alive, but another user's process
+    return True
+
+
+def sweep_temp_files(directory: str) -> int:
+    """Delete the temp files :func:`write_records` left in ``directory``
+    when its writer died mid-write; returns how many went.
+
+    A temp file is ``.tmp-<final name>-<pid>``. One whose pid is this
+    process's or any live process's is kept: its write may still be
+    running (a reused pid only keeps a file longer).
+    """
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return 0
+    removed = 0
+    for name in names:
+        if not name.startswith(".tmp-"):
+            continue
+        pid = name.rsplit("-", 1)[-1]
+        if not pid.isdigit() or int(pid) == os.getpid():
+            continue
+        if _pid_alive(int(pid)):
+            continue
+        try:
+            os.unlink(os.path.join(directory, name))
+        except OSError:
+            continue  # another sweeper got there first
+        removed += 1
+    return removed
 
 
 def row_records(rows: Sequence, per_record: int = 512) -> Iterable[dict]:
@@ -270,26 +314,33 @@ def valid_trie(names, nodes, pids: Iterable[object]) -> bool:
     of ints, each node's parent -1 or an earlier node and each name id
     in range; every pid must be -1 or a node. Parents before children
     is what every writer emits, and it rules out cycles without walking
-    any row to the root.
+    any row to the root. Each column is checked by builtins over the
+    whole list, not by a Python loop per node.
     """
     if not isinstance(names, list) or not all(
-        isinstance(name, str) for name in names
+        map(isinstance, names, repeat(str))
     ):
         return False
     if (
         not isinstance(nodes, list)
         or len(nodes) % 2
-        or not all(isinstance(value, int) for value in nodes)
+        or not all(map(isinstance, nodes, repeat(int)))
     ):
         return False
     count, width = len(nodes) // 2, len(names)
-    for node in range(count):
+    if count:
+        parents, name_ids = nodes[0::2], nodes[1::2]
         if not (
-            -1 <= nodes[2 * node] < node
-            and 0 <= nodes[2 * node + 1] < width
+            min(parents) >= -1
+            and all(map(lt, parents, range(count)))
+            and min(name_ids) >= 0
+            and max(name_ids) < width
         ):
             return False
-    return all(isinstance(pid, int) and -1 <= pid < count for pid in pids)
+    pids = list(pids)
+    if not all(map(isinstance, pids, repeat(int))):
+        return False
+    return not pids or (min(pids) >= -1 and max(pids) < count)
 
 
 def trie_paths(names: List[str], nodes: List[int]) -> List[Tuple[str, ...]]:

@@ -1,4 +1,4 @@
-"""``repro.query`` — a durable, indexed context-analytics store.
+"""``repro.query`` — a durable context-analytics store.
 
 The paper makes calling contexts cheap enough to *collect at scale and
 analyze later*; this package is the "later". Retained context counts
@@ -6,11 +6,11 @@ are promoted out of process memory into an **append-only segment
 store**: each flush of the aggregation tree writes one immutable
 ``seg-NNNNNNNN.dpqs`` file covering a wall-clock window through
 :mod:`repro.durable` (per-record CRC32 lines, write-temp → fsync →
-rename → directory-fsync), plus an embedded **inverted index**
-(function → context rows) verified on load. A ``manifest.dpqm``
-caches the time-window → segment map; a missing, torn, or
-newer-versioned manifest degrades to a full directory scan, never to
-wrong answers.
+rename → directory-fsync). A segment keeps its contexts as a prefix
+trie written straight from the live context store's trie, so a flush
+decodes no path. A ``manifest.dpqm`` caches the time-window → segment
+map; a missing, torn, or newer-versioned manifest degrades to a full
+directory scan, never to wrong answers.
 
 On top of the segments, :class:`~repro.query.engine.QueryEngine`
 answers the questions a fleet of developers actually asks of a context
@@ -21,7 +21,8 @@ literature):
 * **window-vs-window diff** — "what contexts appeared after the hot
   swap?";
 * per-function **rollups** (inclusive and leaf-only);
-* **paths through** one function, served by the inverted index;
+* **paths through** one function, from one pass over each segment's
+  trie;
 * **flame-graph export** in the folded-stack format (round-trippable);
 * **UCP forensics** joining dead-letter triage records to the
   :class:`~repro.analysis.incremental.GraphDelta` epoch that explains
@@ -70,6 +71,7 @@ from repro.query.flamegraph import from_folded, to_folded
 from repro.query.locks import DirectoryLock, LockHeldError, SnapshotPin
 from repro.query.manifest import SegmentStore, load_manifest, write_manifest
 from repro.query.segment import (
+    EncodedSegment,
     Segment,
     SegmentState,
     load_segment,
@@ -82,6 +84,7 @@ __all__ = [
     "CompactionPolicy",
     "Compactor",
     "DirectoryLock",
+    "EncodedSegment",
     "LockHeldError",
     "QueryEngine",
     "RetentionPolicy",

@@ -5,7 +5,7 @@ forever. This module folds that history back down without ever
 changing an answer:
 
 * **Compaction** merges N live segments into one cumulative segment.
-  The merged file keeps *one span per input* (format v2, see
+  The merged file keeps *one span per input* (see
   :mod:`repro.query.segment`), so every windowed query — including the
   half-window and diff shapes the chaos oracle pins — sums exactly the
   same rows before and after: byte-identical answers, fewer files,
@@ -590,15 +590,11 @@ class Compactor:
         retention = self.policy.retention
         spans: List[_Span] = []
         for seg in live:
-            per_span: Dict[int, List[tuple]] = {
-                i: [] for i in range(len(seg.state.spans))
-            }
-            for row, span_id in zip(seg.state.rows, seg.state.row_spans):
-                per_span[span_id].append(row)
-            for span_id, (lo, hi) in enumerate(seg.state.spans):
+            rows = seg.rows
+            for (lo, hi), bucket in zip(seg.spans, seg.span_rows):
                 spans.append(_Span(
                     t_lo=lo, t_hi=hi, src_seq=seg.seq,
-                    rows=tuple(per_span[span_id]),
+                    rows=tuple(rows[i] for i in bucket),
                 ))
         spans.sort(key=lambda s: (s.t_lo, s.t_hi, s.src_seq))
         total_bytes = 0
@@ -737,7 +733,7 @@ class Compactor:
                 row_spans=tuple(row_spans),
             )
             path = write_segment(
-                self.directory, output_seq, state, fault=stepped()
+                self.directory, output_seq, state.encode(), fault=stepped()
             )
             seg = self.store.load(output_seq)
             if seg is None:  # pragma: no cover - write+load invariant

@@ -11,11 +11,11 @@ paths only for the contexts that can make the cut.
 
 Query shapes mirror the in-memory service API (``top_contexts``,
 ``function_totals``, ``ucp_stats``) plus the ones only a durable store
-can answer: window-vs-window :meth:`diff`, index-served
-:meth:`paths_through`, folded-stack :meth:`flamegraph` export, and
-:func:`ucp_forensics` — the join from dead-letter triage records to
-the :class:`~repro.analysis.incremental.GraphDelta` epoch whose hot
-swap explains them.
+can answer: window-vs-window :meth:`diff`, :meth:`paths_through` (one
+pass over each segment's trie), folded-stack :meth:`flamegraph`
+export, and :func:`ucp_forensics` — the join from dead-letter triage
+records to the :class:`~repro.analysis.incremental.GraphDelta` epoch
+whose hot swap explains them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -49,29 +50,30 @@ def _check_window(window: Optional[Window]) -> Optional[Window]:
     return (lo, hi)
 
 
-def _live_spans(seg, window: Optional[Window]) -> Optional[List[bool]]:
-    """Which spans of a compacted segment the window overlaps.
+def _window_buckets(seg, window: Optional[Window]):
+    """The row-index buckets of the spans of ``seg`` the window
+    overlaps (:attr:`~repro.query.segment.Segment.span_rows`).
 
-    None when every row counts: no window, a single-span segment (the
-    caller already kept only overlapping segments), or a window that
-    covers every span. Otherwise ``live[row_spans[i]]`` decides row
-    ``i``, so a merged segment answers exactly like the deltas it
-    replaced.
+    The caller already kept only overlapping segments, so without a
+    window, or for a single-span segment, that is every row. A
+    compacted segment answers exactly like the deltas it replaced: a
+    row counts when its own span overlaps the window.
     """
-    if window is None or not seg.state.multi_span:
-        return None
-    live = [span_overlaps(lo, hi, *window) for lo, hi in seg.spans]
-    return None if all(live) else live
+    if window is None or len(seg.span_rows) == 1:
+        return seg.span_rows
+    return [
+        bucket
+        for (lo, hi), bucket in zip(seg.spans, seg.span_rows)
+        if span_overlaps(lo, hi, *window)
+    ]
 
 
 def _window_rows(seg, window: Optional[Window], epoch: Optional[int]):
     """The rows of ``seg`` that count toward ``window`` and ``epoch``."""
     rows = seg.rows
-    live = _live_spans(seg, window)
-    if live is not None:
-        rows = [
-            row for row, span in zip(rows, seg.state.row_spans) if live[span]
-        ]
+    buckets = _window_buckets(seg, window)
+    if len(buckets) != len(seg.span_rows):
+        rows = [rows[i] for bucket in buckets for i in bucket]
     if epoch is not None:
         rows = [row for row in rows if row[3] == epoch]
     return rows
@@ -283,23 +285,25 @@ class QueryEngine:
     ) -> Dict[Path, int]:
         """Every context containing ``function``, with its window count.
 
-        Served by the per-segment inverted index: only the posting-list
-        rows are touched, not every row of every segment.
+        Each overlapping segment marks the trie nodes whose context
+        contains ``function`` in one pass over its nodes
+        (:meth:`~repro.query.segment.Segment.nodes_through`), then
+        reads only the rows of the spans the window overlaps.
         """
         start = time.perf_counter()
         window = _check_window(window)
         out: Dict[Path, int] = {}
         for seg in self.segments(window):
-            rows = seg.rows
-            row_spans = seg.state.row_spans
-            live = _live_spans(seg, window)
-            for row_idx in seg.rows_through(function):
-                path, count, _gaps, row_epoch = rows[row_idx]
-                if not count or (epoch is not None and row_epoch != epoch):
-                    continue
-                if live is not None and not live[row_spans[row_idx]]:
-                    continue
-                out[path] = out.get(path, 0) + count
+            marks = seg.nodes_through(function)
+            if marks is None:
+                continue
+            rows, pid_of = seg.rows, seg.pids.__getitem__
+            for bucket in _window_buckets(seg, window):
+                hits = map(marks.__getitem__, map(pid_of, bucket))
+                for row_idx in compress(bucket, hits):
+                    path, count, _gaps, row_epoch = rows[row_idx]
+                    if count and (epoch is None or row_epoch == epoch):
+                        out[path] = out.get(path, 0) + count
         obs.histogram("query.through_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )

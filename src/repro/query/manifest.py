@@ -57,11 +57,11 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.durable import load_records, write_records
+from repro.durable import load_records, sweep_temp_files, write_records
 from repro.errors import QueryError
 from repro.query.segment import (
+    EncodedSegment,
     Segment,
-    SegmentState,
     parse_segment,
     segment_name,
     sequence_of,
@@ -196,6 +196,7 @@ class SegmentStore:
         # one entry per served segment.
         self._validated: Dict[int, Tuple[bytes, Segment]] = {}
         os.makedirs(directory, exist_ok=True)
+        sweep_temp_files(directory)
 
     # ------------------------------------------------------------------
     def _listing(self) -> List[tuple]:
@@ -368,10 +369,10 @@ class SegmentStore:
     # ------------------------------------------------------------------
     def append(
         self,
-        state: SegmentState,
+        encoded: EncodedSegment,
         fault: Optional[Callable[[int], None]] = None,
     ) -> str:
-        """Durably write ``state`` as the next segment; returns its path.
+        """Durably write ``encoded`` as the next segment; returns its path.
 
         Order matters for crash safety: the segment file lands first
         (rename + dir fsync), the manifest rewrite second — a crash
@@ -398,7 +399,7 @@ class SegmentStore:
                 # tombstones before rewriting the manifest over them.
                 self._refresh_locked()
             seq = self._next_seq_locked()
-            path = write_segment(self.directory, seq, state, fault=fault)
+            path = write_segment(self.directory, seq, encoded, fault=fault)
             seg = self._load_locked(seq, path)
             if seg is None:  # pragma: no cover - write+load invariant
                 raise QueryError(

@@ -7,37 +7,47 @@ once written they are never modified, so any query answer computed
 over a set of segments is reproducible forever (the property the
 chaos harness asserts across crash/recovery).
 
-File format: the line records, footer and atomic replace of
-:mod:`repro.durable` (``docs/RESILIENCE.md``, "Durable files"). Record
-kinds, in file order:
+File format (version 3): the line records, footer and atomic replace
+of :mod:`repro.durable` (``docs/RESILIENCE.md``, "Durable files").
+Record kinds, in file order:
 
 * ``header`` — format version, the window (``t_lo``/``t_hi``), the
   SHA-256 plan fingerprint the counts were decoded under, and the row
-  count;
+  and span counts;
 * ``names`` and ``nodes`` — the context paths as one prefix trie
-  (packed sections; a path is the id of its trie leaf, mirroring the
+  (packed sections; a path is the id of its trie node, mirroring the
   in-memory :class:`~repro.service.store.ContextStore`);
-* ``index`` — the inverted index: ``[[name_id, [row, ...]], ...]``
-  sorted posting lists mapping each function to the rows whose context
-  contains it. The index is *verified on load* by rebuilding it from
-  the rows — a segment whose postings lie is invalid, full stop;
-* ``spans`` (format v2) — the list of ``[t_lo, t_hi]`` sub-windows the
-  rows are attributed to. A freshly flushed delta segment has exactly
-  one span (its own window); a *compacted* segment carries one span
-  per merged input so that windowed queries keep answering
-  byte-identically: each row belongs to the span of the delta it came
-  from, never to the merged envelope;
+* ``spans`` — the list of ``[t_lo, t_hi]`` sub-windows the rows are
+  attributed to. A freshly flushed delta segment has exactly one span
+  (its own window); a *compacted* segment carries one span per merged
+  input so that windowed queries keep answering byte-identically: each
+  row belongs to the span of the delta it came from, never to the
+  merged envelope;
 * ``rows`` — batches of compact ``[pid, count, gap_count, epoch,
-  span]`` rows (format v1 files carry 4-column rows and load as a
-  single implicit span covering the whole window);
+  span]`` rows;
 * ``footer`` — the record/row/sample totals actually written.
+
+An :class:`EncodedSegment` is a segment as its file holds it, and
+:func:`write_segment` frames one as-is: the writer hands it sections
+walked straight off its context trie
+(:meth:`~repro.service.store.ContextStore.encode_counted`), and
+:meth:`SegmentState.encode` encodes path rows for compaction and tests.
+
+Version-1 and version-2 files still load. They carry an ``index``
+record between ``nodes`` and ``spans`` (``[[name_id, [row, ...]],
+...]``, each function's rows), which the loader rebuilds from the rows
+and compares; version 1 has no ``spans`` and 4-column rows (one
+implicit span over the whole window). Version 3 stores no index: which
+rows pass through a function is answered from one pass over the trie
+(:meth:`Segment.rows_through`), for every version alike.
 
 Beyond the framing, a file is valid only if every section unpacks and
 passes its inner CRC, the trie passes :func:`~repro.durable.
-valid_trie`, the index matches the rows, and the footer agrees with the
-observed totals. A torn write (crash mid-file), bit rot, or a tampered
-index disqualifies the file — readers skip it (counted in
-``query.segments_rejected``) rather than serving garbage.
+valid_trie`, the spans and the header and footer totals agree with the
+rows, and (versions 1 and 2) the index matches the rows. A torn write
+(crash mid-file), bit rot, or a tampered index disqualifies the file —
+readers skip it (counted in ``query.segments_rejected``) rather than
+serving garbage.
 """
 
 from __future__ import annotations
@@ -45,7 +55,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.durable import (
@@ -62,6 +73,7 @@ from repro.errors import QueryError
 
 __all__ = [
     "FORMAT_VERSION",
+    "EncodedSegment",
     "Segment",
     "SegmentState",
     "load_segment",
@@ -72,8 +84,8 @@ __all__ = [
     "write_segment",
 ]
 
-FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, 3)
 _PREFIX = "seg-"
 _SUFFIX = ".dpqs"
 
@@ -93,9 +105,13 @@ def sequence_of(name: str) -> Optional[int]:
         return None
 
 
+def _single_span(t_lo: float, t_hi: float) -> Tuple[Tuple[float, float], ...]:
+    return ((float(t_lo), float(t_hi)),)
+
+
 @dataclass(frozen=True)
 class SegmentState:
-    """The logical content of one segment (what gets written/read).
+    """The logical content of one segment, paths spelled out.
 
     ``rows`` normalize on construction to the canonical 4-tuple
     ``(path, count, gap_count, epoch)``; counts are the *delta* over
@@ -135,7 +151,7 @@ class SegmentState:
         object.__setattr__(self, "rows", tuple(normalized))
         spans = tuple(
             (float(lo), float(hi)) for lo, hi in self.spans
-        ) or ((float(self.t_lo), float(self.t_hi)),)
+        ) or _single_span(self.t_lo, self.t_hi)
         row_spans = tuple(int(s) for s in self.row_spans)
         if not row_spans:
             row_spans = (0,) * len(normalized)
@@ -177,6 +193,61 @@ class SegmentState:
     def multi_span(self) -> bool:
         return len(self.spans) > 1
 
+    def encode(self) -> "EncodedSegment":
+        """The file's sections for these rows, in row order
+        (:func:`~repro.durable.delta_encode_rows`)."""
+        names, nodes, pids = delta_encode_rows(self.rows)
+        return EncodedSegment(
+            t_lo=self.t_lo,
+            t_hi=self.t_hi,
+            fingerprint=self.fingerprint,
+            names=names,
+            nodes=nodes,
+            rows=[
+                (pid, row[1], row[2], row[3])
+                for pid, row in zip(pids, self.rows)
+            ],
+            spans=self.spans,
+            row_spans=self.row_spans,
+        )
+
+
+@dataclass(frozen=True)
+class EncodedSegment:
+    """A segment as its file holds it: paths left as a trie.
+
+    The twin of :class:`~repro.resilience.checkpoint.EncodedCheckpoint`.
+    ``nodes`` is the flat ``[parent, name_id, ...]`` trie over
+    ``names``, every parent -1 or an earlier node, and ``rows`` are
+    ``(node, count, gap_count, epoch)`` in file order (node -1 is the
+    empty context). ``spans`` and ``row_spans`` default to one span
+    over the window, as in :class:`SegmentState`. :func:`write_segment`
+    frames it as-is, so a writer holding its contexts as a trie never
+    builds a path. Nothing here is checked: the read-back of the
+    written file is.
+    """
+
+    t_lo: float
+    t_hi: float
+    fingerprint: str
+    names: List[str]
+    nodes: List[int]
+    rows: List[Tuple[int, int, int, int]]
+    spans: Tuple[Tuple[float, float], ...] = ()
+    row_spans: Tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.spans:
+            object.__setattr__(
+                self, "spans", _single_span(self.t_lo, self.t_hi)
+            )
+        if not self.row_spans:
+            object.__setattr__(self, "row_spans", (0,) * len(self.rows))
+
+    @property
+    def total_samples(self) -> int:
+        return sum(row[1] for row in self.rows)
+
 
 def span_overlaps(s_lo: float, s_hi: float, t_lo: float, t_hi: float) -> bool:
     """Half-open intersection of span ``[s_lo, s_hi)`` with a window.
@@ -194,11 +265,8 @@ def span_overlaps(s_lo: float, s_hi: float, t_lo: float, t_hi: float) -> bool:
 def _build_postings(
     nodes_flat: List[int], pids: List[int]
 ) -> List[List[object]]:
-    """``[[name_id, [row, ...]], ...]`` — function → rows containing it.
-
-    Built from the delta-encoded form (walking the trie from each leaf)
-    so the index and the rows derive from the same bytes.
-    """
+    """``[[name_id, [row, ...]], ...]`` — function → rows containing it:
+    the index a version-1 or version-2 file must carry exactly."""
     postings: Dict[int, List[int]] = {}
     for row_idx, pid in enumerate(pids):
         seen: set = set()
@@ -213,9 +281,18 @@ def _build_postings(
 
 
 class Segment:
-    """One loaded, validated segment plus its inverted index."""
+    """One loaded, validated segment.
 
-    __slots__ = ("path", "seq", "state", "_postings", "_name_ids", "_names")
+    Besides the rows (:attr:`state`), a segment keeps its trie as the
+    file held it (``names``, the flat ``nodes`` and each row's ``pids``)
+    and its row indices bucketed by span (``span_rows``), so a windowed
+    read visits only the rows of the spans it overlaps.
+    """
+
+    __slots__ = (
+        "path", "seq", "state", "names", "nodes", "pids", "span_rows",
+        "_name_ids",
+    )
 
     def __init__(
         self,
@@ -223,14 +300,25 @@ class Segment:
         seq: int,
         state: SegmentState,
         names: List[str],
-        postings: Dict[int, Tuple[int, ...]],
+        nodes: List[int],
+        pids: List[int],
     ):
         self.path = path
         self.seq = seq
         self.state = state
-        self._names = names
+        self.names = names
+        self.nodes = nodes
+        self.pids = pids
         self._name_ids = {name: i for i, name in enumerate(names)}
-        self._postings = postings
+        if state.multi_span:
+            buckets: List[List[int]] = [[] for _ in state.spans]
+            for row, span_id in enumerate(state.row_spans):
+                buckets[span_id].append(row)
+            self.span_rows: Tuple[Sequence[int], ...] = tuple(
+                tuple(bucket) for bucket in buckets
+            )
+        else:
+            self.span_rows = (range(len(state.rows)),)
 
     # -- window ---------------------------------------------------------
     @property
@@ -267,15 +355,50 @@ class Segment:
         return self.state.fingerprint
 
     def functions(self) -> List[str]:
-        """Every function appearing in this segment (indexed order)."""
-        return [self._names[name_id] for name_id in sorted(self._postings)]
+        """Every function on some row's context, in name-id order."""
+        nodes = self.nodes
+        used = bytearray(len(nodes) // 2 + 1)  # the last slot is node -1
+        for pid in self.pids:
+            used[pid] = 1
+        for node in range(len(nodes) // 2 - 1, -1, -1):
+            if used[node]:
+                used[nodes[2 * node]] = 1
+        name_ids = set(compress(nodes[1::2], used))
+        return [self.names[name_id] for name_id in sorted(name_ids)]
 
-    def rows_through(self, function: str) -> Tuple[int, ...]:
-        """Row indices whose context contains ``function`` (via index)."""
+    def nodes_through(self, function: str) -> Optional[bytearray]:
+        """``marks[node]`` is 1 when ``node``'s context contains
+        ``function``; ``marks[-1]``, the empty context, is 0. None when
+        no node is named ``function``.
+
+        One pass over the trie from the first node named ``function``:
+        a node contains it when its name is ``function`` or its parent
+        contains it, and parents precede children.
+        """
         name_id = self._name_ids.get(function)
         if name_id is None:
+            return None
+        nodes = self.nodes
+        names = nodes[1::2]
+        try:
+            node = names.index(name_id)
+        except ValueError:
+            return None
+        marks = bytearray(len(names) + 1)  # the last slot is node -1
+        for parent, name in zip(nodes[2 * node::2], names[node:]):
+            if name == name_id or marks[parent]:
+                marks[node] = 1
+            node += 1
+        return marks
+
+    def rows_through(self, function: str) -> Tuple[int, ...]:
+        """Row indices whose context contains ``function``, ascending."""
+        marks = self.nodes_through(function)
+        if marks is None:
             return ()
-        return self._postings.get(name_id, ())
+        return tuple(compress(range(len(self.pids)), map(
+            marks.__getitem__, self.pids
+        )))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -290,38 +413,35 @@ class Segment:
 def write_segment(
     directory: str,
     seq: int,
-    state: SegmentState,
+    encoded: EncodedSegment,
     fault: Optional[Callable[[int], None]] = None,
 ) -> str:
-    """Durably write ``state`` as segment ``seq``; returns the path.
+    """Durably write ``encoded`` as segment ``seq``; returns the path.
 
     ``fault`` (chaos) is called with the running record count after
     each record; raising from it abandons the temp file un-renamed, so
     readers only ever see previous, complete segments.
     """
     start = time.perf_counter()
-    rows = state.rows
-    names, nodes_flat, pids = delta_encode_rows(rows)
+    rows = encoded.rows
     records = [
         {
             "kind": "header",
             "version": FORMAT_VERSION,
-            "t_lo": state.t_lo,
-            "t_hi": state.t_hi,
-            "fingerprint": state.fingerprint,
+            "t_lo": encoded.t_lo,
+            "t_hi": encoded.t_hi,
+            "fingerprint": encoded.fingerprint,
             "rows": len(rows),
-            "spans": len(state.spans),
+            "spans": len(encoded.spans),
         },
-        {"kind": "names", **pack_section(names)},
-        {"kind": "nodes", **pack_section(nodes_flat)},
-        {"kind": "index", **pack_section(_build_postings(nodes_flat, pids))},
-        {"kind": "spans", **pack_section([[lo, hi] for lo, hi in state.spans])},
+        {"kind": "names", **pack_section(encoded.names)},
+        {"kind": "nodes", **pack_section(encoded.nodes)},
+        {"kind": "spans", **pack_section([list(s) for s in encoded.spans])},
         *row_records([
-            [pid, row[1], row[2], row[3], span]
-            for pid, row, span in zip(pids, rows, state.row_spans)
+            (*row, span) for row, span in zip(rows, encoded.row_spans)
         ]),
     ]
-    footer = {"rows": len(rows), "samples": state.total_samples}
+    footer = {"rows": len(rows), "samples": encoded.total_samples}
     try:
         final = write_records(
             os.path.join(directory, segment_name(seq)), records, footer,
@@ -344,8 +464,9 @@ def load_segment(path: str, seq: Optional[int] = None) -> Optional[Segment]:
     """Read and validate one segment file; None when invalid.
 
     Validation is total: the framing, header shape, section CRCs, the
-    path table, index-vs-rows equivalence, and footer totals must all
-    hold — anything less and the file is treated as absent.
+    path table, the spans, footer totals and (versions 1 and 2)
+    index-vs-rows equivalence must all hold — anything less and the
+    file is treated as absent.
     """
     if seq is None:
         seq = sequence_of(os.path.basename(path))
@@ -375,10 +496,14 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
     t_lo, t_hi = header.get("t_lo"), header.get("t_hi")
     if not isinstance(t_lo, (int, float)) or not isinstance(t_hi, (int, float)):
         return None
-    kinds = ("names", "nodes", "index")
-    split = split_body(body, kinds + ("spans",) if version >= 2 else kinds)
+    kinds = ("names", "nodes")
+    if version < 3:
+        kinds += ("index",)
+    if version >= 2:
+        kinds += ("spans",)
+    split = split_body(body, kinds)
     if split is None:
-        return None  # an unknown record, or spans in a v1 file
+        return None  # an unknown record: spans in v1, an index in v3
     sections, raw_rows = split
     rows: List[Tuple[object, int, int, int, int]] = []
     try:
@@ -395,7 +520,6 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
     pids = [row[0] for row in rows]
     if not valid_trie(names, nodes_flat, pids):
         return None
-    index = sections.get("index")
     if version >= 2:
         spans = sections.get("spans")
         if not isinstance(spans, list) or not all(
@@ -412,15 +536,14 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
         span_windows = [(float(t_lo), float(t_hi))]
     if footer.get("rows") != len(rows) or header.get("rows") != len(rows):
         return None
-    # The index must be exactly what the rows imply — rebuilt here from
-    # the same decoded form, then compared. A segment whose postings
-    # disagree with its rows is corrupt, not "best effort".
-    expected = _build_postings(nodes_flat, pids)
-    if index != expected:
+    # An older file's index must be exactly what the rows imply —
+    # rebuilt here from the same decoded form, then compared. A
+    # segment whose postings disagree with its rows is corrupt, not
+    # "best effort".
+    if version < 3 and sections.get("index") != _build_postings(
+        nodes_flat, pids
+    ):
         return None
-    postings: Dict[int, Tuple[int, ...]] = {
-        entry[0]: tuple(entry[1]) for entry in expected
-    }
     paths = trie_paths(names, nodes_flat)
     try:
         state = SegmentState(
@@ -440,4 +563,4 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
         return None
     if footer.get("samples") != state.total_samples:
         return None
-    return Segment(path, seq, state, list(names), postings)
+    return Segment(path, seq, state, names, nodes_flat, pids)

@@ -11,9 +11,12 @@ empty segment writes nothing.
 The baseline is keyed like the tree, by integer ``(pid, epoch)``, so a
 flush is one integer pass over the shard counts
 (:meth:`~repro.service.shards.ShardedContextTree.count_rows`) plus work
-proportional to the delta: only the pids whose counts moved are
-decoded, and only their rows are sorted and written. Contexts that did
-not change since the last flush cost a dict lookup each.
+proportional to the delta, and decodes no path: the changed keys'
+integer deltas go to :meth:`~repro.service.store.ContextStore.
+encode_counted`, the trie walk checkpoints use, which returns the
+segment's sections as an :class:`~repro.query.segment.EncodedSegment`
+holds them. Contexts that did not change since the last flush cost a
+dict lookup each.
 
 Crash discipline mirrors the checkpoint daemon: a failed flush leaves
 baseline and window untouched, so the next attempt re-covers the same
@@ -31,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro import obs
 from repro.errors import QueryError
 from repro.query.manifest import SegmentStore
-from repro.query.segment import SegmentState
+from repro.query.segment import EncodedSegment
 
 __all__ = ["SegmentWriter"]
 
@@ -100,30 +103,33 @@ class SegmentWriter:
         Deltas clamp at zero per component: a reconciled baseline (see
         :meth:`rebase`) can sit *ahead* of a recovered tree for keys
         whose flushed counts outlived the checkpoint; those keys emit
-        nothing until the tree catches back up, instead of handing
-        :class:`SegmentState` a negative row.
+        nothing until the tree catches back up, instead of writing a
+        negative row.
 
         The window start never moves backward, so a wall clock that
         steps back cannot make a segment overlap the one before it.
         """
         with self._lock:
-            rows, advance = self._delta()
+            counted, advance = self._delta()
             now = max(self._clock(), self._window_start)
-            if not rows:
+            if not counted:
                 self.empty_flushes += 1
                 self._window_start = now
                 return None
-            state = SegmentState(
+            names, nodes, rows = self.tree.store.encode_counted(counted)
+            encoded = EncodedSegment(
                 t_lo=self._window_start,
                 t_hi=now,
                 fingerprint=self.fingerprint,
-                rows=tuple(rows),
+                names=names,
+                nodes=nodes,
+                rows=rows,
             )
             with obs.span("query.flush", rows=len(rows)):
                 try:
-                    path = self.store.append(state, fault=fault)
+                    path = self.store.append(encoded, fault=fault)
                 except Exception:
-                    path = self._salvage(state)
+                    path = self._salvage(encoded)
                     if path is None:
                         raise
                     self.salvaged_flushes += 1
@@ -137,14 +143,15 @@ class SegmentWriter:
             return path
 
     def _delta(self) -> Tuple[List[tuple], List[tuple]]:
-        """This flush's delta rows, sorted by (path, epoch), and the
+        """This flush's ``((pid, epoch), count, gaps)`` deltas and the
         ``(key, counts, remainder_key)`` baseline updates to apply once
         they are written.
 
         One integer pass over the tree's counts finds the keys past
-        their baseline, or new to it; only those pids are decoded. A
-        key missing from the integer baseline takes its baseline from
-        the rebase remainder when its path is there. The baseline moves
+        their baseline, or new to it. A key missing from the integer
+        baseline takes its baseline from the rebase remainder when its
+        path is there; those keys' paths are the only ones decoded, and
+        only while the remainder holds anything. The baseline moves
         forward, never backward, per component: where it ran ahead of
         the tree (durable segments outliving a checkpoint), adopting
         the smaller tree value would let a later flush re-emit counts
@@ -156,50 +163,60 @@ class SegmentWriter:
             base = baseline.get(key)
             if base is None or count > base[0] or gaps > base[1]:
                 moved.append((key, count, gaps, base))
-        rows: List[tuple] = []
+        counted: List[tuple] = []
         advance: List[tuple] = []
         if not moved:
-            return rows, advance
-        paths = self.tree.store.paths([entry[0][0] for entry in moved])
-        for path, (key, count, gaps, base) in zip(paths, moved):
+            return counted, advance
+        unbased: Dict[_PidKey, _Key] = {}
+        if remainder:
+            keys = [entry[0] for entry in moved if entry[3] is None]
+            paths = self.tree.store.paths(key[0] for key in keys)
+            unbased = {
+                key: (path, key[1]) for key, path in zip(keys, paths)
+                if (path, key[1]) in remainder
+            }
+        for key, count, gaps, base in moved:
             remainder_key = None
             if base is None:
-                base = (0, 0)
-                if remainder and (path, key[1]) in remainder:
-                    remainder_key = (path, key[1])
-                    base = remainder[remainder_key]
+                remainder_key = unbased.get(key)
+                base = remainder.get(remainder_key, (0, 0))
             base_count, base_gaps = base
             if count > base_count or gaps > base_gaps:
-                rows.append((
-                    path,
+                counted.append((
+                    key,
                     max(0, count - base_count),
                     max(0, gaps - base_gaps),
-                    key[1],
                 ))
             advance.append((
                 key,
                 (max(base_count, count), max(base_gaps, gaps)),
                 remainder_key,
             ))
-        rows.sort(key=lambda r: (r[0], r[3]))
-        return rows, advance
+        return counted, advance
 
-    def _salvage(self, state: SegmentState) -> Optional[str]:
+    def _salvage(self, encoded: EncodedSegment) -> Optional[str]:
         """After a failed append: did the segment land durably anyway?
 
         Scans the refreshed store (which adopts orphan segments the
-        manifest never recorded) for a segment whose content is exactly
-        the attempted state.  Returns its path, or None when the write
-        genuinely never made it.
+        manifest never recorded) for a segment holding exactly the
+        attempted trie, rows, window and fingerprint, compared as the
+        file holds them, so no path is built. Returns its path, or None
+        when the write genuinely never made it.
         """
+        pids = [row[0] for row in encoded.rows]
+        counts = [row[1:] for row in encoded.rows]
         try:
             self.store.refresh()
             for seg in self.store.segments():
                 if (
-                    seg.rows == state.rows
-                    and seg.fingerprint == state.fingerprint
-                    and abs(seg.t_lo - state.t_lo) < 1e-9
-                    and abs(seg.t_hi - state.t_hi) < 1e-9
+                    seg.fingerprint == encoded.fingerprint
+                    and abs(seg.t_lo - encoded.t_lo) < 1e-9
+                    and abs(seg.t_hi - encoded.t_hi) < 1e-9
+                    and seg.names == encoded.names
+                    and seg.nodes == encoded.nodes
+                    and seg.pids == pids
+                    and seg.state.row_spans == tuple(encoded.row_spans)
+                    and [row[1:] for row in seg.rows] == counts
                 ):
                     return seg.path
         except Exception:  # noqa: BLE001 - salvage is best-effort

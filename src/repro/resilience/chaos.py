@@ -422,12 +422,12 @@ def kill_during_flush_failures(
         writer = service._segments
         real_append = writer.store.append
 
-        def dying_append(state, fault=None):
-            real_append(state, fault=fault)
+        def dying_append(encoded, fault=None):
+            real_append(encoded, fault=fault)
             raise ChaosError("chaos: worker killed after segment fsync")
 
         writer.store.append = dying_append
-        writer._salvage = lambda state: None
+        writer._salvage = lambda encoded: None
         try:
             service.flush_segments()
             failures.append(

@@ -64,6 +64,7 @@ from repro.durable import (
     pack_section,
     row_records,
     split_body,
+    sweep_temp_files,
     trie_paths,
     valid_trie,
     write_records,
@@ -224,6 +225,7 @@ class CheckpointStore:
         self.rows_per_record = rows_per_record
         self._lock = threading.Lock()
         os.makedirs(directory, exist_ok=True)
+        sweep_temp_files(directory)
 
     # ------------------------------------------------------------------
     def _sequence_of(self, name: str) -> Optional[int]:

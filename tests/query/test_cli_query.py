@@ -15,7 +15,7 @@ def seed_store(directory, n=4):
         store.append(SegmentState(
             t_lo=10.0 * i, t_hi=10.0 * i + 10.0, fingerprint=f"fp{i}",
             rows=((("main", f"f{i}", "ctx"), i + 2, 0, 0),),
-        ))
+        ).encode())
     return store
 
 

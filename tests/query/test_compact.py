@@ -38,7 +38,7 @@ def fill(directory, n=4, rows_per=4):
         store.append(SegmentState(
             t_lo=10.0 * i, t_hi=10.0 * i + 10.0,
             fingerprint=f"fp{i}", rows=rows,
-        ))
+        ).encode())
     return store
 
 
@@ -124,7 +124,7 @@ class TestMergeEquivalence:
         store.append(SegmentState(
             t_lo=40.0, t_hi=50.0, fingerprint="fp9",
             rows=((("main", "f0", "late"), 3, 0, 0),),
-        ))
+        ).encode())
         live = store.refresh()
         assert len(live) == 2
         # never re-adopts a tombstoned sequence number
@@ -393,7 +393,7 @@ class TestRetention:
                 t_lo=10.0 * i, t_hi=10.0 * i + 10.0,
                 fingerprint=f"fp{i}",
                 rows=((("main", "f0", f"ctx{i}"), i, 0, 0),),
-            ))
+            ).encode())
             Compactor(store, policy).compact(
                 now=10.0 * i + 25.0, force=True
             )
@@ -427,7 +427,7 @@ class TestRetention:
                 t_lo=10.0 * i, t_hi=10.0 * i + 10.0,
                 fingerprint=f"fp{i}",
                 rows=((("main", "f0", f"ctx{i}"), i, 0, 0),),
-            ))
+            ).encode())
             report = Compactor(store).compact(now=now, force=True)
             assert report["dropped_rows"] == 0
         store.refresh()
@@ -453,7 +453,7 @@ class TestRetention:
         store.append(SegmentState(
             t_lo=40.0, t_hi=50.0, fingerprint="fp9",
             rows=((("main", "f0", "late"), 3, 0, 0),),
-        ))
+        ).encode())
         # the journal commits (records 1-2), then the output dies
         with pytest.raises(ChaosError):
             Compactor(store).compact(
@@ -509,7 +509,7 @@ class TestCrossProcessAppend:
         appender.append(SegmentState(
             t_lo=40.0, t_hi=50.0, fingerprint="fp9",
             rows=((("main", "f0", "late"), 3, 0, 0),),
-        ))
+        ).encode())
         info = load_manifest_info(str(tmp_path))
         assert info is not None
         assert info["generation"] == 1

@@ -18,11 +18,11 @@ def engine(tmp_path):
         (("a", "b", "c"), 5, 1, 0),
         (("a", "b"), 3, 0, 0),
         (("x",), 2, 0, 1),
-    )))
+    )).encode())
     store.append(SegmentState(t_lo=10, t_hi=20, fingerprint="fb", rows=(
         (("a", "b", "c"), 7, 0, 1),
         (("y", "z"), 4, 2, 1),
-    )))
+    )).encode())
     return QueryEngine(store).refresh()
 
 
@@ -94,7 +94,7 @@ class TestCompactedSpans:
             ),
             spans=((0.0, 10.0), (10.0, 20.0)),
             row_spans=(0, 0, 1),
-        ))
+        ).encode())
         return QueryEngine(store).refresh()
 
     def test_window_selects_rows_by_span(self, spanned):

@@ -2,13 +2,16 @@
 bytes are pinned.
 
 Each file under ``golden/`` is checked three ways: its SHA-256, that
-today's writer makes exactly those bytes from the inputs below (the
-version-1 files were written by hand, as older writers did, and are
-only loaded), and the exact values the loader returns.
+today's writer makes exactly those bytes from the inputs below (files
+of an older version — ``v1.dpqs``, ``v2.dpqs`` and the version-1
+manifest — were written by older writers and are only loaded), and the
+exact values the loader returns.
 
-* ``v2.dpqs`` — a compacted segment: two spans, the empty context
+* ``v3.dpqs`` — a compacted segment: two spans, the empty context
   (pid -1), a gap row, a row whose gaps exceed its count (the segment
   writer's per-component zero clamp emits those), two epochs.
+* ``v2.dpqs`` — the same segment as the version-2 writer wrote it, with
+  its inverted index.
 * ``v1.dpqs`` — the 4-column, spans-less version-1 form.
 * ``v2.dpqm`` — a manifest with two live segments, two tombstones and
   a retired-totals name; ``v1.dpqm`` — the version-1 form.
@@ -44,6 +47,7 @@ from repro.query.segment import (
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SHA256 = {
+    "v3.dpqs": "ff8227d9114e5aac8b0bee6b0cc91f4c0dc184b868cb0be2b9a2c5bb1e503714",
     "v2.dpqs": "f38d67806c9a7bd09ccf1698ba6864282866156a6640914da7ef14da0c74bda0",
     "v1.dpqs": "8529202afd1479a28d1a8cbf8beb3419bd5cc365fe9f07ba9acb6f3d0e8fe904",
     "v2.dpqm": "38d8cfe542acfeb7da6a742d681e9f832b9147f9eae5fc2339bc40c0c582761a",
@@ -52,7 +56,7 @@ SHA256 = {
     "v1.dpqr": "07d0d32b1503455de0076235327a4985aac0201c19b5572993ce8b494a3dfd0e",
 }
 
-#: ``v2.dpqs``: the merged output of two delta segments.
+#: ``v3.dpqs`` and ``v2.dpqs``: the merged output of two delta segments.
 SEGMENT = SegmentState(
     t_lo=100.0,
     t_hi=130.5,
@@ -162,24 +166,42 @@ def test_every_golden_file_keeps_its_digest():
 
 
 # -- segments -----------------------------------------------------------
-def test_writer_reproduces_the_v2_segment(tmp_path):
-    written = write_segment(str(tmp_path), 1, SEGMENT)
-    assert read(written) == read(golden("v2.dpqs"))
+def test_writer_reproduces_the_v3_segment(tmp_path):
+    written = write_segment(str(tmp_path), 1, SEGMENT.encode())
+    assert read(written) == read(golden("v3.dpqs"))
 
 
-def test_v2_segment_loads_the_expected_values():
-    seg = load_segment(golden("v2.dpqs"), seq=1)
+def _check_golden_segment(seg):
     assert seg is not None
     assert seg.seq == 1
     assert seg.state == SEGMENT
     assert seg.spans == ((100.0, 112.25), (112.25, 130.5))
     assert seg.state.row_spans == (0, 0, 0, 1, 1, 1)
+    assert seg.span_rows == ((0, 1, 2), (3, 4, 5))
     assert seg.samples == 17
     assert seg.state.epochs == (0, 1)
     assert seg.functions() == ["main", "parse", "lex", "render", "Zeta"]
     assert seg.rows_through("parse") == (1, 2, 4)
     assert seg.rows_through("main") == (1, 2, 3, 4, 5)
+    assert seg.rows_through("lex") == (2,)
     assert seg.rows_through("nope") == ()
+
+
+def test_v3_segment_loads_the_expected_values():
+    seg = load_segment(golden("v3.dpqs"), seq=1)
+    _check_golden_segment(seg)
+    assert seg.names == ["main", "parse", "lex", "render", "Zeta"]
+    assert seg.nodes == [-1, 0, 0, 1, 1, 2, 0, 3, 0, 4]
+    assert seg.pids == [-1, 1, 2, 3, 1, 4]
+
+
+def test_v2_segment_loads_the_expected_values():
+    # Load-only since version 3; its index is still rebuilt and
+    # compared, and it answers exactly as the v3 file does.
+    seg = load_segment(golden("v2.dpqs"), seq=1)
+    _check_golden_segment(seg)
+    v3 = load_segment(golden("v3.dpqs"), seq=1)
+    assert (seg.names, seg.nodes, seg.pids) == (v3.names, v3.nodes, v3.pids)
 
 
 def test_v1_segment_loads_the_expected_values():
@@ -195,7 +217,7 @@ def test_v1_segment_loads_the_expected_values():
 # -- manifests ----------------------------------------------------------
 def test_writer_reproduces_the_v2_manifest(tmp_path):
     segments = [
-        load_segment(write_segment(str(tmp_path), seq, state))
+        load_segment(write_segment(str(tmp_path), seq, state.encode()))
         for seq, state in MANIFEST_SEGMENTS
     ]
     written = write_manifest(

@@ -32,8 +32,8 @@ def _line(payload):
 class TestManifestFile:
     def test_round_trip(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        store.append(state(10, 20))
+        store.append(state(0, 10).encode())
+        store.append(state(10, 20).encode())
         entries = load_manifest(str(tmp_path))
         assert entries is not None
         assert [e["seq"] for e in entries] == [1, 2]
@@ -45,7 +45,7 @@ class TestManifestFile:
 
     def test_torn_manifest_is_none(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state())
+        store.append(state().encode())
         path = os.path.join(str(tmp_path), MANIFEST_NAME)
         data = open(path, "rb").read()
         open(path, "wb").write(data[: len(data) - 5])
@@ -55,7 +55,7 @@ class TestManifestFile:
         """The v(N+1) forward-compat stub: unknown manifest versions are
         not an error — readers degrade to the directory scan."""
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
+        store.append(state(0, 10).encode())
         path = os.path.join(str(tmp_path), MANIFEST_NAME)
         lines = open(path).readlines()
         header = json.loads(lines[0].split(" ", 1)[1])
@@ -71,7 +71,7 @@ class TestManifestFile:
 
     def test_write_manifest_is_atomic_replace(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state())
+        store.append(state().encode())
         write_manifest(str(tmp_path), store.segments())
         names = os.listdir(str(tmp_path))
         assert MANIFEST_NAME in names
@@ -81,32 +81,32 @@ class TestManifestFile:
 class TestSegmentStore:
     def test_append_assigns_increasing_seqs(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        p1 = store.append(state(0, 10))
-        p2 = store.append(state(10, 20))
+        p1 = store.append(state(0, 10).encode())
+        p2 = store.append(state(10, 20).encode())
         assert os.path.basename(p1) == segment_name(1)
         assert os.path.basename(p2) == segment_name(2)
 
     def test_seq_never_reuses_invalid_files(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
+        store.append(state(0, 10).encode())
         # A corrupt file squats on seq 5; the next append must go to 6.
         with open(os.path.join(str(tmp_path), segment_name(5)), "wb") as fh:
             fh.write(b"junk")
-        path = store.append(state(10, 20))
+        path = store.append(state(10, 20).encode())
         assert os.path.basename(path) == segment_name(6)
 
     def test_orphan_segment_adopted_from_scan(self, tmp_path):
         """A crash between segment rename and manifest rewrite leaves an
         orphan; refresh() must serve it anyway."""
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        write_segment(str(tmp_path), 9, state(90, 100))  # not in manifest
+        store.append(state(0, 10).encode())
+        write_segment(str(tmp_path), 9, state(90, 100).encode())  # not in manifest
         fresh = SegmentStore(str(tmp_path))
         assert [s.seq for s in fresh.refresh()] == [1, 9]
 
     def test_corrupt_segment_skipped_and_counted(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
+        store.append(state(0, 10).encode())
         with open(os.path.join(str(tmp_path), segment_name(2)), "wb") as fh:
             fh.write(b"\x00garbage")
         fresh = SegmentStore(str(tmp_path))
@@ -115,15 +115,15 @@ class TestSegmentStore:
 
     def test_stale_manifest_entry_not_served(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        store.append(state(10, 20))
+        store.append(state(0, 10).encode())
+        store.append(state(10, 20).encode())
         os.unlink(os.path.join(str(tmp_path), segment_name(2)))
         fresh = SegmentStore(str(tmp_path))
         assert [s.seq for s in fresh.refresh()] == [1]
 
     def test_stats(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(n=4))
+        store.append(state(n=4).encode())
         stats = store.stats()
         assert stats["segments"] == 1
         assert stats["rows"] == 4
@@ -133,7 +133,7 @@ class TestSegmentStore:
 class TestGenerationAndTombstones:
     def test_fresh_store_is_generation_zero(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
+        store.append(state(0, 10).encode())
         info = load_manifest_info(str(tmp_path))
         assert info["generation"] == 0
         assert info["tombstones"] == []
@@ -141,8 +141,8 @@ class TestGenerationAndTombstones:
 
     def test_commit_generation_round_trips(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        store.append(state(10, 20))
+        store.append(state(0, 10).encode())
+        store.append(state(10, 20).encode())
         tombs = [
             {"seq": 1, "rows": 3, "samples": 6, "reason": "compacted",
              "generation": 1},
@@ -161,20 +161,20 @@ class TestGenerationAndTombstones:
 
     def test_appends_preserve_generation_and_tombstones(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        store.append(state(10, 20))
+        store.append(state(0, 10).encode())
+        store.append(state(10, 20).encode())
         tombs = [{"seq": 1, "rows": 3, "samples": 6,
                   "reason": "compacted", "generation": 1}]
         store.commit_generation(1, [], {1}, tombs, None)
-        store.append(state(20, 30))
+        store.append(state(20, 30).encode())
         info = load_manifest_info(str(tmp_path))
         assert info["generation"] == 1
         assert [t["seq"] for t in info["tombstones"]] == [1]
 
     def test_next_seq_skips_tombstoned_numbers(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        store.append(state(10, 20))
+        store.append(state(0, 10).encode())
+        store.append(state(10, 20).encode())
         tombs = [{"seq": s, "rows": 3, "samples": 6,
                   "reason": "compacted", "generation": 1}
                  for s in (1, 2)]
@@ -185,8 +185,8 @@ class TestGenerationAndTombstones:
         """A deferred deletion (the file still exists) must stay
         invisible: the tombstone wins over the directory entry."""
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        store.append(state(10, 20))
+        store.append(state(0, 10).encode())
+        store.append(state(10, 20).encode())
         tombs = [{"seq": 1, "rows": 3, "samples": 6,
                   "reason": "compacted", "generation": 1}]
         store.commit_generation(1, [], set(), tombs, None)
@@ -196,7 +196,7 @@ class TestGenerationAndTombstones:
 
     def test_negative_generation_falls_back(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
+        store.append(state(0, 10).encode())
         path = os.path.join(str(tmp_path), MANIFEST_NAME)
         lines = open(path).readlines()
         header = json.loads(lines[0].split(" ", 1)[1])
@@ -207,7 +207,7 @@ class TestGenerationAndTombstones:
 
     def test_tombstone_count_mismatch_falls_back(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
+        store.append(state(0, 10).encode())
         path = os.path.join(str(tmp_path), MANIFEST_NAME)
         lines = open(path).readlines()
         header = json.loads(lines[0].split(" ", 1)[1])
@@ -236,7 +236,7 @@ class TestValidationMemo:
         store = SegmentStore(str(tmp_path))
         before = parses()
         for i in range(3):
-            store.append(state(10 * i, 10 * i + 10))
+            store.append(state(10 * i, 10 * i + 10).encode())
         assert parses() == before + 3  # one read-back per append
         hits = reuses()
         assert [s.seq for s in store.refresh()] == [1, 2, 3]
@@ -250,8 +250,8 @@ class TestValidationMemo:
         """Size and mtime are unchanged, only the bytes differ: a cache
         keyed on file metadata would keep serving the old segment."""
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        path = store.append(state(10, 20))
+        store.append(state(0, 10).encode())
+        path = store.append(state(10, 20).encode())
         assert [s.seq for s in store.refresh()] == [1, 2]
         meta = os.stat(path)
         data = bytearray(open(path, "rb").read())
@@ -274,7 +274,7 @@ class TestValidationMemo:
 
     def test_byte_identical_replacement_is_not_reparsed(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        path = store.append(state(0, 10))
+        path = store.append(state(0, 10).encode())
         served = store.refresh()[0]
         data = open(path, "rb").read()
         os.unlink(path)
@@ -289,8 +289,8 @@ class TestValidationMemo:
 
     def test_memoized_seq_tombstoned_elsewhere_is_not_served(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        store.append(state(0, 10))
-        store.append(state(10, 20))
+        store.append(state(0, 10).encode())
+        store.append(state(10, 20).encode())
         assert [s.seq for s in store.refresh()] == [1, 2]
         # Another process tombstones seq 1; its file stays on disk.
         tombs = [{"seq": 1, "rows": 3, "samples": 6,
@@ -307,7 +307,7 @@ class TestValidationMemo:
     ):
         store = SegmentStore(str(tmp_path))
         for i in range(3):
-            store.append(state(10 * i, 10 * i + 10))
+            store.append(state(10 * i, 10 * i + 10).encode())
         assert [s.seq for s in store.refresh()] == [1, 2, 3]
         # A pending swap names seq 3 as its uncommitted output.
         write_journal(str(tmp_path), {
@@ -328,7 +328,7 @@ class TestValidationMemo:
     def test_memo_holds_only_served_seqs_after_a_swap(self, tmp_path):
         store = SegmentStore(str(tmp_path))
         for i in range(4):
-            store.append(state(10 * i, 10 * i + 10))
+            store.append(state(10 * i, 10 * i + 10).encode())
         store.refresh()
         before = parses()
         report = Compactor(store, CompactionPolicy(min_inputs=2)).compact(

@@ -29,7 +29,7 @@ def write_file(fmt, directory, rows):
         state = SegmentState(
             t_lo=0.0, t_hi=1.0, fingerprint="fp", rows=tuple(rows)
         )
-        return write_segment(directory, 1, state)
+        return write_segment(directory, 1, state.encode())
     if fmt == "checkpoint":
         state = CheckpointState(epoch=0, fingerprint="fp", rows=tuple(rows))
         return CheckpointStore(directory).write(state)

@@ -2,7 +2,9 @@
 
 import json
 import os
+import random
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -11,11 +13,14 @@ from repro.errors import QueryError
 from repro.query.segment import (
     FORMAT_VERSION,
     SegmentState,
+    _build_postings,
     load_segment,
     segment_name,
     sequence_of,
     write_segment,
 )
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def small_state(t_lo=0.0, t_hi=10.0, fingerprint="fp", n=5):
@@ -30,6 +35,29 @@ def small_state(t_lo=0.0, t_hi=10.0, fingerprint="fp", n=5):
 def _line(payload):
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     return f"{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x} {body}\n"
+
+
+def _golden_lines(name):
+    with open(os.path.join(GOLDEN, name)) as fh:
+        return fh.readlines()
+
+
+def _tamper_index(lines):
+    """``lines`` with the index record replaced by a validly packed and
+    checksummed one that disagrees with the rows."""
+    for i, line in enumerate(lines):
+        if json.loads(line.split(" ", 1)[1]).get("kind") == "index":
+            fake = {"kind": "index"}
+            fake.update(pack_section([[0, [0]]]))
+            return lines[:i] + [_line(fake)] + lines[i + 1:]
+    pytest.fail("the file has no index record")
+
+
+def _load_lines(tmp_path, lines):
+    path = os.path.join(str(tmp_path), segment_name(7))
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    return load_segment(path)
 
 
 class TestNaming:
@@ -62,7 +90,7 @@ class TestState:
 class TestRoundTrip:
     def test_write_load(self, tmp_path):
         state = small_state()
-        path = write_segment(str(tmp_path), 1, state)
+        path = write_segment(str(tmp_path), 1, state.encode())
         assert os.path.basename(path) == segment_name(1)
         seg = load_segment(path)
         assert seg is not None
@@ -75,18 +103,18 @@ class TestRoundTrip:
             (("main", f"ctx{i}"), 1, 0, 0) for i in range(1300)
         )
         state = SegmentState(t_lo=0, t_hi=1, fingerprint="", rows=rows)
-        path = write_segment(str(tmp_path), 2, state)
+        path = write_segment(str(tmp_path), 2, state.encode())
         seg = load_segment(path)
         assert seg is not None and len(seg.rows) == 1300
 
     def test_empty_segment_is_valid(self, tmp_path):
         state = SegmentState(t_lo=5, t_hi=5, fingerprint="", rows=())
-        seg = load_segment(write_segment(str(tmp_path), 1, state))
+        seg = load_segment(write_segment(str(tmp_path), 1, state.encode()))
         assert seg is not None and seg.rows == ()
 
     def test_index_serves_membership(self, tmp_path):
         state = small_state()
-        seg = load_segment(write_segment(str(tmp_path), 1, state))
+        seg = load_segment(write_segment(str(tmp_path), 1, state.encode()))
         assert "main" in seg.functions()
         rows = seg.rows_through("f0")
         assert rows, "f0 appears in the state"
@@ -96,7 +124,9 @@ class TestRoundTrip:
 
     def test_overlaps_half_open(self, tmp_path):
         seg = load_segment(
-            write_segment(str(tmp_path), 1, small_state(t_lo=10, t_hi=20))
+            write_segment(
+                str(tmp_path), 1, small_state(t_lo=10, t_hi=20).encode()
+            )
         )
         assert seg.overlaps(0, 11)
         assert seg.overlaps(19, 30)
@@ -104,11 +134,44 @@ class TestRoundTrip:
         assert not seg.overlaps(20, 30)  # lo edge of next window
         # zero-width segment sits inside any window containing it
         point = load_segment(
-            write_segment(str(tmp_path), 2, small_state(t_lo=5, t_hi=5))
+            write_segment(
+                str(tmp_path), 2, small_state(t_lo=5, t_hi=5).encode()
+            )
         )
         assert point.overlaps(0, 10)
         assert point.overlaps(5, 6)
         assert not point.overlaps(0, 5)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trie_pass_answers_equal_the_index(self, tmp_path, seed):
+        # The index older files carry is the reference: rows_through
+        # and functions() must give exactly its answers, including on
+        # a trie with a node no row reaches.
+        rng = random.Random(seed)
+        names = list("abcdef")
+        for i in range(40):
+            rows = tuple(
+                (tuple(rng.choice(names) for _ in range(rng.randint(0, 5))),
+                 rng.randint(0, 5), rng.randint(0, 3), rng.randint(0, 1))
+                for _ in range(rng.randint(0, 12))
+            )
+            encoded = SegmentState(
+                t_lo=0.0, t_hi=1.0, fingerprint="", rows=rows
+            ).encode()
+            nodes = encoded.nodes + [
+                rng.randint(-1, len(encoded.nodes) // 2 - 1),
+                len(encoded.names),
+            ]
+            encoded = replace(
+                encoded, names=encoded.names + ["unused"], nodes=nodes
+            )
+            seg = load_segment(write_segment(str(tmp_path), i + 1, encoded))
+            index = _build_postings(seg.nodes, seg.pids)
+            assert seg.functions() == [seg.names[n] for n, _ in index]
+            postings = {seg.names[n]: tuple(r) for n, r in index}
+            for name in names + ["unused", "nope"]:
+                assert seg.rows_through(name) == postings.get(name, ())
 
 
 class TestCorruption:
@@ -118,13 +181,15 @@ class TestCorruption:
                 raise OSError("disk gone")
 
         with pytest.raises(OSError):
-            write_segment(str(tmp_path), 1, small_state(), fault=crash)
+            write_segment(
+                str(tmp_path), 1, small_state().encode(), fault=crash
+            )
         assert not any(
             name.startswith("seg-") for name in os.listdir(str(tmp_path))
         )
 
     def test_torn_file_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, small_state())
+        path = write_segment(str(tmp_path), 1, small_state().encode())
         with open(path, "rb") as fh:
             data = fh.read()
         with open(path, "wb") as fh:
@@ -132,7 +197,7 @@ class TestCorruption:
         assert load_segment(path) is None
 
     def test_bitflip_rejected_by_crc(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, small_state())
+        path = write_segment(str(tmp_path), 1, small_state().encode())
         with open(path, "rb") as fh:
             data = bytearray(fh.read())
         data[len(data) // 2] ^= 0x20
@@ -141,7 +206,7 @@ class TestCorruption:
         assert load_segment(path) is None
 
     def test_wrong_version_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, small_state())
+        path = write_segment(str(tmp_path), 1, small_state().encode())
         lines = open(path).readlines()
         header = json.loads(lines[0].split(" ", 1)[1])
         header["version"] = FORMAT_VERSION + 1
@@ -150,33 +215,54 @@ class TestCorruption:
         assert load_segment(path) is None
 
     def test_missing_section_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, small_state())
+        path = write_segment(str(tmp_path), 1, small_state().encode())
         lines = open(path).readlines()
         kept = [
             ln for ln in lines
-            if '"kind":"index"' not in ln.split(" ", 1)[1]
+            if '"kind":"nodes"' not in ln.split(" ", 1)[1]
         ]
         assert len(kept) == len(lines) - 1
+        footer = json.loads(kept[-1].split(" ", 1)[1])
+        footer["records"] -= 1
+        kept[-1] = _line(footer)
         open(path, "w").writelines(kept)
         assert load_segment(path) is None
 
     def test_tampered_index_rejected(self, tmp_path):
         # A validly-checksummed index that disagrees with the rows must
-        # still be rejected: the load path rebuilds and compares.
-        path = write_segment(str(tmp_path), 1, small_state())
+        # still be rejected: the load path of an older file rebuilds
+        # the index and compares.
+        lines = _tamper_index(_golden_lines("v2.dpqs"))
+        assert _load_lines(tmp_path, lines) is None
+
+    def test_tampered_v1_index_rejected(self, tmp_path):
+        lines = _tamper_index(_golden_lines("v1.dpqs"))
+        assert _load_lines(tmp_path, lines) is None
+
+    def test_v3_file_with_an_index_is_rejected(self, tmp_path):
+        path = write_segment(str(tmp_path), 1, small_state().encode())
         lines = open(path).readlines()
-        for i, ln in enumerate(lines):
-            payload = json.loads(ln.split(" ", 1)[1])
-            if payload.get("kind") == "index":
-                fake = {"kind": "index"}
-                fake.update(pack_section([[0, [0]]]))
-                lines[i] = _line(fake)
-                break
-        open(path, "w").writelines(lines)
-        assert load_segment(path) is None
+        names, nodes, pids = delta_encode_rows(small_state().rows)
+        index = {"kind": "index"}
+        index.update(pack_section(_build_postings(nodes, pids)))
+        footer = json.loads(lines[-1].split(" ", 1)[1])
+        footer["records"] += 1
+        lines[3:3] = [_line(index)]  # where a v2 file keeps it
+        lines[-1] = _line(footer)
+        assert _load_lines(tmp_path, lines) is None
+
+    def test_v2_file_without_its_index_is_rejected(self, tmp_path):
+        lines = [
+            ln for ln in _golden_lines("v2.dpqs")
+            if '"kind":"index"' not in ln.split(" ", 1)[1]
+        ]
+        footer = json.loads(lines[-1].split(" ", 1)[1])
+        footer["records"] -= 1
+        lines[-1] = _line(footer)
+        assert _load_lines(tmp_path, lines) is None
 
     def test_footer_total_mismatch_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, small_state())
+        path = write_segment(str(tmp_path), 1, small_state().encode())
         lines = open(path).readlines()
         footer = json.loads(lines[-1].split(" ", 1)[1])
         footer["samples"] += 1
@@ -206,7 +292,7 @@ class TestMultiSpanState:
         assert not state.multi_span
 
     def test_multi_span_round_trip(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, multi_span_state())
+        path = write_segment(str(tmp_path), 1, multi_span_state().encode())
         seg = load_segment(path)
         assert seg is not None
         assert seg.state.multi_span
@@ -259,12 +345,12 @@ class TestV2Corruption:
         open(path, "w").writelines(lines)
 
     def test_span_count_mismatch_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, multi_span_state())
+        path = write_segment(str(tmp_path), 1, multi_span_state().encode())
         self._rewrite_header(path, spans=3)
         assert load_segment(path) is None
 
     def test_garbled_spans_section_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, multi_span_state())
+        path = write_segment(str(tmp_path), 1, multi_span_state().encode())
         lines = open(path).readlines()
         for i, line in enumerate(lines):
             payload = json.loads(line.split(" ", 1)[1])
@@ -274,7 +360,7 @@ class TestV2Corruption:
         assert load_segment(path) is None
 
     def test_dangling_row_span_id_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, multi_span_state())
+        path = write_segment(str(tmp_path), 1, multi_span_state().encode())
         lines = open(path).readlines()
         for i, line in enumerate(lines):
             payload = json.loads(line.split(" ", 1)[1])
@@ -288,8 +374,6 @@ class TestV2Corruption:
 class TestV1BackCompat:
     def _write_v1(self, tmp_path, rows):
         """A version-1 file: 4-column rows, no spans section."""
-        from repro.query.segment import _build_postings
-
         names, nodes_flat, pids = delta_encode_rows(list(rows))
         index = _build_postings(nodes_flat, pids)
         lines = [_line({

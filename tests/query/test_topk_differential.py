@@ -124,7 +124,7 @@ def build_store(directory, seed):
         store.append(SegmentState(
             t_lo=10.0 * i, t_hi=10.0 * i + 10.0,
             fingerprint=f"fp{seed}-{i}", rows=random_rows(rng, universe),
-        ))
+        ).encode())
     return QueryEngine(store).refresh()
 
 
@@ -281,7 +281,7 @@ class TestNoCollections:
             store.append(SegmentState(
                 t_lo=float(i), t_hi=float(i + 1), fingerprint="gc",
                 rows=tuple(sorted(rows)),
-            ))
+            ).encode())
         engine = QueryEngine(store).refresh()
         window = (0.0, 4.0)
         assert sum(len(s.rows) for s in engine.segments(window)) >= 20_000

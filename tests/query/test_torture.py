@@ -74,7 +74,7 @@ def test_reader_process_survives_compaction_storm(tmp_path):
     directory = str(tmp_path / "segments")
     store = SegmentStore(directory)
     for i in range(4):
-        store.append(_history_state(i))
+        store.append(_history_state(i).encode())
 
     out_path = str(tmp_path / "reader.json")
     stop_path = str(tmp_path / "stop")
@@ -89,7 +89,7 @@ def test_reader_process_survives_compaction_storm(tmp_path):
         compactor = Compactor(store, CompactionPolicy(min_inputs=2))
         for cycle in range(8):
             compactor.compact(now=1000.0 + cycle, force=True)
-            store.append(_history_state(4 + cycle))
+            store.append(_history_state(4 + cycle).encode())
             time.sleep(0.02)
     finally:
         open(stop_path, "w").close()

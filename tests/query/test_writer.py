@@ -106,8 +106,9 @@ class TestDeltaFlush:
 
 
 class TestDecodesOnlyChangedContexts:
-    """A flush reads integer counts and decodes only the contexts whose
-    counts moved; it never decodes the whole tree through rows()."""
+    """A flush reads integer counts and writes the changed contexts
+    straight from the context trie: it decodes no path, and never the
+    whole tree through rows()."""
 
     def spy_on_decode(self, tree):
         calls = []
@@ -138,12 +139,35 @@ class TestDecodesOnlyChangedContexts:
         calls = self.spy_on_decode(tree)
         clock[0] = 120.0
         writer.flush()
-        assert len(calls) == 1
-        assert sorted(calls[0]) == sorted(
-            tree.store.lookup(path) for path in touched
-        )
+        assert calls == [], "a flush decoded a path"
         seg = QueryEngine(str(tmp_path)).refresh().segments()[-1]
         assert seg.rows == tuple(sorted((p, 1, 0, 0) for p in touched))
+
+    def test_rebase_remainder_decodes_only_unbaselined_keys(self, tmp_path):
+        # Rows a rebase could not map to a pid wait in the remainder;
+        # while it holds anything, a flush decodes the keys missing
+        # from the integer baseline, and only those.
+        tree, writer, clock = make_writer(tmp_path)
+        for i in range(20):
+            tree.add(("m", f"c{i}"), epoch=0, weight=2)
+        writer.rebase(list(tree.rows()) + [(("m", "late"), 3, 0, 0)])
+        assert len(writer._remainder) == 1
+        tree.add(("m", "late"), epoch=0, weight=5)
+        tree.add(("m", "new"), epoch=0, weight=1)
+        tree.add(("m", "c3"), epoch=0, weight=1)
+        calls = self.spy_on_decode(tree)
+        clock[0] = 110.0
+        writer.flush()
+        assert [sorted(call) for call in calls] == [sorted(
+            tree.store.lookup(path) for path in (("m", "late"), ("m", "new"))
+        )]
+        assert writer._remainder == {}
+        seg = QueryEngine(str(tmp_path)).refresh().segments()[-1]
+        assert seg.rows == (
+            (("m", "c3"), 1, 0, 0),
+            (("m", "late"), 2, 0, 0),
+            (("m", "new"), 1, 0, 0),
+        )
 
     def test_unchanged_tree_decodes_nothing(self, tmp_path):
         tree, writer, clock = make_writer(tmp_path)
@@ -215,8 +239,8 @@ class TestCrashWindows:
         clock[0] = 110.0
         real_append = writer.store.append
 
-        def dying_append(state, fault=None):
-            real_append(state, fault=fault)
+        def dying_append(encoded, fault=None):
+            real_append(encoded, fault=fault)
             raise OSError("died after the segment landed")
 
         writer.store.append = dying_append

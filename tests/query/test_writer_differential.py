@@ -3,12 +3,15 @@
 The reference below is the writer's earlier flush, kept verbatim in
 spirit: every flush decodes every retained context through
 ``tree.rows()``, diffs the whole snapshot against a ``(path, epoch)``
-baseline and copies that baseline forward, and ``rebase`` adopts
-path-keyed rows as they come. The writer now diffs integer
-``(pid, epoch)`` counts and decodes only the contexts that moved. Both
-share one tree and one fixed clock over seeded interleavings of ingest,
-flushes, crashes, salvage, rebases, recoveries and retention; their
-segment files must stay byte-identical and their counters equal.
+baseline and copies that baseline forward, sorts the delta by
+``(path, epoch)`` and encodes it with ``delta_encode_rows``
+(:meth:`SegmentState.encode`), and ``rebase`` adopts path-keyed rows
+as they come. The writer now diffs integer ``(pid, epoch)`` counts and
+writes the moved keys straight from the context trie
+(``ContextStore.encode_counted``), decoding no path. Both share one
+tree and one fixed clock over seeded interleavings of ingest, flushes,
+crashes, salvage, rebases, recoveries and retention; their segment
+files must stay byte-identical and their counters equal.
 """
 
 import os
@@ -67,10 +70,11 @@ class ReferenceWriter(SegmentWriter):
                 fingerprint=self.fingerprint,
                 rows=tuple(rows),
             )
+            encoded = state.encode()
             try:
-                path = self.store.append(state, fault=fault)
+                path = self.store.append(encoded, fault=fault)
             except Exception:
-                path = self._salvage(state)
+                path = self._salvage(encoded)
                 if path is None:
                     raise
                 self.salvaged_flushes += 1
@@ -179,8 +183,8 @@ class Twin:
         def land_then_raise(writer):
             real = writer.store.append
 
-            def dying(state, fault=None):
-                real(state, fault=fault)
+            def dying(encoded, fault=None):
+                real(encoded, fault=fault)
                 raise OSError("died after the segment landed")
 
             writer.store.append = dying
@@ -350,3 +354,49 @@ def test_retired_totals_after_retention(tmp_path, seed):
     twin.compact()
     ingest(recovered, rng, pool, 15)
     twin.flush()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flush_sections_equal_delta_encode_rows(tmp_path, seed):
+    """Every flush hands the store the names, nodes and rows that
+    ``delta_encode_rows`` makes of the same delta sorted by (path,
+    epoch): with the empty context, gap rows, a zero-clamped row (no
+    new samples, new gap crossings) and two epochs among them."""
+    rng = random.Random(3000 + seed)
+    pool = make_pool(rng)
+    tree = ShardedContextTree(rng.choice((1, 2, 4)))
+    twin = Twin(str(tmp_path), tree)
+    sent = ([], [])
+    for log, writer in zip(sent, twin.writers):
+        real = writer.store.append
+
+        def recording(encoded, fault=None, _real=real, _log=log):
+            _log.append(encoded)
+            return _real(encoded, fault=fault)
+
+        writer.store.append = recording
+    for round_ in range(5):
+        ingest(tree, rng, pool, 25)
+        tree.add((), has_gaps=True, weight=2, epoch=round_ % 2)
+        if round_ == 2:
+            # A baseline ahead of the tree on one key's count: its next
+            # delta clamps the count to zero and keeps the gaps.
+            rows = tree.rows()
+            ahead = rows[rng.randrange(len(rows))]
+            twin.rebase([
+                (row[0], row[1] + 5, row[2], row[3]) if row is ahead else row
+                for row in rows
+            ])
+            tree.add(ahead[0], has_gaps=True, weight=2, epoch=ahead[3])
+        twin.flush()
+    assert len(sent[0]) == len(sent[1]) == 5
+    delta_rows = []
+    for new, ref in zip(*sent):
+        assert (new.names, new.nodes, list(new.rows)) == (
+            ref.names, ref.nodes, ref.rows
+        )
+        delta_rows.extend(new.rows)
+    assert any(pid == -1 for pid, _c, _g, _e in delta_rows)
+    assert any(gaps > 0 for _p, _c, gaps, _e in delta_rows)
+    assert any(count == 0 and gaps > 0 for _p, count, gaps, _e in delta_rows)
+    assert {epoch for _p, _c, _g, epoch in delta_rows} == {0, 1}

@@ -29,6 +29,7 @@ TESTS = os.path.dirname(__file__)
 GOLDEN = {
     os.path.join("resilience", "golden", "v2.dpck"): "checkpoint",
     os.path.join("resilience", "golden", "v1.dpck"): "checkpoint",
+    os.path.join("query", "golden", "v3.dpqs"): "segment",
     os.path.join("query", "golden", "v2.dpqs"): "segment",
     os.path.join("query", "golden", "v1.dpqs"): "segment",
     os.path.join("query", "golden", "v2.dpqm"): "manifest",

@@ -6,6 +6,8 @@ The path-table check is tested through every loader that uses it, in
 
 import itertools
 import os
+import signal
+import time
 import zlib
 
 import pytest
@@ -14,6 +16,7 @@ from repro.durable import (
     parse_record_line,
     read_records,
     record_line,
+    sweep_temp_files,
     write_records,
 )
 
@@ -146,3 +149,61 @@ class TestWriteRecords:
             assert fh.read() == before
         abandoned = [n for n in os.listdir(str(tmp_path)) if n != "f.demo"]
         assert len(abandoned) == 1 and abandoned[0].startswith(".tmp-f.demo-")
+
+
+FINAL_NAMES = {
+    "segment": "seg-00000001.dpqs",
+    "checkpoint": "ckpt-00000001.dpck",
+}
+
+
+def _reap(child, timeout=30.0):
+    """Wait for ``child``; kill it and fail the test past ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        pid, status = os.waitpid(child, os.WNOHANG)
+        if pid:
+            return status
+        time.sleep(0.01)
+    os.kill(child, signal.SIGKILL)
+    os.waitpid(child, 0)
+    pytest.fail("the forked writer did not die in time")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("store_kind", ["segment", "checkpoint"])
+def test_opening_a_store_sweeps_a_dead_writers_temp_file(
+    tmp_path, store_kind
+):
+    from repro.query.manifest import SegmentStore
+    from repro.resilience.checkpoint import CheckpointStore
+
+    directory = str(tmp_path)
+    final = os.path.join(directory, FINAL_NAMES[store_kind])
+
+    def die(records):
+        if records >= 2:
+            os._exit(0)
+
+    child = os.fork()
+    if child == 0:  # pragma: no cover - runs in the child
+        # The child writes as the stores do and dies after its second
+        # record, the way a killed process leaves its temp file; it
+        # takes no lock another thread of this process could hold.
+        try:
+            write_records(final, [HEADER, *BODY], fault=die)
+        finally:
+            os._exit(1)
+    status = _reap(child)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    dead = f".tmp-{os.path.basename(final)}-{child}"
+    assert os.listdir(directory) == [dead]
+    # Temp files of live writers stay: this process's and its parent's.
+    for pid in (os.getpid(), os.getppid()):
+        open(os.path.join(directory, f".tmp-other-{pid}"), "w").close()
+    before = len(os.listdir(directory))
+    (SegmentStore if store_kind == "segment" else CheckpointStore)(directory)
+    after = os.listdir(directory)
+    assert len(after) == before - 1
+    assert dead not in after
+    assert sweep_temp_files(directory) == 0
