@@ -53,6 +53,12 @@ def _tamper_index(lines):
     pytest.fail("the file has no index record")
 
 
+def _written_lines(tmp_path):
+    path = write_segment(str(tmp_path), 1, small_state().encode())
+    with open(path) as fh:
+        return fh.readlines()
+
+
 def _load_lines(tmp_path, lines):
     path = os.path.join(str(tmp_path), segment_name(7))
     with open(path, "w") as fh:
@@ -215,8 +221,7 @@ class TestCorruption:
         assert load_segment(path) is None
 
     def test_missing_section_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, small_state().encode())
-        lines = open(path).readlines()
+        lines = _written_lines(tmp_path)
         kept = [
             ln for ln in lines
             if '"kind":"nodes"' not in ln.split(" ", 1)[1]
@@ -225,8 +230,7 @@ class TestCorruption:
         footer = json.loads(kept[-1].split(" ", 1)[1])
         footer["records"] -= 1
         kept[-1] = _line(footer)
-        open(path, "w").writelines(kept)
-        assert load_segment(path) is None
+        assert _load_lines(tmp_path, kept) is None
 
     def test_tampered_index_rejected(self, tmp_path):
         # A validly-checksummed index that disagrees with the rows must
@@ -240,9 +244,8 @@ class TestCorruption:
         assert _load_lines(tmp_path, lines) is None
 
     def test_v3_file_with_an_index_is_rejected(self, tmp_path):
-        path = write_segment(str(tmp_path), 1, small_state().encode())
-        lines = open(path).readlines()
-        names, nodes, pids = delta_encode_rows(small_state().rows)
+        lines = _written_lines(tmp_path)
+        _names, nodes, pids = delta_encode_rows(small_state().rows)
         index = {"kind": "index"}
         index.update(pack_section(_build_postings(nodes, pids)))
         footer = json.loads(lines[-1].split(" ", 1)[1])
