@@ -191,13 +191,14 @@ class ContextService:
                 "pass either a ServiceConfig or config keywords, not both"
             )
         self.config = config if config is not None else ServiceConfig(**kwargs)
+        self.store = ContextStore(compression=self.config.store_compression)
         self.engine = DecodeEngine(
             plan,
             piece_cache=self.config.piece_cache,
             context_cache=self.config.context_cache,
             retain_epochs=self.config.retain_epochs,
+            store=self.store,
         )
-        self.store = ContextStore(compression=self.config.store_compression)
         self.tree = ShardedContextTree(self.config.shards, store=self.store)
         self.metrics = ServiceMetrics()
 
@@ -488,7 +489,9 @@ class ContextService:
         shape :class:`~repro.runtime.collector.ContextCollector`
         expects. It buffers each observation as four column entries
         (node, stack object, ID, and its probe's plan epoch, so hot
-        swaps mid-buffer are safe) and, whenever ``batch_max`` samples
+        swaps mid-buffer are safe; the epoch is resolved once per plan
+        and again after every install or renumbering of the engine's
+        epochs) and, whenever ``batch_max`` samples
         accumulate, packs them with :meth:`SampleBatch.from_columns` and
         submits the batch. Call its ``flush()`` attribute — or
         ``collector.close()`` — after the run to submit the tail.
@@ -502,6 +505,9 @@ class ContextService:
         error, or still buffered (``buffered()``).
         """
         limit = batch_max if batch_max else self.config.drain_budget
+        engine = self.engine
+        # (plan, engine generation, epoch) of the last resolved stamp.
+        stamp = (None, -1, 0)
         lock = threading.Lock()
         nodes: list = []
         stacks: list = []
@@ -535,11 +541,16 @@ class ContextService:
                 submit(taken)
 
         def _sink(node, snapshot, probe=None):
+            nonlocal stamp
             plan = getattr(probe, "plan", None)
-            epoch = (
-                self.engine.epoch if plan is None
-                else self.engine.epoch_of(plan)
-            )
+            if plan is stamp[0] and engine.generation == stamp[1]:
+                epoch = stamp[2]
+            else:
+                generation = engine.generation
+                epoch = (
+                    engine.epoch if plan is None else engine.epoch_of(plan)
+                )
+                stamp = (plan, generation, epoch)
             stack, current_id = snapshot
             with lock:
                 add_node(node)
@@ -779,12 +790,9 @@ class ContextService:
                 continue
             if breaker is not None:
                 breaker.record_success()
-            path, has_gaps, used_epoch = decoded
+            pid, has_gaps, leaf = decoded
             n, weight, _sources = groups[key]
-            if used_epoch != key[0]:  # pragma: no cover - invariant
-                self.metrics.count("epoch_mismatches", n)
-                continue
-            entries.append((path, has_gaps, weight, key[0]))
+            entries.append((pid, has_gaps, weight, key[0], leaf))
             aggregated += n
         if entries:
             self.tree.add_counts(entries)
@@ -799,7 +807,6 @@ class ContextService:
         once; a transient one is retained raw while the breaker is open,
         else retried with backoff up to the policy's attempts, then
         dead-lettered."""
-        epoch, node, stack, current_id = key
         breaker = self._breaker
         attempts = 1
         while True:
@@ -819,21 +826,19 @@ class ContextService:
             try:
                 if self._chaos is not None:
                     self._chaos.decode_fault()
-                path, has_gaps, used_epoch = self.engine.decode_path(
-                    node, (stack, current_id), epoch=epoch
-                )
-            except Exception as retry_exc:  # noqa: BLE001 - classified above
+                [(_key, decoded, retry_exc)] = self.engine.decode_batch([key])
+            except Exception as raised:  # noqa: BLE001 - classified above
+                decoded, retry_exc = None, raised
+            if retry_exc is not None:
                 if breaker is not None:
                     breaker.record_failure()
                 exc = retry_exc
                 continue
             if breaker is not None:
                 breaker.record_success()
+            pid, has_gaps, leaf = decoded
             n, weight, _sources = slot
-            if used_epoch != epoch:  # pragma: no cover - invariant
-                self.metrics.count("epoch_mismatches", n)
-                return
-            self.tree.add(path, has_gaps, weight, epoch=epoch)
+            self.tree.add_counts([(pid, has_gaps, weight, key[0], leaf)])
             self.metrics.count("aggregated", n)
             return
 

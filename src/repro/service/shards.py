@@ -1,6 +1,6 @@
 """Sharded calling-context-tree aggregation, merged on read.
 
-Workers aggregate decoded paths into N independent shards — each a
+Workers aggregate decoded contexts into N independent shards — each a
 histogram plus flat rollup counters behind its own lock — so concurrent
 batches contend only when they hash to the same shard. Reads (top-K,
 rollups, rendering) merge the shards into a fresh
@@ -20,7 +20,8 @@ Two things changed with the batch-first redesign:
 
 The batched write path (:meth:`add_counts`) applies a whole decoded
 batch in one locked pass per shard — the per-group cost after
-dedup-then-decode is a dict update, not a lock round trip.
+dedup-then-decode is a dict update, not a lock round trip. Its entries
+carry pids the decode engine already interned, so it walks no path.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from repro.service.store import ContextStore
 __all__ = ["ShardStats", "ShardedContextTree"]
 
 Path = Tuple[str, ...]
-#: One decoded, counted group: (path, has_gaps, weight, samples, epoch).
-CountEntry = Tuple[Path, bool, int, int]
+#: One decoded, counted group: (pid, has_gaps, weight, epoch, leaf name
+#: id or None).
+CountEntry = Tuple[int, bool, int, int, Optional[int]]
 
 
 class _Shard:
@@ -109,8 +111,11 @@ class ShardedContextTree:
         (defaults to ``weight``) — the figure ``total_samples`` and
         shard-balance stats track.
         """
-        self.add_counts([(tuple(path), has_gaps, weight, epoch)],
-                        samples=samples)
+        pid = self.store.intern(tuple(path))
+        self.add_counts(
+            [(pid, has_gaps, weight, epoch, self.store.leaf_name_id(pid))],
+            samples=samples,
+        )
 
     def add_counts(
         self,
@@ -118,25 +123,24 @@ class ShardedContextTree:
         *,
         samples: Optional[int] = None,
     ) -> None:
-        """Apply decoded (path, has_gaps, weight, epoch) groups.
+        """Apply decoded (pid, has_gaps, weight, epoch, leaf) groups.
 
-        Paths are interned into the shared store first (outside any
-        shard lock), then counts land with one lock acquisition per
-        touched shard. ``samples`` overrides the per-entry observation
-        count (summed weight by default) — the batch path passes the
-        true sample total so weighted submissions stay accounted.
+        Each pid is a node of the shared store (as
+        :meth:`~repro.service.engine.DecodeEngine.decode_batch` returns
+        it, with its leaf name id) and becomes a retained context; the
+        counts land with one lock acquisition per touched shard.
+        ``samples`` overrides the per-entry observation count (summed
+        weight by default) — the batch path passes the true sample
+        total so weighted submissions stay accounted.
         """
-        interned: Dict[int, List[Tuple[int, bool, int, int, Optional[int]]]] = {}
+        by_shard: Dict[int, List[CountEntry]] = {}
         n_shards = len(self._shards)
-        total_entries = 0
-        for path, has_gaps, weight, epoch in entries:
-            pid = self.store.intern(tuple(path))
-            leaf = self.store.leaf_name_id(pid)
-            interned.setdefault(pid % n_shards, []).append(
-                (pid, has_gaps, weight, epoch, leaf)
-            )
-            total_entries += 1
-        for shard_index, rows in interned.items():
+        for entry in entries:
+            by_shard.setdefault(entry[0] % n_shards, []).append(entry)
+        self.store.retain(
+            entry[0] for rows in by_shard.values() for entry in rows
+        )
+        for shard_index, rows in by_shard.items():
             shard = self._shards[shard_index]
             with shard.lock:
                 for pid, has_gaps, weight, epoch, leaf in rows:
@@ -153,10 +157,10 @@ class ShardedContextTree:
                         shard.gap_samples += weight
                     if samples is None:
                         shard.samples += weight
-        if samples is not None and total_entries:
+        if samples is not None and by_shard:
             # One declared observation total for the whole batch; land
             # it on the first touched shard so sums stay exact.
-            shard = self._shards[next(iter(interned))]
+            shard = self._shards[next(iter(by_shard))]
             with shard.lock:
                 shard.samples += samples
 

@@ -20,9 +20,13 @@ instead of serving garbage paths.
 
 The store is shared by every shard of a
 :class:`~repro.service.shards.ShardedContextTree` (prefix sharing only
-works across shards) and guarded by one lock; after the
-dedup-then-decode pass interning happens once per *distinct* context per
-batch, so the lock is not on the per-sample path.
+works across shards) and by the service's
+:class:`~repro.service.engine.DecodeEngine`, and guarded by one lock.
+The engine interns while it decodes: a key its cache misses walks up to
+the first cached prefix state and :meth:`ContextStore.extend` adds the
+frames it passed below that state's pid, one child-index lookup each
+under one hold of the lock, so no path is built or hashed on ingest and
+the lock is taken once per *distinct* uncached key, not per sample.
 
 Whole-store reads (inclusive rollups, ``tree.rows()``), the changed
 contexts of a segment flush and the candidates of a decoded top-K all
@@ -44,7 +48,7 @@ import zlib
 from array import array
 from collections import OrderedDict
 from itertools import compress
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError, StoreCorruptionError
 
@@ -74,10 +78,11 @@ class _SealedBlock:
 class ContextStore:
     """Interned context paths behind integer ids (pids).
 
-    :meth:`intern` maps a path to its pid; :meth:`paths` decodes many
-    pids in one pass (each sealed block unsealed and CRC-checked at most
-    once per call, each trie node's path built once from its parent's)
-    and :meth:`path` decodes one.
+    :meth:`intern` maps a path to its pid and :meth:`extend` walks down
+    from a pid; :meth:`paths` decodes many pids in one pass (each sealed
+    block unsealed and CRC-checked at most once per call, each trie
+    node's path built once from its parent's) and :meth:`path` decodes
+    one.
 
     Parameters
     ----------
@@ -96,7 +101,6 @@ class ContextStore:
         compression: str = "zlib",
         block_size: int = 2048,
         hot_blocks: int = 8,
-        pid_cache: int = 1 << 14,
     ):
         if compression not in COMPRESSIONS:
             raise ServiceError(
@@ -124,13 +128,6 @@ class ContextStore:
         # LRU of decompressed sealed-block views.
         self._hot: "OrderedDict[int, Tuple[array, array]]" = OrderedDict()
         self._hot_cap = hot_blocks
-        # Hot-context intern memo: path tuple -> pid, so re-interning a
-        # hot context (the ingest path's common case — ~99% of groups
-        # repeat) skips the per-element trie walk. The key tuples are
-        # borrowed references to the decode engine's cached paths;
-        # cleared wholesale when full, so it never grows past its cap.
-        self._pid_cache: Dict[Tuple[str, ...], int] = {}
-        self._pid_cache_cap = pid_cache
         self.unseals = 0
         self.corruptions = 0
 
@@ -183,24 +180,47 @@ class ContextStore:
         The empty path interns as pid ``_ROOT`` (a valid, decodable
         degenerate context).
         """
-        pid = self._pid_cache.get(path)
-        if pid is not None:
-            return pid
+        pids, _name_ids = self.extend(_ROOT, path)
+        pid = pids[-1] if pids else _ROOT
+        self.retain((pid,))
+        return pid
+
+    def extend(
+        self, pid: int, steps: Sequence[Optional[str]]
+    ) -> Tuple[List[int], List[int]]:
+        """Walk the trie down from ``pid``, one step at a time.
+
+        A name step moves to the child of that name, creating it when
+        new (one child-index lookup); a ``None`` step moves to the
+        parent. Returns ``(pids, name_ids)``: the node reached after
+        each step and the name id that step used (-1 for ``None``).
+        The nodes do not become retained contexts (see :meth:`retain`).
+        The lock is held once for the whole walk.
+        """
+        pids: List[int] = []
+        name_ids: List[int] = []
         with self._lock:
-            node = _ROOT
-            for name in path:
-                name_id = self._name_id(name)
-                child = self._children.get(self._child_key(node, name_id))
-                if child is None:
-                    child = self._add_node(node, name_id)
-                node = child
-            if node not in self._paths:
-                self._paths[node] = True
-            if self._pid_cache_cap:
-                if len(self._pid_cache) >= self._pid_cache_cap:
-                    self._pid_cache.clear()
-                self._pid_cache[path] = node
-            return node
+            children = self._children
+            node = pid
+            for name in steps:
+                if name is None:
+                    node = self._node(node)[0]
+                    name_id = -1
+                else:
+                    name_id = self._name_id(name)
+                    child = children.get(self._child_key(node, name_id))
+                    node = (
+                        self._add_node(node, name_id) if child is None
+                        else child
+                    )
+                pids.append(node)
+                name_ids.append(name_id)
+        return pids, name_ids
+
+    def retain(self, pids: Iterable[int]) -> None:
+        """Mark ``pids`` (nodes of this trie) as retained contexts."""
+        with self._lock:
+            self._paths.update(dict.fromkeys(pids, True))
 
     def intern_trie(
         self, names: List[str], nodes: List[int], leaves: List[int]
@@ -537,7 +557,6 @@ class ContextStore:
             total += sys.getsizeof(self._name_ids)
             total += sys.getsizeof(self._children)
             total += sys.getsizeof(self._paths)
-            total += sys.getsizeof(self._pid_cache)
             return total
 
     def stats(self) -> Dict[str, object]:

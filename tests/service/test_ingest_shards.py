@@ -387,7 +387,8 @@ def random_tree(seed):
         )
         for _ in range(rng.randint(30, 120))
     ]
-    tree.add_counts(entries)
+    for path, has_gaps, weight, epoch in entries:
+        tree.add(path, has_gaps, weight, epoch=epoch)
     return tree
 
 
@@ -419,10 +420,8 @@ class TestTopContextsRanking:
 
     def test_decodes_only_candidates(self, monkeypatch):
         tree = ShardedContextTree(shards=4)
-        tree.add_counts(
-            [(("main", f"f{i % 40}", f"ctx{i}"), False, i + 1, 0)
-             for i in range(2000)]
-        )
+        for i in range(2000):
+            tree.add(("main", f"f{i % 40}", f"ctx{i}"), weight=i + 1)
         passed = []
         decode = tree.store.paths
 

@@ -101,16 +101,17 @@ class TestQuarantine:
                 retry_backoff_max=0.001, breaker=False,
             ),
         )
-        real = service.engine.decode_path
+        real = service.engine.decode_batch
         calls = {"n": 0}
 
-        def flaky(node, snapshot, epoch=None):
+        def flaky(keys):
             calls["n"] += 1
             if calls["n"] <= 2:
-                raise RuntimeError("transient blip")
-            return real(node, snapshot, epoch=epoch)
+                return [(key, None, RuntimeError("transient blip"))
+                        for key in keys]
+            return real(keys)
 
-        service.engine.decode_path = flaky
+        service.engine.decode_batch = flaky
         service.start()
         service.submit_batch(one("A", ((), 0)))
         service.flush()
@@ -128,10 +129,10 @@ class TestQuarantine:
                 retry_backoff_max=0.001, breaker=False,
             ),
         )
-        def always_fail(node, snapshot, epoch=None):
-            raise RuntimeError("hard down")
+        def always_fail(keys):
+            return [(key, None, RuntimeError("hard down")) for key in keys]
 
-        service.engine.decode_path = always_fail
+        service.engine.decode_batch = always_fail
         service.start()
         service.submit_batch(one("A", ((), 0)))
         service.flush()
@@ -191,15 +192,16 @@ class TestBreakerFallback:
                 breaker_half_open_probes=1,
             ),
         )
-        real = service.engine.decode_path
+        real = service.engine.decode_batch
         storming = {"on": True}
 
-        def stormy(node, snapshot, epoch=None):
+        def stormy(keys):
             if storming["on"]:
-                raise RuntimeError("decode storm")
-            return real(node, snapshot, epoch=epoch)
+                return [(key, None, RuntimeError("decode storm"))
+                        for key in keys]
+            return real(keys)
 
-        service.engine.decode_path = stormy
+        service.engine.decode_batch = stormy
         service.start()
         ingest_all(service, plan, observations)
         deadline = time.monotonic() + 5

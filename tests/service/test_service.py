@@ -1,7 +1,10 @@
 """End-to-end ContextService: ingest -> decode -> aggregate -> query."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.analysis.incremental import GraphDelta
 from repro.api import Encoder
 from repro.errors import ServiceError
 from repro.graph.callgraph import CallGraph
@@ -177,6 +180,51 @@ class TestCollectorSink:
             sink.flush()
             service.flush()
             assert service.tree.total_samples == 1
+
+
+class TestSinkEpochStamps:
+    def test_each_stamp_is_the_epoch_of_its_moment(self, plan):
+        """The sink resolves a plan's epoch once, and again after every
+        hot swap and recovery renumbering."""
+        service = ContextService(plan)
+        engine = service.engine
+        submitted = []
+        service.submit_batch = lambda batch, timeout=None: (
+            submitted.append(batch) or len(batch)
+        )
+        sink = service.batch_sink(batch_max=1000)
+        node, snap = walk_snapshot(plan, PATH_ACE)
+        old = SimpleNamespace(plan=plan)
+        expected = []
+
+        def observe(probe):
+            sink(node, snap, probe)
+            expected.append(
+                engine.epoch if probe is None else engine.epoch_of(probe.plan)
+            )
+
+        for _ in range(3):
+            observe(old)
+            observe(None)
+        g2 = sample_graph()
+        update = plan.apply_delta(GraphDelta(
+            added_nodes={"x": {}},
+            added_edges=(g2.add_edge("e", "x", "load_x"),),
+        ))
+        service.install_update(update)  # hot swap: epoch 1
+        new = SimpleNamespace(plan=update.plan)
+        for probe in (old, new, None, new):
+            observe(probe)
+        engine.advance_epoch_to(7)  # what recover() does: 1 -> 7
+        for probe in (new, None, old, new):
+            observe(probe)
+        service.install_plan(build_plan_from_graph(sample_graph()))  # 8
+        for probe in (new, None, old):
+            observe(probe)
+        sink.flush()
+        stamped = [sample.epoch for batch in submitted for sample in batch]
+        assert stamped == expected
+        assert stamped[-7:] == [7, 7, 0, 7, 7, 8, 0]
 
 
 class TestSinkFailures:

@@ -93,20 +93,6 @@ class TestBlocksAndCache:
                 assert store.path(pid) == path
         assert store.unseals > before
 
-    def test_pid_cache_serves_repeats_without_growth(self):
-        store = ContextStore(pid_cache=2)
-        a = store.intern(("main", "parse"))
-        assert store.intern(("main", "parse")) == a  # cache hit
-        store.intern(("main",))
-        store.intern(("main", "render"))  # overflows the 2-entry cap
-        assert len(store._pid_cache) <= 2
-        assert store.intern(("main", "parse")) == a  # still correct
-
-    def test_pid_cache_can_be_disabled(self):
-        store = ContextStore(pid_cache=0)
-        store.intern(("main",))
-        assert store._pid_cache == {}
-
     def test_zlib_blocks_are_smaller_than_raw(self):
         deep = [tuple(f"fn{i}" for i in range(d)) for d in range(1, 200)]
         z = ContextStore(compression="zlib", block_size=64)
@@ -289,11 +275,9 @@ class TestPathsBatch:
         tree = ShardedContextTree(shards=2, store=store)
         rng = random.Random(11)
         names = [f"fn{i}" for i in range(6)]
-        tree.add_counts(
-            (tuple(rng.choice(names) for _ in range(rng.randint(1, 8))),
-             False, 1, 0)
-            for _ in range(200)
-        )
+        for _ in range(200):
+            tree.add(tuple(rng.choice(names)
+                           for _ in range(rng.randint(1, 8))))
         pids = store.snapshot_ids()
         store._sealed[0].payload = b"garbage"
         store._hot.clear()
