@@ -84,9 +84,11 @@ __all__ = [
     "JOURNAL_VERSION",
     "RETIRED_VERSION",
     "RetentionPolicy",
+    "RetiredRows",
     "journal_quarantine",
     "load_journal",
     "load_retired",
+    "load_retired_rows",
     "retired_name",
     "write_journal",
     "write_retired",
@@ -291,8 +293,11 @@ def write_retired(
 ) -> str:
     """Durably write the cumulative retired totals for ``generation``.
 
-    Same trie encoding as segment rows so the formats cannot drift;
-    not served by queries — only writer reconciliation reads it.
+    Same trie encoding as segment rows so the formats cannot drift.
+    Queries do not serve it; recovery does: a service whose checkpoint
+    points into this directory rebuilds its tree from the live segments
+    plus this sidecar (:func:`load_retired_rows`), so history retention
+    deleted stays counted and is never written again.
     """
     rows = sorted(
         (path, count, gaps, epoch)
@@ -319,8 +324,32 @@ def write_retired(
     )
 
 
-def load_retired(path: str) -> Optional[Dict[_Key, Tuple[int, int]]]:
-    """Parse and fully validate a retired-totals file; None when bad."""
+@dataclass(frozen=True)
+class RetiredRows:
+    """A retired-totals sidecar as its file holds it: the ``names`` and
+    flat ``nodes`` trie and ``(node, count, gaps, epoch)`` rows, ready
+    for :meth:`~repro.service.shards.ShardedContextTree.restore_trie`.
+    ``paths`` spells out every node once, and ``samples`` is the rows'
+    count sum."""
+
+    names: List[str]
+    nodes: List[int]
+    rows: List[Tuple[int, int, int, int]]
+    paths: List[Tuple[str, ...]]
+    samples: int
+
+    def totals(self) -> Dict[_Key, Tuple[int, int]]:
+        """``{(path, epoch): (count, gaps)}``, one entry per row."""
+        paths = self.paths
+        return {
+            (paths[pid] if pid >= 0 else (), epoch): (count, gaps)
+            for pid, count, gaps, epoch in self.rows
+        }
+
+
+def load_retired_rows(path: str) -> Optional[RetiredRows]:
+    """Parse and fully validate a retired-totals file, its rows left on
+    the file's trie; None when bad."""
     read = load_records(path, "retired", (RETIRED_VERSION,))
     if read is None:
         return None
@@ -339,20 +368,26 @@ def load_retired(path: str) -> Optional[Dict[_Key, Tuple[int, int]]]:
     names, nodes_flat = sections.get("names"), sections.get("nodes")
     if not valid_trie(names, nodes_flat, [row[0] for row in rows]):
         return None
-    paths = trie_paths(names, nodes_flat)
-    totals: Dict[_Key, Tuple[int, int]] = {}
-    for pid, count, gaps, epoch in rows:
-        if count < 0 or gaps < 0:
-            return None
-        totals[(paths[pid] if pid >= 0 else (), epoch)] = (count, gaps)
+    if any(count < 0 or gaps < 0 for _pid, count, gaps, _epoch in rows):
+        return None
+    retired = RetiredRows(
+        names, nodes_flat, rows, trie_paths(names, nodes_flat),
+        sum(row[1] for row in rows),
+    )
     if (
         footer.get("rows") != len(rows)
         or header.get("rows") != len(rows)
-        or footer.get("samples") != sum(row[1] for row in rows)
-        or len(totals) != len(rows)
+        or footer.get("samples") != retired.samples
+        or len(retired.totals()) != len(rows)
     ):
         return None
-    return totals
+    return retired
+
+
+def load_retired(path: str) -> Optional[Dict[_Key, Tuple[int, int]]]:
+    """Parse and fully validate a retired-totals file; None when bad."""
+    retired = load_retired_rows(path)
+    return None if retired is None else retired.totals()
 
 
 # ----------------------------------------------------------------------

@@ -87,13 +87,15 @@ def write_manifest(
     generation: int = 0,
     tombstones: Sequence[dict] = (),
     retired: Optional[str] = None,
+    fault: Optional[Callable[[int], None]] = None,
 ) -> str:
     """Atomically (re)write the manifest describing ``segments``.
 
     The rename of the temp file onto ``manifest.dpqm`` is the *commit
     point* of a generation swap: a crash anywhere before it leaves the
     previous manifest (old generation) intact, a crash anywhere after
-    it leaves the new one — never a blend.
+    it leaves the new one — never a blend. ``fault`` is
+    :func:`~repro.durable.write_records`' crash hook.
     """
     tombs = list(tombstones)
     records = [{
@@ -117,7 +119,9 @@ def write_manifest(
         for seg in segments
     ]
     records += [{"kind": "tombstone", **tomb} for tomb in tombs]
-    return write_records(os.path.join(directory, MANIFEST_NAME), records)
+    return write_records(
+        os.path.join(directory, MANIFEST_NAME), records, fault=fault
+    )
 
 
 def load_manifest_info(directory: str) -> Optional[dict]:
@@ -191,7 +195,8 @@ class SegmentStore:
         self.retired_name: Optional[str] = None
         self.tombstone_skips = 0
         self.quarantined = 0
-        self._retired_cache: Optional[Tuple[Optional[str], dict]] = None
+        #: (sidecar name, its rows) as last loaded.
+        self._retired_cache: Optional[Tuple[Optional[str], object]] = None
         # seq -> (SHA-256 of the bytes validated, the Segment they made),
         # one entry per served segment.
         self._validated: Dict[int, Tuple[bytes, Segment]] = {}
@@ -329,7 +334,6 @@ class SegmentStore:
                 last = segments
                 continue
             self._serve_locked(segments)
-            self._retired_cache = None
             return list(segments)
         self._serve_locked(last)  # pragma: no cover - pathological churn
         return list(last)
@@ -343,28 +347,65 @@ class SegmentStore:
         return list(cached)
 
     # ------------------------------------------------------------------
-    def retired_totals(self) -> Dict[tuple, Tuple[int, int]]:
-        """Cumulative ``{(path, epoch): (count, gaps)}`` retention
-        deleted from this directory — what reconciliation must add to
-        the live rows so recovered writers do not re-emit history that
-        was deliberately aged out. Empty when nothing was retired."""
+    def retired_rows(self):
+        """The retired sidecar this directory's manifest names, as a
+        :class:`~repro.query.compact.RetiredRows` on the file's trie,
+        or None when nothing was retired (or the sidecar fails its
+        checks, counted in ``query.retired_rejected``). Cached per
+        sidecar name: each generation writes its own, once."""
         with self._lock:
             name = self.retired_name
-            cached = self._retired_cache
-            if cached is not None and cached[0] == name:
-                return dict(cached[1])
-        from repro.query.compact import load_retired
+        return self._retired(name)
 
-        totals: Dict[tuple, Tuple[int, int]] = {}
-        if name is not None:
-            loaded = load_retired(os.path.join(self.directory, name))
-            if loaded is None:
-                obs.counter("query.retired_rejected").inc()
-            else:
-                totals = loaded
+    def _retired(self, name: Optional[str]):
         with self._lock:
-            self._retired_cache = (name, dict(totals))
-        return totals
+            cached = self._retired_cache
+        if cached is not None and cached[0] == name:
+            return cached[1]
+        from repro.query.compact import load_retired_rows
+
+        retired = None
+        if name is not None:
+            retired = load_retired_rows(os.path.join(self.directory, name))
+            if retired is None:
+                obs.counter("query.retired_rejected").inc()
+        with self._lock:
+            self._retired_cache = (name, retired)
+        return retired
+
+    def retired_totals(self) -> Dict[tuple, Tuple[int, int]]:
+        """Cumulative ``{(path, epoch): (count, gaps)}`` retention
+        deleted from this directory: what the live rows must be added
+        to for every sample ever flushed here. Empty when nothing was
+        retired."""
+        retired = self.retired_rows()
+        return {} if retired is None else retired.totals()
+
+    def position(self) -> Dict[str, int]:
+        """How far this directory reaches, as a checkpoint records it:
+        the manifest ``generation``, the highest segment ``seq`` served
+        or tombstoned, and the ``samples`` held live plus retired.
+
+        Read from one generation's view as last served (a
+        :meth:`refresh`, or this process's own appends and swaps), so
+        the cost does not grow with history. A swap another process
+        committed since can only make the answer lower than the
+        directory's, never higher.
+        """
+        with self._lock:
+            if self._segments is None:
+                self._refresh_locked()
+            segments = list(self._segments)
+            seqs = [seg.seq for seg in segments]
+            seqs += [int(tomb["seq"]) for tomb in self.tombstones]
+            generation, name = self.generation, self.retired_name
+        retired = self._retired(name)
+        return {
+            "generation": generation,
+            "seq": max(seqs, default=0),
+            "samples": sum(seg.samples for seg in segments)
+            + (retired.samples if retired is not None else 0),
+        }
 
     # ------------------------------------------------------------------
     def append(
@@ -424,6 +465,7 @@ class SegmentStore:
                 generation=self.generation,
                 tombstones=self.tombstones,
                 retired=self.retired_name,
+                fault=fault,
             )
             obs.gauge("query.segments").set(len(self._segments))
             obs.gauge("query.segment_rows").set(

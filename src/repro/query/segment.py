@@ -291,7 +291,7 @@ class Segment:
 
     __slots__ = (
         "path", "seq", "state", "names", "nodes", "pids", "span_rows",
-        "_name_ids",
+        "samples", "_name_ids",
     )
 
     def __init__(
@@ -309,6 +309,8 @@ class Segment:
         self.names = names
         self.nodes = nodes
         self.pids = pids
+        #: Samples the rows hold (their counts' sum).
+        self.samples = state.total_samples
         self._name_ids = {name: i for i, name in enumerate(names)}
         if state.multi_span:
             buckets: List[List[int]] = [[] for _ in state.spans]
@@ -345,10 +347,6 @@ class Segment:
     @property
     def rows(self) -> Tuple[Tuple[Tuple[str, ...], int, int, int], ...]:
         return self.state.rows
-
-    @property
-    def samples(self) -> int:
-        return self.state.total_samples
 
     @property
     def fingerprint(self) -> str:

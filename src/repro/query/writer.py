@@ -8,21 +8,27 @@ exactly what happened in that window. The writer keeps the baseline
 wall-clock window ``[last_flush, now)``. A flush that would write an
 empty segment writes nothing.
 
-The baseline is keyed like the tree, by integer ``(pid, epoch)``, so a
-flush is one integer pass over the shard counts
-(:meth:`~repro.service.shards.ShardedContextTree.count_rows`) plus work
-proportional to the delta, and decodes no path: the changed keys'
-integer deltas go to :meth:`~repro.service.store.ContextStore.
-encode_counted`, the trie walk checkpoints use, which returns the
-segment's sections as an :class:`~repro.query.segment.EncodedSegment`
-holds them. Contexts that did not change since the last flush cost a
-dict lookup each.
+The baseline is keyed like the tree, by integer ``(pid, epoch)``, and
+remembers the shard versions it reflects
+(:meth:`~repro.service.shards.ShardedContextTree.count_rows_since`):
+a flush passes over the counts of the shards written since the last
+written flush, so one that finds nothing new costs one lock round trip
+per shard. It decodes no path: the changed keys' integer deltas go to
+:meth:`~repro.service.store.ContextStore.encode_counted`, which returns
+the segment's sections as an :class:`~repro.query.segment.EncodedSegment`
+holds them.
+
+The directory is the log of everything flushed: its live segments plus
+the retired sidecar retention left hold every flushed count.
+:meth:`restore` rebuilds a recovered tree from exactly that, each
+segment's trie mapped in through
+:meth:`~repro.service.shards.ShardedContextTree.restore_trie`, and
+:meth:`rebase` makes the tree the baseline, so a recovered writer
+re-emits nothing.
 
 Crash discipline mirrors the checkpoint daemon: a failed flush leaves
 baseline and window untouched, so the next attempt re-covers the same
-delta — segments never lose samples, at worst a window widens. After
-recovery the service calls :meth:`rebase` with the recovered rows so
-samples already persisted in pre-crash segments are not re-emitted.
+delta — segments never lose samples, at worst a window widens.
 """
 
 from __future__ import annotations
@@ -32,27 +38,31 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import QueryError
 from repro.query.manifest import SegmentStore
 from repro.query.segment import EncodedSegment
 
-__all__ = ["SegmentWriter"]
+__all__ = ["SegmentWriter", "restore_tree"]
 
-_Key = Tuple[Tuple[str, ...], int]  # (path, epoch)
 _PidKey = Tuple[int, int]  # (pid, epoch)
 _Counts = Tuple[int, int]  # (count, gaps)
 
 
-def _cumulative(rows: Iterable[tuple]) -> Dict[_Key, Tuple[int, int]]:
-    out: Dict[_Key, Tuple[int, int]] = {}
-    for path, count, gaps, epoch in rows:
-        key = (tuple(path), epoch)
-        prev = out.get(key)
-        if prev is None:
-            out[key] = (count, gaps)
-        else:  # same (path, epoch) from multiple shards
-            out[key] = (prev[0] + count, prev[1] + gaps)
-    return out
+def restore_tree(tree, store: SegmentStore) -> int:
+    """Add everything ``store`` holds to ``tree``: the rows of each
+    segment it serves and of its retired sidecar, each through its own
+    trie. Returns the samples restored."""
+    restored = 0
+    for seg in store.segments():
+        restored += tree.restore_trie(seg.names, seg.nodes, [
+            (pid, row[1], row[2], row[3])
+            for pid, row in zip(seg.pids, seg.rows)
+        ])
+    retired = store.retired_rows()
+    if retired is not None:
+        restored += tree.restore_trie(
+            retired.names, retired.nodes, retired.rows
+        )
+    return restored
 
 
 class SegmentWriter:
@@ -73,10 +83,8 @@ class SegmentWriter:
         self._lock = threading.Lock()
         #: (pid, epoch) -> (count, gaps) the segments durably hold.
         self._baseline: Dict[_PidKey, _Counts] = {}
-        #: (path, epoch) -> (count, gaps) from a :meth:`rebase` whose
-        #: path the tree's store had not interned; an entry moves into
-        #: ``_baseline`` with the first written flush that counts it.
-        self._remainder: Dict[_Key, _Counts] = {}
+        #: The tree's shard versions the baseline reflects (None: none).
+        self._versions: Optional[List[int]] = None
         self._window_start = clock()
         self.flushes = 0
         self.empty_flushes = 0
@@ -100,17 +108,16 @@ class SegmentWriter:
         salvage a retry would re-emit the same delta on top of the
         durable segment and every sample in it would be counted twice.
 
-        Deltas clamp at zero per component: a reconciled baseline (see
-        :meth:`rebase`) can sit *ahead* of a recovered tree for keys
-        whose flushed counts outlived the checkpoint; those keys emit
-        nothing until the tree catches back up, instead of writing a
-        negative row.
-
         The window start never moves backward, so a wall clock that
         steps back cannot make a segment overlap the one before it.
         """
         with self._lock:
-            counted, advance = self._delta()
+            versions, moved = self._delta()
+            counted = [
+                (key, count - base[0], gaps - base[1])
+                for key, count, gaps, base in moved
+                if count > base[0] or gaps > base[1]
+            ]
             now = max(self._clock(), self._window_start)
             if not counted:
                 self.empty_flushes += 1
@@ -134,65 +141,30 @@ class SegmentWriter:
                         raise
                     self.salvaged_flushes += 1
                     obs.counter("query.flush_salvaged").inc()
-            for key, counts, remainder_key in advance:
-                self._baseline[key] = counts
-                if remainder_key is not None:
-                    del self._remainder[remainder_key]
+            for key, count, gaps, _base in moved:
+                self._baseline[key] = (count, gaps)
+            self._versions = versions
             self._window_start = now
             self.flushes += 1
             return path
 
-    def _delta(self) -> Tuple[List[tuple], List[tuple]]:
-        """This flush's ``((pid, epoch), count, gaps)`` deltas and the
-        ``(key, counts, remainder_key)`` baseline updates to apply once
-        they are written.
+    def _delta(self) -> Tuple[List[int], List[tuple]]:
+        """The tree's shard versions and the keys new to the baseline
+        or past it, each ``((pid, epoch), count, gaps, baseline)``.
 
-        One integer pass over the tree's counts finds the keys past
-        their baseline, or new to it. A key missing from the integer
-        baseline takes its baseline from the rebase remainder when its
-        path is there; those keys' paths are the only ones decoded, and
-        only while the remainder holds anything. The baseline moves
-        forward, never backward, per component: where it ran ahead of
-        the tree (durable segments outliving a checkpoint), adopting
-        the smaller tree value would let a later flush re-emit counts
-        the store already holds.
+        Only the shards written since the last written flush are read
+        (the tree only grows, and the baseline never runs ahead of it),
+        so a flush after one that wrote costs one lock round trip per
+        shard until something is added.
         """
-        baseline, remainder = self._baseline, self._remainder
-        moved: List[tuple] = []  # (key, count, gaps, baseline or None)
-        for key, count, gaps in self.tree.count_rows():
+        versions, rows = self.tree.count_rows_since(self._versions)
+        baseline = self._baseline
+        moved: List[tuple] = []
+        for key, count, gaps in rows:
             base = baseline.get(key)
             if base is None or count > base[0] or gaps > base[1]:
-                moved.append((key, count, gaps, base))
-        counted: List[tuple] = []
-        advance: List[tuple] = []
-        if not moved:
-            return counted, advance
-        unbased: Dict[_PidKey, _Key] = {}
-        if remainder:
-            keys = [entry[0] for entry in moved if entry[3] is None]
-            paths = self.tree.store.paths(key[0] for key in keys)
-            unbased = {
-                key: (path, key[1]) for key, path in zip(keys, paths)
-                if (path, key[1]) in remainder
-            }
-        for key, count, gaps, base in moved:
-            remainder_key = None
-            if base is None:
-                remainder_key = unbased.get(key)
-                base = remainder.get(remainder_key, (0, 0))
-            base_count, base_gaps = base
-            if count > base_count or gaps > base_gaps:
-                counted.append((
-                    key,
-                    max(0, count - base_count),
-                    max(0, gaps - base_gaps),
-                ))
-            advance.append((
-                key,
-                (max(base_count, count), max(base_gaps, gaps)),
-                remainder_key,
-            ))
-        return counted, advance
+                moved.append((key, count, gaps, base or (0, 0)))
+        return versions, moved
 
     def _salvage(self, encoded: EncodedSegment) -> Optional[str]:
         """After a failed append: did the segment land durably anyway?
@@ -223,90 +195,45 @@ class SegmentWriter:
             return None
         return None
 
-    def rebase(
-        self,
-        rows: Iterable[tuple],
-        *,
-        reconcile_store: bool = False,
-        expected_generation: Optional[int] = None,
-    ) -> None:
-        """Reset the baseline after recovery.
-
-        Plain ``rebase(rows)`` adopts the recovered tree contents as
-        the baseline: counts restored from a checkpoint are not *new*
-        and must not be emitted again.
-
-        ``reconcile_store=True`` goes further and rebuilds the baseline
-        from the **durable segments themselves** — the correct baseline
-        after a process crash, where checkpoint cadence and segment
-        cadence disagree in either direction.  Per key: counts the
-        store holds beyond the checkpoint are never re-emitted (no
-        double count), and counts the checkpoint restored that never
-        reached a segment are emitted by the next flush (not dropped).
-        ``rows`` is only the fallback when the store cannot be read.
-        The reconciliation includes the directory's **retired totals**
-        (rows retention deliberately deleted), so aged-out history is
-        not mistaken for un-flushed samples and re-emitted.
-
-        ``expected_generation`` guards recovery flows that captured
-        ``rows`` against a specific manifest generation: if the store
-        has since been compacted past it, the captured rows describe a
-        world that no longer exists and the rebase is rejected with
-        :class:`QueryError` — reconcile against the live store instead
-        of silently adopting a pre-compaction baseline.
-
-        Rows are matched to the tree's integer keys with
-        ``tree.store.lookup``, which never interns: a recovery must not
-        grow the context store. A path the store has not interned yet
-        (the segments hold a context the recovered tree has not seen)
-        waits in a small path-keyed remainder, consulted only when that
-        path first shows up among a flush's changed contexts.
-        """
+    def rebase(self) -> None:
+        """Make the tree's counts the baseline: everything the tree
+        holds is durable, so no flush emits it again."""
         with self._lock:
-            if expected_generation is not None:
-                self.store.refresh()
-                current = self.store.generation
-                if int(expected_generation) < current:
-                    raise QueryError(
-                        f"rebase rejected: rows were captured at "
-                        f"generation {expected_generation} but the store "
-                        f"was compacted to generation {current}; "
-                        f"reconcile against the store instead"
-                    )
-            cumulative = self._store_cumulative() if reconcile_store else None
-            if cumulative is None:
-                cumulative = _cumulative(rows)
-            lookup = self.tree.store.lookup
-            self._baseline, self._remainder = {}, {}
-            for (path, epoch), counts in cumulative.items():
-                pid = lookup(path)
-                if pid is None:
-                    self._remainder[(path, epoch)] = counts
-                else:
-                    self._baseline[(pid, epoch)] = counts
+            self._versions, rows = self.tree.count_rows_since(None)
+            self._baseline = {key: (count, gaps) for key, count, gaps in rows}
             self._window_start = self._clock()
 
-    def _store_cumulative(self) -> Optional[Dict[_Key, Tuple[int, int]]]:
-        """Sum every durable segment's delta rows — plus the retired
-        totals retention deleted from the directory — or None on
-        failure. Without the retired component a recovered writer
-        whose tree outlived a retention sweep would see "the store
-        holds less than the tree" and re-emit history that was
-        deliberately aged out."""
-        try:
-            self.store.refresh()
-            out: Dict[_Key, Tuple[int, int]] = {}
-            for seg in self.store.segments():
-                for path, count, gaps, epoch in seg.rows:
-                    key = (tuple(path), epoch)
-                    prev = out.get(key, (0, 0))
-                    out[key] = (prev[0] + count, prev[1] + gaps)
-            for key, (count, gaps) in self.store.retired_totals().items():
-                prev = out.get(key, (0, 0))
-                out[key] = (prev[0] + count, prev[1] + gaps)
-            return out
-        except Exception:  # noqa: BLE001 - recovery must not die here
-            return None
+    def restore(self, beyond: Iterable = ()) -> int:
+        """Add this directory's segments as last served to the tree
+        (:func:`restore_tree`: live plus retired), then make the whole
+        tree the baseline; returns the samples restored. Recovery calls
+        it on a tree holding nothing this directory does not.
+
+        ``beyond`` are full checkpoints (``names``, ``nodes`` and
+        ``(node, count, gaps, epoch)`` rows) found beside the store. A
+        checkpoint can run ahead of the flushes, so each key's count
+        past the tree's lands in the tree outside the baseline, and the
+        next flush writes it; where the store holds as much, it wins.
+        """
+        restored = restore_tree(self.tree, self.store)
+        self.rebase()
+        for checkpoint in beyond:
+            rows = [row for row in checkpoint.rows if row[1]]
+            ids, _names = self.tree.store.intern_trie(
+                checkpoint.names, checkpoint.nodes, [row[0] for row in rows]
+            )
+            excess = []
+            for node, count, gaps, epoch in rows:
+                key = (ids[node] if node >= 0 else node, epoch)
+                have_count, have_gaps = self._baseline.get(key, (0, 0))
+                if count > have_count:
+                    more = count - have_count
+                    more_gaps = min(more, max(0, gaps - have_gaps))
+                    excess.append((node, more, more_gaps, epoch))
+            restored += self.tree.restore_trie(
+                checkpoint.names, checkpoint.nodes, excess
+            )
+        return restored
 
     def stats(self) -> dict:
         with self._lock:
@@ -314,7 +241,7 @@ class SegmentWriter:
                 "flushes": self.flushes,
                 "empty_flushes": self.empty_flushes,
                 "salvaged_flushes": self.salvaged_flushes,
-                "baseline_rows": len(self._baseline) + len(self._remainder),
+                "baseline_rows": len(self._baseline),
                 "window_start": self._window_start,
             }
         out.update(self.store.stats())

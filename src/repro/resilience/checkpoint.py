@@ -1,18 +1,28 @@
 """Durable checkpoint/restore for the calling-context tree.
 
 A checkpoint captures everything needed to answer queries after a
-process crash: the CCT shard rows (path, count, gap-weight), the decode
-epoch, and a **plan fingerprint** — a SHA-256 over the canonical graph
-structure, anchor set, and encoding width — so recovery refuses to marry
-counts from one program version to the plan of another.
+process crash: the decode epoch, a **plan fingerprint** — a SHA-256
+over the canonical graph structure, anchor set, and encoding width —
+so recovery refuses to marry counts from one program version to the
+plan of another, and the counts themselves or where to find them.
 
 File format (``ckpt-<seq>.dpck``): the line records, footer and atomic
 replace of :mod:`repro.durable` (``docs/RESILIENCE.md``, "Durable
 files"), with a ``header`` record of its own.
 
-Format **version 2** (the current writer) mirrors the in-memory
-:class:`~repro.service.store.ContextStore`: instead of repeating every
-context path as a list of strings, the file carries
+Format **version 3**, the **pointer**, is what a service with a
+segment store writes (:class:`CheckpointPointer`): its segments already
+hold every flushed count, so after flushing, the checkpoint records only
+how far into the store it reaches — the manifest generation, the
+highest segment seq and the samples held live plus retired — beside the
+epoch and fingerprint, in a header and a footer. Its size does not grow
+with history. Recovery rebuilds the tree from the store and refuses a
+store that reaches less far.
+
+Format **version 2** (full rows, what a service without a segment store
+writes) mirrors the in-memory :class:`~repro.service.store.ContextStore`:
+instead of repeating every context path as a list of strings, the file
+carries
 
 * a header (version, epoch, fingerprint, row count);
 * ``names`` and ``nodes`` sections — the distinct function names and
@@ -24,8 +34,8 @@ context path as a list of strings, the file carries
 * a footer carrying the totals actually written.
 
 One framing function, :meth:`CheckpointStore.write_encoded`, writes
-every checkpoint from an :class:`EncodedCheckpoint` (the sections as
-the file holds them). The service hands it sections walked straight
+every full checkpoint from an :class:`EncodedCheckpoint` (the sections
+as the file holds them). The service hands it sections walked straight
 off its context trie; :meth:`CheckpointStore.write` first encodes a
 path-row :class:`CheckpointState` with
 :func:`~repro.durable.delta_encode_rows`, the reference the walk is
@@ -36,7 +46,8 @@ their rows are normalized with the checkpoint's own epoch. Beyond the
 framing, a file is *valid* only if its sections unpack, the trie passes
 :func:`~repro.durable.valid_trie`, every row is one a tree could hold
 (``0 <= gap_weight <= count``), and the footer's row and sample totals
-match — so a torn write or bit rot disqualifies the file rather than
+match (a pointer: its fields are non-negative integers and it has no
+body) — so a torn write or bit rot disqualifies the file rather than
 corrupting a recovery. :meth:`CheckpointStore.load_newest` walks files
 newest-first and returns the first that validates;
 :meth:`CheckpointStore.load_newest_encoded` does the same without
@@ -55,7 +66,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.durable import (
@@ -72,6 +83,7 @@ from repro.durable import (
 from repro.errors import CheckpointError, QueryError
 
 __all__ = [
+    "CheckpointPointer",
     "CheckpointState",
     "EncodedCheckpoint",
     "CheckpointStore",
@@ -79,7 +91,10 @@ __all__ = [
     "plan_fingerprint",
 ]
 
-FORMAT_VERSION = 2
+#: The full-rows format (services without a segment store).
+ROWS_VERSION = 2
+#: The pointer format (services with a segment store).
+POINTER_VERSION = 3
 #: Oldest on-disk format this reader still accepts.
 OLDEST_READABLE_VERSION = 1
 _PREFIX = "ckpt-"
@@ -206,6 +221,46 @@ class EncodedCheckpoint:
         )
 
 
+@dataclass(frozen=True)
+class CheckpointPointer:
+    """A checkpoint whose counts live in a segment store.
+
+    Written after the service's segment writer flushed, so the
+    directory's live segments and retired sidecar hold every count the
+    tree held: ``generation`` is the manifest generation, ``seq`` the
+    highest segment seq served or tombstoned, and ``samples`` the
+    samples held live plus retired, all as of this checkpoint
+    (:meth:`~repro.query.manifest.SegmentStore.position`). A store
+    that still reaches that far can rebuild the tree; one at an older
+    generation or seq, or holding fewer samples, lost what the
+    checkpoint relies on.
+    """
+
+    epoch: int
+    fingerprint: str
+    generation: int
+    seq: int
+    samples: int
+
+    def check_covered(self, path: str, store) -> None:
+        """Raise :class:`CheckpointError` unless the refreshed segment
+        ``store`` still reaches as far as this pointer, read from
+        ``path``, records."""
+        now = store.position()
+        if (
+            now["generation"] < self.generation
+            or now["seq"] < self.seq
+            or now["samples"] < self.samples
+        ):
+            raise CheckpointError(
+                f"checkpoint {path!r} covers generation {self.generation}, "
+                f"segment {self.seq} and {self.samples} samples, but "
+                f"{store.directory!r} holds generation {now['generation']}, "
+                f"segment {now['seq']} and {now['samples']} samples: "
+                f"segments it relies on are gone"
+            )
+
+
 class CheckpointStore:
     """Atomic, checksummed snapshots in one directory."""
 
@@ -264,19 +319,19 @@ class CheckpointStore:
     ) -> str:
         """Durably write ``encoded``; returns the final checkpoint path.
 
-        The one framing function behind every checkpoint: header, the
-        ``names`` and ``nodes`` sections and ``rows`` records, written
-        by :func:`~repro.durable.write_records`. ``fault`` (chaos) is
-        called with the running record count after each record; raising
-        from it models a crash — the temp file is abandoned and never
-        renamed, so readers only ever see previous, complete checkpoints.
+        The one framing function behind every full checkpoint: header,
+        the ``names`` and ``nodes`` sections and ``rows`` records,
+        written by :func:`~repro.durable.write_records`. ``fault``
+        (chaos) is called with the running record count after each
+        record; raising from it models a crash — the temp file is
+        abandoned and never renamed, so readers only ever see previous,
+        complete checkpoints.
         """
-        start = time.perf_counter()
         rows = encoded.rows
         records = [
             {
                 "kind": "header",
-                "version": FORMAT_VERSION,
+                "version": ROWS_VERSION,
                 "epoch": encoded.epoch,
                 "fingerprint": encoded.fingerprint,
                 "rows": len(rows),
@@ -286,6 +341,29 @@ class CheckpointStore:
             *row_records(rows, self.rows_per_record),
         ]
         footer = {"rows": len(rows), "samples": encoded.total_samples}
+        return self._write(records, footer, fault)
+
+    def write_pointer(
+        self,
+        pointer: CheckpointPointer,
+        fault: Optional[Callable[[int], None]] = None,
+    ) -> str:
+        """Durably write ``pointer`` (format v3: a header and a footer);
+        returns the final checkpoint path. ``fault`` as in
+        :meth:`write_encoded`."""
+        header = {
+            "kind": "header",
+            "version": POINTER_VERSION,
+            "epoch": pointer.epoch,
+            "fingerprint": pointer.fingerprint,
+            "generation": pointer.generation,
+            "seq": pointer.seq,
+            "samples": pointer.samples,
+        }
+        return self._write([header], None, fault)
+
+    def _write(self, records, footer, fault) -> str:
+        start = time.perf_counter()
         with self._lock:
             listing = self._listing()
             seq = (listing[-1][0] + 1) if listing else 1
@@ -313,22 +391,31 @@ class CheckpointStore:
                 pass
 
     # ------------------------------------------------------------------
-    def load_file(self, path: str) -> Optional[CheckpointState]:
-        """Parse and validate one checkpoint file; None when invalid."""
-        encoded = self.load_encoded(path)
-        return None if encoded is None else encoded.decode()
+    def load_file(
+        self, path: str
+    ) -> Optional[Union[CheckpointState, CheckpointPointer]]:
+        """Parse and validate one checkpoint file; None when invalid.
+        A pointer comes back as it is; full rows with every path
+        spelled out."""
+        loaded = self.load_encoded(path)
+        if isinstance(loaded, EncodedCheckpoint):
+            return loaded.decode()
+        return loaded
 
-    def load_encoded(self, path: str) -> Optional[EncodedCheckpoint]:
+    def load_encoded(
+        self, path: str
+    ) -> Optional[Union[EncodedCheckpoint, CheckpointPointer]]:
         """Parse and validate one checkpoint file, paths left as a trie;
         None when invalid.
 
         The trie is checked in one pass (:func:`~repro.durable.
         valid_trie`), not by walking each row to the root. A version-1
         file's spelled-out rows are encoded as the current writer would
-        encode them, stamped with the file's own epoch.
+        encode them, stamped with the file's own epoch. A version-3
+        file is a :class:`CheckpointPointer`.
         """
         read = load_records(
-            path, "header", range(OLDEST_READABLE_VERSION, FORMAT_VERSION + 1)
+            path, "header", range(OLDEST_READABLE_VERSION, POINTER_VERSION + 1)
         )
         if read is None:
             return None
@@ -339,6 +426,15 @@ class CheckpointStore:
             return None
         if not isinstance(fingerprint, str):
             return None
+        if version == POINTER_VERSION:
+            fields = [
+                header.get(name) for name in ("generation", "seq", "samples")
+            ]
+            if body or not all(
+                type(value) is int and value >= 0 for value in fields
+            ):
+                return None
+            return CheckpointPointer(epoch, fingerprint, *fields)
         split = split_body(body, ("names", "nodes") if version >= 2 else ())
         if split is None:
             return None
@@ -381,13 +477,15 @@ class CheckpointStore:
             return None
         return encoded
 
-    def load_newest(self) -> Optional[Tuple[str, CheckpointState]]:
+    def load_newest(
+        self,
+    ) -> Optional[Tuple[str, Union[CheckpointState, CheckpointPointer]]]:
         """Newest checkpoint that validates, or None if none do."""
         return self._newest(self.load_file)
 
     def load_newest_encoded(
         self,
-    ) -> Optional[Tuple[str, EncodedCheckpoint]]:
+    ) -> Optional[Tuple[str, Union[EncodedCheckpoint, CheckpointPointer]]]:
         """:meth:`load_newest` with the paths left as a trie."""
         return self._newest(self.load_encoded)
 
@@ -406,15 +504,17 @@ class CheckpointStore:
 class CheckpointDaemon:
     """Periodic background checkpointing (and segment flushing).
 
-    Calls ``service.checkpoint()`` every ``interval`` seconds. When the
-    service also carries a segment writer (``flush_segments`` — the
-    ``repro.query`` durable store), each period additionally flushes the
-    aggregation delta into a query segment, so the analytics store grows
-    on the same cadence that keeps recovery fresh; after a successful
-    flush the service's ``maybe_compact_segments`` hook runs, which
-    compacts and ages the store every ``ServiceConfig.compact_every``
-    flushes so an unbounded run's directory stays bounded. A failed
-    write is counted (``resilience.checkpoint_failures`` — already
+    Every ``interval`` seconds, when the service carries a segment
+    writer (``flush_segments`` — the ``repro.query`` durable store), the
+    daemon first flushes the aggregation delta into a query segment, so
+    the analytics store grows on the same cadence that keeps recovery
+    fresh; after a successful flush the service's
+    ``maybe_compact_segments`` hook runs, which compacts and ages the
+    store every ``ServiceConfig.compact_every`` flushes so an unbounded
+    run's directory stays bounded. Then it calls
+    ``service.checkpoint()``: a pointer past the flush and the
+    compaction, or full rows without a segment store. A failed write
+    is counted (``resilience.checkpoint_failures`` — already
     incremented by the store — or :attr:`segment_failures` /
     :attr:`compaction_failures`) and retried next period; the daemon
     never dies of one bad write.
@@ -448,11 +548,14 @@ class CheckpointDaemon:
             self._thread.join(timeout=timeout)
 
     def _tick(self) -> None:
+        self._flush_and_compact()
         try:
             self._service.checkpoint()
             self.written += 1
         except Exception:  # noqa: BLE001 - keep checkpointing
             self.failed += 1
+
+    def _flush_and_compact(self) -> None:
         flush = getattr(self._service, "flush_segments", None)
         if flush is None:
             return

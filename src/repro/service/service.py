@@ -944,9 +944,12 @@ class ContextService:
         """Write a durable snapshot; returns the checkpoint file path.
 
         Uses the configured store by default; ``directory`` overrides it
-        for one-off snapshots. The snapshot carries the CCT rows, the
-        current epoch, and the plan fingerprint that :meth:`recover`
-        verifies.
+        for one-off snapshots. With a segment store configured the
+        segment writer flushes first and the snapshot is a pointer into
+        the store (format v3: how far the store reaches, which does not
+        grow with history); without one it carries the CCT rows (format
+        v2). Both carry the current epoch and the plan fingerprint that
+        :meth:`recover` verifies.
         """
         from repro.resilience.checkpoint import CheckpointStore
 
@@ -968,33 +971,46 @@ class ContextService:
             # sync; the parent snapshot below covers only parent-side
             # rows (leftover re-ingest, fallback replay).
             self._procs.sync(timeout=10.0)
-        encoded = self._encoded_checkpoint()
+        return self._checkpoint_into(store)
+
+    def _checkpoint_into(self, store) -> str:
+        """Flush and write a pointer (segment store), or write full rows."""
+        from repro.resilience.checkpoint import CheckpointPointer
+
         fault = (
             self._chaos.checkpoint_fault() if self._chaos is not None else None
         )
-        with obs.span("resilience.checkpoint", rows=len(encoded.rows)):
-            path = store.write_encoded(encoded, fault=fault)
+        epoch = self.engine.epoch
+        if self._segments is not None:
+            with obs.span("resilience.checkpoint"):
+                self._segments.flush(fault=fault)
+                pointer = CheckpointPointer(
+                    epoch=epoch,
+                    fingerprint=self._fingerprint_of(epoch),
+                    **self._segments.store.position(),
+                )
+                path = store.write_pointer(pointer, fault=fault)
+        else:
+            encoded = self._encoded_checkpoint()
+            with obs.span("resilience.checkpoint", rows=len(encoded.rows)):
+                path = store.write_encoded(encoded, fault=fault)
         self._checkpoints_written += 1
         return path
 
     def _encoded_checkpoint(self):
-        """This tree's checkpoint, its sections taken straight from the
-        context store's trie (:meth:`ContextStore.encode_counted`), so no
-        path is decoded: the bytes :meth:`CheckpointStore.write` would
-        make of ``tree.rows()``."""
-        from repro.resilience.checkpoint import (
-            EncodedCheckpoint,
-            plan_fingerprint,
-        )
+        """This tree's full checkpoint, its sections taken straight from
+        the context store's trie (:meth:`ContextStore.encode_counted`),
+        so no path is decoded: the bytes :meth:`CheckpointStore.write`
+        would make of ``tree.rows()``."""
+        from repro.resilience.checkpoint import EncodedCheckpoint
 
         epoch = self.engine.epoch
-        fingerprint = plan_fingerprint(self.engine.plan)
         names, nodes, rows = self.tree.store.encode_counted(
             self.tree.count_rows()
         )
         return EncodedCheckpoint(
             epoch=epoch,
-            fingerprint=fingerprint,
+            fingerprint=self._fingerprint_of(epoch),
             names=names,
             nodes=nodes,
             rows=rows,
@@ -1065,20 +1081,31 @@ class ContextService:
         return self._compactor.compact(fault=fault, force=False)
 
     def recover(self, source, *, allow_mismatch: bool = False) -> Dict:
-        """Replay the newest valid checkpoint from ``source``.
+        """Rebuild the tree from the newest valid checkpoint in ``source``.
 
         ``source`` is a checkpoint directory (or a
-        :class:`~repro.resilience.checkpoint.CheckpointStore`). Must be
-        called on a fresh service — before :meth:`start`, with an empty
-        tree — so recovered counts never mix with live ones
-        untraceably. The checkpoint's plan fingerprint must match the
-        installed plan (``allow_mismatch=True`` skips the check, for
-        forensics on a changed binary). Returns a summary dict.
+        :class:`~repro.resilience.checkpoint.CheckpointStore`). A worker
+        pool root recovers the fleet: each ``worker-N/checkpoints`` with
+        its segments under ``segment_dir/worker-N``, restored additively
+        (workers own disjoint contexts). Must be called on a fresh
+        service — before :meth:`start`, with an empty tree — so
+        recovered counts never mix with live ones untraceably. The plan
+        fingerprint must match the installed plan (``allow_mismatch=
+        True`` skips the check, for forensics on a changed binary).
+
+        With a segment store, a compaction the dead process left
+        half-done is resolved first; the tree is then rebuilt from the
+        live segments and retired sidecars, so it equals what the
+        stores hold and the segment writer's baseline is the tree. A
+        pointer (format v3) must still be covered by its store (see
+        :class:`~repro.resilience.checkpoint.CheckpointPointer`), else
+        :class:`CheckpointError`. A full checkpoint (v1/v2) beside a
+        store adds, per key, what it holds beyond the store, which the
+        next flush writes. Without a segment store full rows restore as
+        they are and a pointer raises. Returns a summary dict.
         """
-        from repro.resilience.checkpoint import (
-            CheckpointStore,
-            plan_fingerprint,
-        )
+        from repro.query.manifest import SegmentStore
+        from repro.resilience.checkpoint import CheckpointStore
 
         if self._started:
             raise CheckpointError("recover() must run before start()")
@@ -1087,148 +1114,116 @@ class ContextService:
                 "recover() needs an empty tree; this service already "
                 "aggregated samples"
             )
+        t0 = time.perf_counter()
+        own = self._segments.store if self._segments is not None else None
+        workers = []
         if isinstance(source, str) and os.path.isdir(source):
-            worker_stores = sorted(
+            workers = sorted(
                 entry.path
                 for entry in os.scandir(source)
                 if entry.is_dir()
                 and entry.name.startswith("worker-")
                 and os.path.isdir(os.path.join(entry.path, "checkpoints"))
             )
-            if worker_stores:
-                return self._recover_worker_fleet(
-                    worker_stores, allow_mismatch=allow_mismatch
-                )
-        store = (
-            source
-            if isinstance(source, CheckpointStore)
-            else CheckpointStore(source)
-        )
-        t0 = time.perf_counter()
-        found = store.load_newest_encoded()
-        if found is None:
-            raise CheckpointError(
-                f"no valid checkpoint in {store.directory!r}"
+        places = [(source, own)]
+        if workers:
+            places = [(
+                os.path.join(worker, "checkpoints"),
+                own and SegmentStore(os.path.join(
+                    self.config.segment_dir, os.path.basename(worker)
+                )),
+            ) for worker in workers]
+        found = []
+        fingerprint = self._fingerprint_of(self.engine.epoch)
+        for place, segments in places:
+            store = (
+                place if isinstance(place, CheckpointStore)
+                else CheckpointStore(place)
             )
-        path, encoded = found
-        fingerprint = plan_fingerprint(self.engine.plan)
-        if encoded.fingerprint != fingerprint and not allow_mismatch:
-            raise CheckpointError(
-                f"checkpoint {path!r} was written under a different plan "
-                f"(fingerprint {encoded.fingerprint[:12]}… vs installed "
-                f"{fingerprint[:12]}…); pass allow_mismatch=True to force"
-            )
-        restored = self.tree.restore_trie(
-            encoded.names, encoded.nodes, encoded.rows
-        )
-        self.metrics.count("recovered", restored)
-        self.engine.advance_epoch_to(encoded.epoch)
-        if self._segments is not None:
-            # A compaction swap the dead process left half-done is
-            # resolved first (roll forward when its output is fully
-            # durable, back otherwise), so the reconciliation below
-            # sees exactly one generation.
-            if self._compactor is not None:
-                from repro.query.locks import LockHeldError
-
-                try:
-                    self._compactor.recover()
-                except LockHeldError:
-                    pass  # a live mutator owns the swap; reads stay safe
-            # Rebase against the durable segments themselves: counts
-            # they already hold are never re-emitted, and recovered
-            # counts that never reached a segment (checkpoint ran ahead
-            # of the flush cadence) go out with the next flush. The
-            # tree's own rows are only the fallback when the store cannot
-            # be read, so they are decoded only then.
-            def tree_rows():
-                yield from self.tree.rows()
-
-            self._segments.rebase(tree_rows(), reconcile_store=True)
-            self._segments.set_fingerprint(
-                self._fingerprint_of(self.engine.epoch)
-            )
-        obs.counter("resilience.recoveries").inc()
-        obs.histogram("resilience.recover_us").observe_us(
-            (time.perf_counter() - t0) * 1e6
-        )
-        return {
-            "path": path,
-            "epoch": encoded.epoch,
-            "rows": len(encoded.rows),
-            "samples": restored,
-        }
-
-    def _recover_worker_fleet(
-        self, worker_dirs: List[str], *, allow_mismatch: bool
-    ) -> Dict:
-        """Reassemble a multi-process fleet's state from its pool root.
-
-        Each ``worker-N/checkpoints`` holds that worker's newest
-        snapshot of its *disjoint* shard set, so restoring them
-        additively into one tree reconstructs the fleet total exactly
-        (row keys never collide across workers; colliding keys from an
-        old pre-crash generation sum correctly because
-        :meth:`ShardedContextTree.restore_trie` is additive, and shared
-        prefixes merge in the one store as ``intern`` merges them).  The
-        segment baseline is rebuilt from the durable segments of every
-        store (parent + per-worker), so the first post-recovery flush
-        emits exactly the counts that never reached a segment.
-        """
-        from repro.resilience.checkpoint import (
-            CheckpointStore,
-            plan_fingerprint,
-        )
-
-        t0 = time.perf_counter()
-        fingerprint = plan_fingerprint(self.engine.plan)
-        restored = 0
-        rows_seen = 0
-        epoch = self.engine.epoch
-        loaded: List[str] = []
-        for directory in worker_dirs:
-            found = CheckpointStore(
-                os.path.join(directory, "checkpoints")
-            ).load_newest_encoded()
-            if found is None:
-                continue
-            path, encoded = found
-            if encoded.fingerprint != fingerprint and not allow_mismatch:
+            newest = store.load_newest_encoded()
+            if newest is None:
+                if workers:
+                    continue
                 raise CheckpointError(
-                    f"worker checkpoint {path!r} was written under a "
-                    f"different plan (fingerprint "
-                    f"{encoded.fingerprint[:12]}… vs installed "
-                    f"{fingerprint[:12]}…); pass allow_mismatch=True"
+                    f"no valid checkpoint in {store.directory!r}"
                 )
-            restored += self.tree.restore_trie(
-                encoded.names, encoded.nodes, encoded.rows
-            )
-            rows_seen += len(encoded.rows)
-            epoch = max(epoch, encoded.epoch)
-            loaded.append(path)
-        if not loaded:
+            path, loaded = newest
+            if loaded.fingerprint != fingerprint and not allow_mismatch:
+                raise CheckpointError(
+                    f"checkpoint {path!r} was written under a different "
+                    f"plan (fingerprint {loaded.fingerprint[:12]}… vs "
+                    f"installed {fingerprint[:12]}…); pass "
+                    f"allow_mismatch=True to force"
+                )
+            found.append((path, loaded, segments))
+        if not found:
             raise CheckpointError(
-                f"no valid worker checkpoint under {worker_dirs!r}"
+                f"no valid worker checkpoint under {workers!r}"
             )
+        restored = self._restore(found)
         self.metrics.count("recovered", restored)
+        epoch = max(self.engine.epoch, *(item[1].epoch for item in found))
         self.engine.advance_epoch_to(epoch)
-        if self._segments is not None:
-            self._segments.rebase(self._durable_segment_rows())
-            self._segments.set_fingerprint(
-                self._fingerprint_of(self.engine.epoch)
-            )
+        summary = {"path": found[0][0], "epoch": epoch, "samples": restored}
+        if own is not None:
+            self._segments.set_fingerprint(self._fingerprint_of(epoch))
+            summary["rows"] = len(self.tree.count_rows())
+        else:
+            summary["rows"] = sum(len(item[1].rows) for item in found)
+        if workers:
+            summary["paths"] = [item[0] for item in found]
+            summary["workers"] = len(found)
         obs.counter("resilience.recoveries").inc()
         obs.histogram("resilience.recover_us").observe_us(
             (time.perf_counter() - t0) * 1e6
         )
-        return {
-            "path": loaded[0],
-            "paths": loaded,
-            "workers": len(loaded),
-            "epoch": epoch,
-            "rows": rows_seen,
-            "samples": restored,
-        }
+        return summary
+
+    def _restore(self, found) -> int:
+        """Land ``(path, checkpoint, segment store or None)`` triples in
+        the tree; returns the samples restored."""
+        from repro.query.compact import Compactor
+        from repro.query.locks import LockHeldError
+        from repro.query.writer import restore_tree
+        from repro.resilience.checkpoint import CheckpointPointer
+
+        def settle(store, compactor) -> None:
+            # Resolve a half-done swap (forward when its output is
+            # durable, back otherwise), then serve one generation.
+            try:
+                compactor.recover()
+            except LockHeldError:
+                pass  # a live mutator owns the swap; reads stay safe
+            store.refresh()
+
+        own = self._segments.store if self._segments is not None else None
+        if own is not None:
+            settle(own, self._compactor)
+        restored = 0
+        full = []
+        for path, loaded, store in found:
+            pointer = isinstance(loaded, CheckpointPointer)
+            if store is None:
+                if pointer:
+                    raise CheckpointError(
+                        f"checkpoint {path!r} points into a segment store; "
+                        f"set ServiceConfig.segment_dir to recover it"
+                    )
+                restored += self.tree.restore_trie(
+                    loaded.names, loaded.nodes, loaded.rows
+                )
+                continue
+            if store is not own:
+                settle(store, Compactor(store))
+            if pointer:
+                loaded.check_covered(path, store)
+            else:
+                full.append(loaded)
+            if store is not own:
+                restored += restore_tree(self.tree, store)
+        if own is not None:
+            restored += self._segments.restore(beyond=full)
+        return restored
 
     def _worker_segment_dirs(self) -> List[str]:
         """Per-worker segment stores under ``segment_dir`` (sorted)."""
@@ -1240,21 +1235,6 @@ class ContextService:
             for entry in os.scandir(root)
             if entry.is_dir() and entry.name.startswith("worker-")
         )
-
-    def _durable_segment_rows(self) -> List[tuple]:
-        """Every durable segment row across parent + worker stores."""
-        from repro.query.manifest import SegmentStore
-
-        stores = [self._segments.store]
-        stores.extend(
-            SegmentStore(path) for path in self._worker_segment_dirs()
-        )
-        rows: List[tuple] = []
-        for store in stores:
-            store.refresh()
-            for seg in store.segments():
-                rows.extend(seg.rows)
-        return rows
 
     # ------------------------------------------------------------------
     # Query API — uniform keyword-only ``epoch=`` / ``decoded=`` contract

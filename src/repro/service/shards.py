@@ -46,7 +46,7 @@ class _Shard:
 
     __slots__ = (
         "lock", "counts", "leaf_totals", "gap_counts", "gap_samples",
-        "samples",
+        "samples", "version",
     )
 
     def __init__(self):
@@ -60,6 +60,9 @@ class _Shard:
         self.gap_counts: Dict[Tuple[int, int], int] = {}
         self.gap_samples = 0
         self.samples = 0
+        #: Bumped by every write, so a reader can tell that nothing in
+        #: this shard moved since it last looked.
+        self.version = 0
 
 
 class ShardStats:
@@ -143,6 +146,7 @@ class ShardedContextTree:
         for shard_index, rows in by_shard.items():
             shard = self._shards[shard_index]
             with shard.lock:
+                shard.version += 1
                 for pid, has_gaps, weight, epoch, leaf in rows:
                     key = (pid, epoch)
                     shard.counts[key] = shard.counts.get(key, 0) + weight
@@ -320,6 +324,7 @@ class ShardedContextTree:
                 shard.gap_counts.clear()
                 shard.gap_samples = 0
                 shard.samples = 0
+                shard.version += 1
 
     # ------------------------------------------------------------------
     # Checkpoint surface
@@ -332,15 +337,33 @@ class ShardedContextTree:
         cost is one pass over the integer counts. Order is unspecified;
         :meth:`rows` is the decoded, sorted form.
         """
+        return self.count_rows_since(None)[1]
+
+    def count_rows_since(
+        self, versions: Optional[List[int]]
+    ) -> Tuple[List[int], List[Tuple[Tuple[int, int], int, int]]]:
+        """Every shard's version, and the :meth:`count_rows` of the
+        shards whose version is not the one in ``versions`` (all of
+        them when ``versions`` is None).
+
+        A shard's version and its rows are read under one acquisition
+        of its lock, so a caller that passes back the versions it got
+        sees exactly the shards written since: a tree nothing was added
+        to costs one lock round trip per shard.
+        """
+        now: List[int] = []
         rows: List[Tuple[Tuple[int, int], int, int]] = []
-        for shard in self._shards:
+        for index, shard in enumerate(self._shards):
             with shard.lock:
+                now.append(shard.version)
+                if versions is not None and versions[index] == shard.version:
+                    continue
                 gap_counts = shard.gap_counts
                 rows.extend(
                     (key, count, gap_counts.get(key, 0))
                     for key, count in shard.counts.items()
                 )
-        return rows
+        return now, rows
 
     def rows(self) -> List[Tuple[Path, int, int, int]]:
         """A consistent-per-shard snapshot of
@@ -395,51 +418,49 @@ class ShardedContextTree:
         nodes: List[int],
         rows: Iterable[Tuple[int, int, int, int]],
     ) -> int:
-        """Merge encoded checkpoint rows back in; returns samples restored.
+        """Merge encoded rows back in; returns samples restored.
 
-        Each ``(node, count, gaps, epoch)`` row lands by pid with the
-        effect :meth:`restore_rows` has for the decoded row: counts, gap
-        counts, gap samples, leaf totals and samples, and a row that
-        restores nothing leaves no trace. The contexts that land are
-        interned straight from the ``(names, nodes)`` trie
-        (:meth:`ContextStore.intern_trie`), so no path is built.
+        Each ``(node, count, gaps, epoch)`` row adds ``count`` to its
+        key's count, leaf total and samples and ``gaps`` to its gap
+        count and gap samples, so restoring a sequence of delta rows
+        (a segment store's) sums them per key, and a checkpoint row
+        (``0 <= gaps <= count``) lands as :meth:`restore_rows` lands
+        its decoded row. A row that restores nothing leaves no trace.
+        The contexts that land are interned straight from the
+        ``(names, nodes)`` trie (:meth:`ContextStore.intern_trie`), so
+        no path is built.
         """
-        landed: List[Tuple[int, int, int, int]] = []
-        for node, count, gaps, epoch in rows:
-            plain = count - gaps
-            gap_weight = gaps if gaps > 0 else 0
-            weight = (plain if plain > 0 else 0) + gap_weight
-            if weight:
-                landed.append((node, epoch, weight, gap_weight))
+        landed = [row for row in rows if row[1] or row[2]]
         ids, name_ids = self.store.intern_trie(
-            names, nodes, [entry[0] for entry in landed]
+            names, nodes, [row[0] for row in landed]
         )
         n_shards = len(self._shards)
         by_shard: Dict[int, List[tuple]] = {}
-        for node, epoch, weight, gap_weight in landed:
+        for node, count, gaps, epoch in landed:
             if node >= 0:
                 pid, leaf = ids[node], name_ids[nodes[2 * node + 1]]
             else:
                 pid, leaf = node, None
             by_shard.setdefault(pid % n_shards, []).append(
-                ((pid, epoch), leaf, weight, gap_weight)
+                ((pid, epoch), leaf, count, gaps)
             )
         for shard_index, entries in by_shard.items():
             shard = self._shards[shard_index]
             with shard.lock:
-                for key, leaf, weight, gap_weight in entries:
-                    shard.counts[key] = shard.counts.get(key, 0) + weight
+                shard.version += 1
+                for key, leaf, count, gaps in entries:
+                    shard.counts[key] = shard.counts.get(key, 0) + count
                     leaf_key = (leaf, key[1])
                     shard.leaf_totals[leaf_key] = (
-                        shard.leaf_totals.get(leaf_key, 0) + weight
+                        shard.leaf_totals.get(leaf_key, 0) + count
                     )
-                    if gap_weight:
+                    if gaps:
                         shard.gap_counts[key] = (
-                            shard.gap_counts.get(key, 0) + gap_weight
+                            shard.gap_counts.get(key, 0) + gaps
                         )
-                        shard.gap_samples += gap_weight
-                    shard.samples += weight
-        return sum(entry[2] for entry in landed)
+                        shard.gap_samples += gaps
+                    shard.samples += count
+        return sum(row[1] for row in landed)
 
     def render(self, min_total: int = 1, max_depth: Optional[int] = None) -> str:
         return self.merged_report().render(

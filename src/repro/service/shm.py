@@ -57,7 +57,11 @@ Layout (all little-endian)::
 
 Mutual exclusion is one ``multiprocessing.Lock`` per lane; both sides
 hold it only for counter arithmetic and ``memoryview`` copies, never
-while sleeping.
+while sleeping. A consumer SIGKILLed inside it leaves it held for good,
+so the producer side (:meth:`ShmLane.push`, :meth:`~ShmLane.request_sync`,
+:meth:`~ShmLane.count_dropped`, :meth:`~ShmLane.close`) waits at most
+:data:`LOCK_WAIT_S` for it and then raises :class:`LaneWedgedError`,
+having changed nothing; the pool rebuilds such a lane.
 """
 
 from __future__ import annotations
@@ -65,13 +69,16 @@ from __future__ import annotations
 import struct
 import time
 import zlib
+from contextlib import contextmanager
 from multiprocessing import shared_memory
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import IngestOverflowError, ServiceError, StoreCorruptionError
 from repro.service.ingest import POLICIES
 
-__all__ = ["ShmLane", "LANE_MAGIC", "LANE_VERSION"]
+__all__ = [
+    "ShmLane", "LaneWedgedError", "LANE_MAGIC", "LANE_VERSION", "LOCK_WAIT_S",
+]
 
 LANE_MAGIC = b"DPLN"
 LANE_VERSION = 1
@@ -97,6 +104,15 @@ _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
 _POLL_S = 0.0005
+
+#: Longest a producer waits for the lane lock, which a healthy consumer
+#: holds for a copy's length.
+LOCK_WAIT_S = 1.0
+
+
+class LaneWedgedError(ServiceError):
+    """The lane's lock stayed held past :data:`LOCK_WAIT_S`: its consumer
+    most likely died inside it. Nothing was changed."""
 
 
 class ShmLane:
@@ -180,6 +196,17 @@ class ShmLane:
     def _slot_off(self, index: int) -> int:
         return _HEADER_SIZE + (index % self.nslots) * self.slot_bytes
 
+    @contextmanager
+    def _producer_lock(self) -> Iterator[None]:
+        if not self._lock.acquire(timeout=LOCK_WAIT_S):
+            raise LaneWedgedError(
+                f"lane {self.name!r}: lock held for over {LOCK_WAIT_S}s"
+            )
+        try:
+            yield
+        finally:
+            self._lock.release()
+
     # -- counters ---------------------------------------------------------
 
     @property
@@ -221,7 +248,7 @@ class ShmLane:
         return self._u32(_OFF_SYNC)
 
     def request_sync(self) -> int:
-        with self._lock:
+        with self._producer_lock():
             gen = self._u32(_OFF_SYNC) + 1
             self._set_u32(_OFF_SYNC, gen)
             return gen
@@ -229,7 +256,7 @@ class ShmLane:
     # -- producer ---------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
+        with self._producer_lock():
             self._set_u32(_OFF_CLOSED, 1)
 
     def push(
@@ -260,7 +287,7 @@ class ShmLane:
             return True
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            with self._lock:
+            with self._producer_lock():
                 if self._u32(_OFF_CLOSED):
                     self._set_u64(
                         _OFF_DROPPED, self._u64(_OFF_DROPPED) + samples
@@ -290,7 +317,7 @@ class ShmLane:
                     )
             # "block": poll outside the lock.
             if deadline is not None and time.monotonic() >= deadline:
-                with self._lock:
+                with self._producer_lock():
                     self._count_drop(samples)
                 return False
             time.sleep(_POLL_S)
@@ -298,7 +325,7 @@ class ShmLane:
     def count_dropped(self, samples: int) -> None:
         """Charge a drop the producer decided on (e.g. a record too
         large for any slot) to this lane's conservation accounting."""
-        with self._lock:
+        with self._producer_lock():
             self._count_drop(samples)
 
     def _count_drop(self, samples: int) -> None:

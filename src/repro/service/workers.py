@@ -23,7 +23,8 @@ Parent/worker contract
   heartbeats and needs no new logic for process stall detection.
 * **Sync**: the parent bumps a generation counter in the lane header;
   the worker acknowledges in its status once it has drained the lane,
-  checkpointed its shards, flushed its segments, and written a heavy
+  checkpointed its shards (with a segment directory: flushed its
+  segments and written a pointer into them), and written a heavy
   status.  ``flush()``/``checkpoint()``/query calls ride this.
 * **Death**: the supervisor detects real process death (pid liveness)
   and calls :meth:`restart_worker` under its existing budgeted-holdoff
@@ -32,13 +33,18 @@ Parent/worker contract
   recorded as consumed beyond what the status accounted are charged to
   ``crash_lost`` (merged into ``dead_lettered``, so the conservation
   law survives a SIGKILL).  The replacement process recovers its own
-  newest checkpoint and rebases its segment writer against its durable
-  segments, so restarts neither double-count nor drop flushed samples.
+  newest checkpoint — with a segment directory, its tree is rebuilt
+  from its own segments, which are its writer's baseline — so restarts
+  neither double-count nor drop flushed samples.
 
-Known limitation: a worker killed *inside* the lane's lock (a
-microseconds-wide memcpy window) wedges the lane.  The supervisor still
-restarts the worker; the restart path detects the wedged lock, rebuilds
-the lane, and charges the stranded queued samples to ``crash_lost``.
+A worker killed *inside* the lane's lock (a microseconds-wide memcpy
+window) wedges the lane.  The supervisor still restarts the worker; the
+restart path detects the wedged lock, rebuilds the lane, and charges the
+stranded queued samples to ``crash_lost``.  The parent never waits on a
+wedged lock for long (:class:`~repro.service.shm.LaneWedgedError`): a
+submit releases the slot's guard so the restart can run, and retries on
+the rebuilt lane until its deadline, past which its part is counted
+dropped.
 """
 
 from __future__ import annotations
@@ -56,8 +62,13 @@ from typing import Dict, List, Optional
 from repro.errors import IngestOverflowError, ServiceError
 from repro.service.batch import SampleBatch
 from repro.service.ingest import WorkerState
+from repro.service.shm import LaneWedgedError
 
 __all__ = ["ProcessWorkerPool", "WorkerSpec", "worker_paths"]
+
+#: How long a submit with no timeout keeps retrying a wedged lane
+#: before it counts its part dropped.
+WEDGED_SUBMIT_S = 10.0
 
 #: Accounting buckets merged across processes (the conservation law's
 #: right-hand side, minus parent-owned ``submitted``/``dropped``).
@@ -198,18 +209,13 @@ def _worker_entry(spec: WorkerSpec, plan, lock) -> None:
         })
 
     def persist_shards() -> None:
+        # With a segment directory: flush, then a pointer into it.
         nonlocal checkpoints
-        encoded = service._encoded_checkpoint()
         try:
-            ckpt.write_encoded(encoded)
+            service._checkpoint_into(ckpt)
             checkpoints += 1
-        except Exception:  # noqa: BLE001 - counted by the store
+        except Exception:  # noqa: BLE001 - counted; next cadence retries
             pass
-        if service._segments is not None:
-            try:
-                service.flush_segments()
-            except Exception:  # noqa: BLE001 - next cadence retries
-                pass
 
     def heartbeat() -> None:
         try:
@@ -432,38 +438,64 @@ class ProcessWorkerPool:
         ``backpressure="error"`` a full lane counts its part dropped and
         the other parts are still pushed; the first overflow is raised
         once every part has landed.
+
+        A wedged lane (its consumer died holding the lock) is retried,
+        with the slot's guard released between attempts so the
+        supervisor can rebuild it, until ``timeout`` (or
+        :data:`WEDGED_SUBMIT_S`) runs out; then what is left of the part
+        counts dropped.
         """
         if self._closed:
             return 0
+        deadline = time.monotonic() + (
+            WEDGED_SUBMIT_S if timeout is None else timeout
+        )
         accepted = 0
         overflows: List[IngestOverflowError] = []
+        capacity = self._lanes[0].capacity_bytes
         for slot, part in enumerate(batch.split_by_node(self.nworkers)):
             if not len(part):
                 continue
-            with self._guards[slot]:
-                accepted += self._push(
-                    self._lanes[slot], part, timeout, overflows
-                )
+            records = self._records(part, capacity)
+            while records:
+                with self._guards[slot]:
+                    lane = self._lanes[slot]
+                    try:
+                        while records:
+                            payload, samples = records[0]
+                            accepted += self._push(
+                                lane, payload, samples, timeout, overflows
+                            )
+                            records.pop(0)
+                    except LaneWedgedError:
+                        if time.monotonic() >= deadline:
+                            self._slots[slot]["lane_base"]["dropped"] += sum(
+                                samples for _payload, samples in records
+                            )
+                            records = []
+                if records:
+                    time.sleep(0.01)
         if overflows:
             raise overflows[0]
         return accepted
 
-    def _push(self, lane, part: SampleBatch, timeout, overflows) -> int:
+    def _records(self, part: SampleBatch, capacity: int) -> List[tuple]:
+        """``part`` as ``(payload, samples)`` DPSB records that each fit
+        a lane slot, halving it as needed; a lone sample too large for
+        any slot is ``(None, 1)``."""
         payload = part.to_bytes()
-        samples = len(part)
-        if len(payload) > lane.capacity_bytes:
-            if samples <= 1:
-                lane.count_dropped(samples)
-                return 0
-            half = samples // 2
-            rows = list(part)
-            return self._push(
-                lane, SampleBatch.from_samples(rows[:half]), timeout,
-                overflows,
-            ) + self._push(
-                lane, SampleBatch.from_samples(rows[half:]), timeout,
-                overflows,
-            )
+        if len(payload) <= capacity or len(part) <= 1:
+            return [(payload if len(payload) <= capacity else None, len(part))]
+        rows = list(part)
+        half = len(rows) // 2
+        return self._records(
+            SampleBatch.from_samples(rows[:half]), capacity
+        ) + self._records(SampleBatch.from_samples(rows[half:]), capacity)
+
+    def _push(self, lane, payload, samples: int, timeout, overflows) -> int:
+        if payload is None:
+            lane.count_dropped(samples)
+            return 0
         try:
             pushed = lane.push(
                 payload, samples,
@@ -608,9 +640,10 @@ class ProcessWorkerPool:
 
         Dead-and-not-yet-restarted workers are sealed and skipped —
         their loss is already accounted, waiting on them would be
-        waiting on a corpse.  Returns False on timeout.
+        waiting on a corpse.  A lane rebuilt meanwhile, or wedged when
+        asked, is asked again.  Returns False on timeout.
         """
-        goals = [lane.request_sync() for lane in self._lanes]
+        goals: List[tuple] = [(None, 0)] * self.nworkers
         deadline = time.monotonic() + timeout
         while True:
             pending = False
@@ -619,13 +652,19 @@ class ProcessWorkerPool:
                 if proc is None or not proc.is_alive():
                     self._seal(slot)
                     continue
-                if len(self._lanes[slot]):
+                lane = self._lanes[slot]
+                if goals[slot][0] is not lane:
+                    goals[slot] = (lane, self._request_sync(lane))
+                goal = goals[slot][1]
+                if goal is None:
+                    goals[slot] = (None, 0)  # wedged when asked: ask again
+                if goal is None or len(lane):
                     pending = True
                     continue
                 status = _read_json(st["paths"]["status"]) or {}
                 if (
                     status.get("generation") != st["generation"]
-                    or status.get("sync", 0) < goals[slot]
+                    or status.get("sync", 0) < goal
                 ):
                     pending = True
             if not pending:
@@ -633,6 +672,13 @@ class ProcessWorkerPool:
             if time.monotonic() >= deadline:
                 return False
             time.sleep(0.003)
+
+    @staticmethod
+    def _request_sync(lane) -> Optional[int]:
+        try:
+            return lane.request_sync()
+        except LaneWedgedError:
+            return None
 
     def flush(self, timeout: float = 30.0) -> bool:
         return self.sync(timeout=timeout)
@@ -645,8 +691,10 @@ class ProcessWorkerPool:
             # held for good, and nothing consumes the lane any more:
             # skip it rather than block shutdown on it
             # (:meth:`drain_leftovers` rebuilds a wedged lane).
-            if self._lane_usable(lane):
+            try:
                 lane.close()
+            except LaneWedgedError:
+                pass
 
     def join(self, timeout: float = 30.0) -> None:
         deadline = time.monotonic() + timeout

@@ -1,11 +1,16 @@
-"""SegmentWriter: delta flushing, determinism, rebase after recovery."""
+"""SegmentWriter: delta flushing, determinism, restore after recovery."""
 
 import os
+import shutil
+import sys
+import threading
 
 import pytest
 
+from repro.errors import CheckpointError
 from repro.query.engine import QueryEngine
 from repro.query.writer import SegmentWriter
+from repro.resilience.checkpoint import CheckpointPointer, CheckpointState
 from repro.service.shards import ShardedContextTree
 
 
@@ -143,32 +148,6 @@ class TestDecodesOnlyChangedContexts:
         seg = QueryEngine(str(tmp_path)).refresh().segments()[-1]
         assert seg.rows == tuple(sorted((p, 1, 0, 0) for p in touched))
 
-    def test_rebase_remainder_decodes_only_unbaselined_keys(self, tmp_path):
-        # Rows a rebase could not map to a pid wait in the remainder;
-        # while it holds anything, a flush decodes the keys missing
-        # from the integer baseline, and only those.
-        tree, writer, clock = make_writer(tmp_path)
-        for i in range(20):
-            tree.add(("m", f"c{i}"), epoch=0, weight=2)
-        writer.rebase(list(tree.rows()) + [(("m", "late"), 3, 0, 0)])
-        assert len(writer._remainder) == 1
-        tree.add(("m", "late"), epoch=0, weight=5)
-        tree.add(("m", "new"), epoch=0, weight=1)
-        tree.add(("m", "c3"), epoch=0, weight=1)
-        calls = self.spy_on_decode(tree)
-        clock[0] = 110.0
-        writer.flush()
-        assert [sorted(call) for call in calls] == [sorted(
-            tree.store.lookup(path) for path in (("m", "late"), ("m", "new"))
-        )]
-        assert writer._remainder == {}
-        seg = QueryEngine(str(tmp_path)).refresh().segments()[-1]
-        assert seg.rows == (
-            (("m", "c3"), 1, 0, 0),
-            (("m", "late"), 2, 0, 0),
-            (("m", "new"), 1, 0, 0),
-        )
-
     def test_unchanged_tree_decodes_nothing(self, tmp_path):
         tree, writer, clock = make_writer(tmp_path)
         for i in range(50):
@@ -177,6 +156,115 @@ class TestDecodesOnlyChangedContexts:
         calls = self.spy_on_decode(tree)
         assert writer.flush() is None
         assert calls == []
+
+
+class TestFlushReadsOnlyWrittenShards:
+    """A flush reads the counts of the shards written since the last
+    written flush: one that finds nothing new reads no count at all."""
+
+    def spy_on_rows(self, tree):
+        read = []
+        real = tree.count_rows_since
+
+        def count_rows_since(versions):
+            now, rows = real(versions)
+            read.append(len(rows))
+            return now, rows
+
+        tree.count_rows_since = count_rows_since
+        return read
+
+    def test_empty_flush_reads_no_counts(self, tmp_path):
+        tree, writer, clock = make_writer(tmp_path, ShardedContextTree(8))
+        for i in range(200):
+            tree.add(("m", f"c{i}"), epoch=i % 2, weight=1 + i % 3)
+        writer.flush()
+        read = self.spy_on_rows(tree)
+        assert writer.flush() is None
+        assert writer.flush() is None
+        assert read == [0, 0]
+
+    def test_flush_reads_only_the_written_shards(self, tmp_path):
+        tree, writer, clock = make_writer(tmp_path, ShardedContextTree(8))
+        for i in range(200):
+            tree.add(("m", f"c{i}"), epoch=0, weight=1)
+        writer.flush()
+        tree.add(("m", "c7"), epoch=0, weight=4)
+        pid = tree.store.lookup(("m", "c7"))
+        in_shard = sum(
+            1 for key, _count, _gaps in tree.count_rows()
+            if key[0] % 8 == pid % 8
+        )
+        read = self.spy_on_rows(tree)
+        clock[0] = 110.0
+        writer.flush()
+        assert read == [in_shard] and in_shard < 200
+        seg = QueryEngine(str(tmp_path)).refresh().segments()[-1]
+        assert seg.rows == ((("m", "c7"), 4, 0, 0),)
+
+    def test_a_write_landing_right_after_the_read_is_not_skipped(
+        self, tmp_path
+    ):
+        # The versions a flush records must be the ones its counts were
+        # read at: an add that lands the moment the flush lets go of
+        # the shard lock goes out with the next flush.
+        tree, writer, clock = make_writer(tmp_path, ShardedContextTree(1))
+        tree.add(("a",), epoch=0, weight=1)
+        shard = tree._shards[0]
+        real = shard.lock
+        pending = [lambda: tree.add(("b",), epoch=0, weight=2)]
+
+        class WriteOnRelease:
+            def __enter__(self):
+                real.acquire()
+
+            def __exit__(self, *exc_info):
+                real.release()
+                if pending:
+                    pending.pop()()
+
+        shard.lock = WriteOnRelease()
+        clock[0] = 110.0
+        writer.flush()
+        shard.lock = real
+        clock[0] = 120.0
+        assert writer.flush() is not None
+        engine = QueryEngine(str(tmp_path)).refresh()
+        assert engine.top_contexts(5) == [(2, ("b",)), (1, ("a",))]
+
+    def test_concurrent_adds_are_never_skipped(self, tmp_path):
+        # Ingest threads keep adding while flushes run: a flush that
+        # recorded a shard version newer than the counts it read would
+        # skip those adds forever. Everything added must reach a
+        # segment by the last flush.
+        tree, writer, clock = make_writer(tmp_path, ShardedContextTree(3))
+        paths = [("m", f"f{i % 5}", f"c{i}") for i in range(40)]
+
+        def ingest(seed):
+            for i in range(3000):
+                tree.add(paths[(seed * 7 + i) % 40], epoch=0, weight=1)
+
+        threads = [
+            threading.Thread(target=ingest, args=(seed,)) for seed in range(4)
+        ]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                clock[0] += 1.0
+                writer.flush()
+        finally:
+            sys.setswitchinterval(old)
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        clock[0] += 1.0
+        writer.flush()
+        engine = QueryEngine(str(tmp_path)).refresh()
+        assert sum(engine.function_totals(leaf_only=True).values()) == 12000
+        assert engine.top_contexts(40) == tree.top_contexts(40)
 
 
 class TestDeterminism:
@@ -194,6 +282,23 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+def recovered_writer(tmp_path, beyond=()):
+    """A restarted process: a fresh tree rebuilt from the directory by a
+    fresh writer, with full checkpoints ``beyond`` found beside it."""
+    recovered = ShardedContextTree(2)
+    clock2 = [200.0]
+    writer2 = SegmentWriter(
+        recovered, str(tmp_path), fingerprint="fp", clock=lambda: clock2[0]
+    )
+    writer2.store.refresh()
+    writer2.restore(beyond=[state.encode() for state in beyond])
+    return recovered, writer2, clock2
+
+
+def full_checkpoint(*rows):
+    return CheckpointState(epoch=0, fingerprint="fp", rows=rows)
+
+
 class TestRebase:
     def test_rebase_prevents_double_count(self, tmp_path):
         tree, writer, clock = make_writer(tmp_path)
@@ -201,16 +306,10 @@ class TestRebase:
         clock[0] = 110.0
         writer.flush()
 
-        # "crash + recover": a fresh tree restored from a checkpoint of
-        # the same rows, and a fresh writer rebased onto it.
-        recovered = ShardedContextTree(2)
-        recovered.restore_rows(tree.rows())
-        clock2 = [200.0]
-        writer2 = SegmentWriter(
-            recovered, str(tmp_path), fingerprint="fp",
-            clock=lambda: clock2[0],
-        )
-        writer2.rebase(recovered.rows())
+        # "crash + recover": a fresh tree rebuilt from the segments,
+        # and a fresh writer whose baseline is that tree.
+        recovered, writer2, clock2 = recovered_writer(tmp_path)
+        assert recovered.rows() == tree.rows()
         assert writer2.flush() is None  # recovered counts are not new
         recovered.add(("a", "b"), epoch=0, weight=1)
         clock2[0] = 210.0
@@ -230,8 +329,8 @@ class TestRebase:
 
 class TestCrashWindows:
     """The worker-crash windows inside flush(): durable-but-raised
-    appends are salvaged, and a reconciled baseline clamps instead of
-    re-emitting or going negative."""
+    appends are salvaged, and a full checkpoint found beside the store
+    neither re-emits what the store holds nor drops what it missed."""
 
     def test_durable_but_raised_append_is_salvaged(self, tmp_path):
         tree, writer, clock = make_writer(tmp_path)
@@ -259,26 +358,21 @@ class TestCrashWindows:
         assert engine.top_contexts(5) == [(5, ("a", "b"))]
 
     def test_reconciled_baseline_clamps_when_store_is_ahead(self, tmp_path):
-        # Segments outlived the checkpoint: the store holds 5, the
-        # recovered tree only 3.  Nothing may be re-emitted, and the
-        # 2-sample deficit must not produce a negative row.
+        # Segments outlived the checkpoint: the store holds 5, the full
+        # checkpoint only 3.  The store wins: nothing is re-emitted, and
+        # the 2-sample deficit produces no negative row.
         tree, writer, clock = make_writer(tmp_path)
         tree.add(("a", "b"), epoch=0, weight=5)
         clock[0] = 110.0
         writer.flush()
 
-        recovered = ShardedContextTree(2)
-        recovered.add(("a", "b"), epoch=0, weight=3)
-        clock2 = [200.0]
-        writer2 = SegmentWriter(
-            recovered, str(tmp_path), fingerprint="fp",
-            clock=lambda: clock2[0],
+        recovered, writer2, clock2 = recovered_writer(
+            tmp_path, [full_checkpoint((("a", "b"), 3, 0, 0))]
         )
-        writer2.rebase(recovered.rows(), reconcile_store=True)
-        assert writer2.flush() is None  # clamped: store already ahead
-        # The tree catches back up past the durable count: only the
-        # genuinely new sample goes out.
-        recovered.add(("a", "b"), epoch=0, weight=3)
+        assert recovered.rows() == [(("a", "b"), 5, 0, 0)]
+        assert writer2.flush() is None
+        # Only the genuinely new sample goes out.
+        recovered.add(("a", "b"), epoch=0, weight=1)
         clock2[0] = 210.0
         assert writer2.flush() is not None
         engine = QueryEngine(str(tmp_path)).refresh()
@@ -287,40 +381,28 @@ class TestCrashWindows:
     def test_reconcile_emits_checkpointed_counts_segments_missed(
         self, tmp_path
     ):
-        # Checkpoint outlived the segments: the tree recovered 5 but
-        # only 3 ever reached a segment.  The next flush must emit the
-        # missing 2 — recovery may not drop them.
+        # Checkpoint outlived the segments: it holds 5 but only 3 ever
+        # reached a segment.  The next flush must emit the missing 2 —
+        # recovery may not drop them.
         tree, writer, clock = make_writer(tmp_path)
         tree.add(("a", "b"), epoch=0, weight=3)
         clock[0] = 110.0
         writer.flush()
 
-        recovered = ShardedContextTree(2)
-        recovered.add(("a", "b"), epoch=0, weight=5)
-        clock2 = [200.0]
-        writer2 = SegmentWriter(
-            recovered, str(tmp_path), fingerprint="fp",
-            clock=lambda: clock2[0],
+        recovered, writer2, clock2 = recovered_writer(
+            tmp_path, [full_checkpoint((("a", "b"), 5, 2, 0))]
         )
-        writer2.rebase(recovered.rows(), reconcile_store=True)
+        assert recovered.rows() == [(("a", "b"), 5, 2, 0)]
         clock2[0] = 210.0
         assert writer2.flush() is not None
         engine = QueryEngine(str(tmp_path)).refresh()
         assert engine.top_contexts(5) == [(5, ("a", "b"))]
-
-    def test_plain_rebase_falls_back_to_rows(self, tmp_path):
-        # reconcile_store=True with an unreadable store falls back to
-        # the passed rows instead of dying mid-recovery.
-        tree, writer, clock = make_writer(tmp_path)
-        tree.add(("a",), epoch=0, weight=2)
-        writer._store_cumulative = lambda: None
-        writer.rebase(tree.rows(), reconcile_store=True)
-        assert writer.flush() is None  # rows adopted as the baseline
+        assert engine.ucp_stats()["gap_samples"] == 2
 
 
 class TestRebaseGenerationGuard:
-    """Satellite regression: rows captured before a compaction must
-    not be adopted as a baseline after one."""
+    """A pointer into the store must not be honoured by a store that
+    reaches less far: a compaction it records that the store lost."""
 
     def _compact(self, tmp_path):
         from repro.query.compact import Compactor
@@ -328,40 +410,46 @@ class TestRebaseGenerationGuard:
         store = SegmentStore(str(tmp_path))
         return Compactor(store).compact(now=1000.0, force=True)
 
-    def test_stale_generation_is_rejected(self, tmp_path):
-        import pytest
-
-        from repro.errors import QueryError
-
+    def _two_segments(self, tmp_path):
         tree, writer, clock = make_writer(tmp_path)
         tree.add(("a", "b"), epoch=0, weight=3)
         writer.flush()
         clock[0] = 110.0
         tree.add(("a", "c"), epoch=0, weight=2)
         writer.flush()
-        captured = tree.rows()  # snapshotted at generation 0
+        return tree
 
-        assert self._compact(tmp_path)["to_generation"] == 1
-        with pytest.raises(QueryError, match="compacted to generation"):
-            writer.rebase(captured, expected_generation=0)
+    def _pointer(self, tmp_path):
+        from repro.query.manifest import SegmentStore
+        return CheckpointPointer(
+            epoch=0, fingerprint="fp", **SegmentStore(str(tmp_path)).position()
+        )
+
+    def test_stale_generation_is_rejected(self, tmp_path):
+        store_dir = tmp_path / "seg"
+        self._two_segments(store_dir)
+        shutil.copytree(store_dir, tmp_path / "before")
+        assert self._compact(store_dir)["to_generation"] == 1
+        pointer = self._pointer(store_dir)
+        assert pointer.generation == 1
+
+        # The store, put back as it was before the compaction, holds the
+        # same samples at an older generation and seq.
+        shutil.rmtree(store_dir)
+        shutil.copytree(tmp_path / "before", store_dir)
+        recovered, writer2, clock2 = recovered_writer(store_dir)
+        with pytest.raises(CheckpointError, match="generation 1"):
+            pointer.check_covered("ckpt", writer2.store)
 
     def test_current_generation_is_accepted(self, tmp_path):
-        tree, writer, clock = make_writer(tmp_path)
-        tree.add(("a", "b"), epoch=0, weight=3)
-        writer.flush()
-        clock[0] = 110.0
-        tree.add(("a", "c"), epoch=0, weight=2)
-        writer.flush()
-
+        tree = self._two_segments(tmp_path)
         report = self._compact(tmp_path)
-        # rows re-captured against the compacted store are fine
-        writer.rebase(
-            tree.rows(),
-            reconcile_store=True,
-            expected_generation=report["to_generation"],
-        )
-        clock[0] = 120.0
-        assert writer.flush() is None  # nothing new to emit
+        pointer = self._pointer(tmp_path)
+        assert pointer.generation == report["to_generation"]
+        recovered, writer2, clock2 = recovered_writer(tmp_path)
+        pointer.check_covered("ckpt", writer2.store)
+        assert recovered.rows() == tree.rows()
+        assert writer2.flush() is None  # nothing new to emit
         engine = QueryEngine(str(tmp_path)).refresh()
         assert engine.top_contexts(5) == [
             (3, ("a", "b")), (2, ("a", "c")),

@@ -5,13 +5,17 @@ spirit: every flush decodes every retained context through
 ``tree.rows()``, diffs the whole snapshot against a ``(path, epoch)``
 baseline and copies that baseline forward, sorts the delta by
 ``(path, epoch)`` and encodes it with ``delta_encode_rows``
-(:meth:`SegmentState.encode`), and ``rebase`` adopts path-keyed rows
-as they come. The writer now diffs integer ``(pid, epoch)`` counts and
-writes the moved keys straight from the context trie
-(``ContextStore.encode_counted``), decoding no path. Both share one
-tree and one fixed clock over seeded interleavings of ingest, flushes,
-crashes, salvage, rebases, recoveries and retention; their segment
-files must stay byte-identical and their counters equal.
+(:meth:`SegmentState.encode`). Its recovery sums the directory's
+segment and retired rows by path, and adds, per path, what a full
+checkpoint found beside them holds beyond that. The writer now diffs
+integer ``(pid, epoch)`` counts of the shards written since its last
+flush, writes the moved keys straight from the context trie
+(``ContextStore.encode_counted``), and rebuilds a recovered tree
+through each segment's trie, decoding no path. Both share one tree and
+one fixed clock over seeded interleavings of ingest, flushes, crashes,
+salvage, restarts and retention; the restored tree must equal the
+reference's sums, their segment files must stay byte-identical and
+their counters equal.
 """
 
 import os
@@ -23,6 +27,7 @@ from repro.query.compact import CompactionPolicy, Compactor, RetentionPolicy
 from repro.query.manifest import SegmentStore
 from repro.query.segment import SegmentState
 from repro.query.writer import SegmentWriter
+from repro.resilience.checkpoint import CheckpointState
 from repro.service.shards import ShardedContextTree
 
 FUNCTIONS = ("main", "parse", "lex", "emit", "opt", "gc", "io")
@@ -44,8 +49,8 @@ def path_cumulative(rows):
 class ReferenceWriter(SegmentWriter):
     """Decode everything, diff everything, copy the baseline forward.
 
-    ``_baseline`` holds ``(path, epoch)`` keys here; ``_salvage`` and
-    ``_store_cumulative`` are shared with the writer under test.
+    ``_baseline`` holds ``(path, epoch)`` keys here; ``_salvage`` is
+    shared with the writer under test.
     """
 
     def flush(self, fault=None):
@@ -87,13 +92,31 @@ class ReferenceWriter(SegmentWriter):
             self.flushes += 1
             return path
 
-    def rebase(self, rows, *, reconcile_store=False, expected_generation=None):
+    def recover(self, checkpoints):
+        """The recovered tree's ``(path, epoch)`` counts: the store's
+        live and retired rows summed, and per key what ``checkpoints``
+        (path rows) hold beyond that. The store's sums become the
+        baseline."""
+        self.store.refresh()
+        held = path_cumulative(
+            row for seg in self.store.segments() for row in seg.rows
+        )
+        for key, (count, gaps) in self.store.retired_totals().items():
+            prev = held.get(key, (0, 0))
+            held[key] = (prev[0] + count, prev[1] + gaps)
+        want = dict(held)
+        for rows in checkpoints:
+            for key, (count, gaps) in path_cumulative(rows).items():
+                have_count, have_gaps = want.get(key, (0, 0))
+                if count > have_count:
+                    more = count - have_count
+                    want[key] = (
+                        count, have_gaps + min(more, max(0, gaps - have_gaps))
+                    )
         with self._lock:
-            baseline = self._store_cumulative() if reconcile_store else None
-            self._baseline = (
-                baseline if baseline is not None else path_cumulative(rows)
-            )
+            self._baseline = held
             self._window_start = self._clock()
+        return want
 
 
 # ----------------------------------------------------------------------
@@ -122,10 +145,21 @@ class Twin:
     def __init__(self, root, tree):
         self.clock = [100.0]
         self.dirs = (os.path.join(root, "new"), os.path.join(root, "ref"))
+        self.retired_writers = []
+        self.writers = ()
         self.attach(tree)
+
+    def total(self, stat):
+        """``stat`` of the writer under test, summed over restarts."""
+        return sum(
+            getattr(writers[0], stat)
+            for writers in self.retired_writers + [self.writers]
+        )
 
     def attach(self, tree):
         """Fresh writers over the same directories: a process restart."""
+        if self.writers:
+            self.retired_writers.append(self.writers)
         self.writers = tuple(
             cls(tree, directory, fingerprint="fp",
                 clock=lambda: self.clock[0])
@@ -196,8 +230,26 @@ class Twin:
         self.tick()
         return self.both(land_then_raise)
 
-    def rebase(self, rows, **kwargs):
-        return self.both(lambda w: w.rebase(list(rows), **kwargs))
+    def restart(self, shards, checkpoints=()):
+        """A process restart: fresh writers over the same directories, a
+        fresh tree the writer under test rebuilds from its directory
+        (with full ``checkpoints`` of path rows beside it), equal to the
+        reference's sums. Returns the tree."""
+        tree = ShardedContextTree(shards)
+        self.attach(tree)
+        new, ref = self.writers
+        want = ref.recover(checkpoints)
+        new.store.refresh()
+        contexts = len(tree.store)
+        new.restore(beyond=[
+            CheckpointState(epoch=0, fingerprint="fp", rows=tuple(rows)).encode()
+            for rows in checkpoints
+        ])
+        assert len(tree.store) >= contexts
+        got = path_cumulative(tree.rows())
+        assert got == {key: v for key, v in want.items() if v != (0, 0)}
+        self.check()
+        return tree
 
     def compact(self, retention=None):
         policy = CompactionPolicy(
@@ -225,29 +277,28 @@ def ingest(tree, rng, pool, n):
 
 
 def perturbed(rows, rng, extra=()):
-    """Rows a plain ``rebase`` adopts that differ from the tree: counts
-    and gap counts nudged both ways (so later flushes see count-only,
-    gap-only and clamped moves), rows dropped, and rows for paths the
-    tree has not interned."""
+    """A full checkpoint found beside the store that differs from it:
+    counts and gap counts nudged both ways (a checkpoint older or newer
+    than the segments per key), rows dropped, and rows for paths no
+    segment holds (one row per key, as a checkpoint holds them)."""
     out = []
+    extra = [path for path in extra if path not in {row[0] for row in rows}]
     for path, count, gaps, epoch in rows:
         if rng.random() < 0.15:
             continue
-        out.append((
-            path,
-            max(0, count + rng.randint(-2, 1)),
-            max(0, gaps + rng.randint(-2, 1)),
-            epoch,
-        ))
+        count = max(0, count + rng.randint(-2, 1))
+        gaps = min(count, max(0, gaps + rng.randint(-2, 1)))
+        out.append((path, count, gaps, epoch))
     for path in extra:
-        out.append((path, rng.randint(1, 4), rng.randint(0, 2), rng.choice((0, 1))))
+        count = rng.randint(1, 4)
+        out.append((path, count, rng.randint(0, min(2, count)), rng.choice((0, 1))))
     return out
 
 
 # ----------------------------------------------------------------------
 # Interleavings
 # ----------------------------------------------------------------------
-OPS = ("ingest", "flush", "empty", "crash", "salvage", "rebase", "zero")
+OPS = ("ingest", "flush", "empty", "crash", "salvage", "restart", "zero")
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -274,30 +325,31 @@ def test_seeded_interleavings(tmp_path, seed):
         elif op == "salvage":
             ingest(tree, rng, interned, 3)
             twin.salvaged_flush()
-        elif op == "rebase":
-            twin.rebase(perturbed(tree.rows(), rng, rng.sample(held_back, 3)))
+        elif op == "restart":
+            checkpoint = perturbed(tree.rows(), rng, rng.sample(held_back, 3))
+            tree = twin.restart(rng.choice((1, 2, 4)), [checkpoint])
         elif op == "zero":
             tree.add(rng.choice(pool), weight=0, epoch=rng.choice((0, 1)))
             if rng.random() < 0.5:
                 ingest(tree, rng, interned, 2)
-    # Held-back paths arrive last, so every remainder entry is consulted.
+    # Held-back paths arrive last, on top of what a checkpoint added.
     ingest(tree, rng, pool, 60)
     twin.flush()
     twin.flush()
-    assert twin.writers[0].salvaged_flushes >= 1
-    assert twin.writers[0].empty_flushes >= 1
+    assert twin.total("salvaged_flushes") >= 1
+    assert twin.total("empty_flushes") >= 1
 
 
-def restored(rows, rng, drop_paths):
-    """A recovered tree: a checkpoint older or newer than the segments
-    per key, missing ``drop_paths`` entirely."""
-    tree = ShardedContextTree(2)
+def older_or_newer(rows, rng, drop_paths):
+    """A full checkpoint older or newer than the segments per key,
+    missing ``drop_paths`` entirely."""
+    out = []
     for path, count, gaps, epoch in rows:
         if path in drop_paths:
             continue
         count = max(0, count + rng.choice((-3, -1, 0, 0, 2)))
-        tree.restore_rows([(path, count, min(gaps, count), epoch)])
-    return tree
+        out.append((path, count, min(gaps, count), epoch))
+    return out
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -312,18 +364,22 @@ def test_reconcile_store_ahead_behind_and_uninterned(tmp_path, seed):
     ingest(tree, rng, pool, 10)  # never flushed: the tree runs ahead
     rows = tree.rows()
     drop = set(rng.sample(sorted({row[0] for row in rows}), 4))
-    recovered = restored(rows, rng, drop)
-    twin.attach(recovered)
-    contexts = len(recovered.store)
-    twin.rebase(recovered.rows(), reconcile_store=True)
-    assert len(recovered.store) == contexts, "rebase interned a path"
-    waiting = len(twin.writers[0]._remainder)
-    assert waiting, "no durable path was missing from the recovered tree"
+    checkpoint = older_or_newer(rows, rng, drop)
+    flushed = path_cumulative(
+        row for seg in SegmentStore(twin.dirs[0]).refresh() for row in seg.rows
+    )
+    ahead = [r for r in checkpoint if r[1] > flushed.get((r[0], r[3]), (0,))[0]]
+    behind = [r for r in checkpoint if r[1] < flushed.get((r[0], r[3]), (0,))[0]]
+    assert ahead and behind, "the checkpoint is not both ahead and behind"
+    tree = twin.restart(2, [checkpoint])
+    # What ran ahead of the segments goes out with the next flush,
+    # and nothing the store holds comes out again.
+    assert twin.flush()[1] is not None
+    assert twin.flush()[1] is None
     for _ in range(5):
-        ingest(recovered, rng, pool, 20)
+        ingest(tree, rng, pool, 20)
         twin.flush()
         twin.flush()
-    assert len(twin.writers[0]._remainder) < waiting
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -343,16 +399,18 @@ def test_retired_totals_after_retention(tmp_path, seed):
         store.refresh()
         retired.append(store.retired_totals())
     assert retired[0] and retired[0] == retired[1]
-    # Recover from a checkpoint of the full tree: the retired rows must
-    # not come back out, and only post-recovery traffic is written.
-    recovered = restored(tree.rows(), random.Random(seed), set())
-    twin.attach(recovered)
-    twin.rebase(recovered.rows(), reconcile_store=True)
+    # Recover beside a checkpoint of the full tree: the retired rows
+    # come back into the tree, not out into a segment, and only
+    # post-recovery traffic is written.
+    before = path_cumulative(row for row in tree.rows() if row[1])
+    tree = twin.restart(2, [tree.rows()])
+    assert path_cumulative(tree.rows()) == before
+    assert twin.flush()[1] is None
     for _ in range(3):
-        ingest(recovered, rng, pool, 15)
+        ingest(tree, rng, pool, 15)
         twin.flush()
     twin.compact()
-    ingest(recovered, rng, pool, 15)
+    ingest(tree, rng, pool, 15)
     twin.flush()
 
 
@@ -360,8 +418,8 @@ def test_retired_totals_after_retention(tmp_path, seed):
 def test_flush_sections_equal_delta_encode_rows(tmp_path, seed):
     """Every flush hands the store the names, nodes and rows that
     ``delta_encode_rows`` makes of the same delta sorted by (path,
-    epoch): with the empty context, gap rows, a zero-clamped row (no
-    new samples, new gap crossings) and two epochs among them."""
+    epoch): with the empty context, gap rows and two epochs among
+    them."""
     rng = random.Random(3000 + seed)
     pool = make_pool(rng)
     tree = ShardedContextTree(rng.choice((1, 2, 4)))
@@ -378,16 +436,6 @@ def test_flush_sections_equal_delta_encode_rows(tmp_path, seed):
     for round_ in range(5):
         ingest(tree, rng, pool, 25)
         tree.add((), has_gaps=True, weight=2, epoch=round_ % 2)
-        if round_ == 2:
-            # A baseline ahead of the tree on one key's count: its next
-            # delta clamps the count to zero and keeps the gaps.
-            rows = tree.rows()
-            ahead = rows[rng.randrange(len(rows))]
-            twin.rebase([
-                (row[0], row[1] + 5, row[2], row[3]) if row is ahead else row
-                for row in rows
-            ])
-            tree.add(ahead[0], has_gaps=True, weight=2, epoch=ahead[3])
         twin.flush()
     assert len(sent[0]) == len(sent[1]) == 5
     delta_rows = []
@@ -398,5 +446,4 @@ def test_flush_sections_equal_delta_encode_rows(tmp_path, seed):
         delta_rows.extend(new.rows)
     assert any(pid == -1 for pid, _c, _g, _e in delta_rows)
     assert any(gaps > 0 for _p, _c, gaps, _e in delta_rows)
-    assert any(count == 0 and gaps > 0 for _p, count, gaps, _e in delta_rows)
     assert {epoch for _p, _c, _g, epoch in delta_rows} == {0, 1}

@@ -8,13 +8,24 @@ their intern order (``"Zeta"`` is interned after ``"alpha"``). The store
 seals a block every four trie nodes, so writing it reads sealed,
 compressed blocks. Any change to the writer that moves a byte fails
 here; ``golden/v1.dpck`` pins that version-1 files still load.
+
+``golden/v3.dpck`` is the pointer the same tree checkpoints to when the
+service has a segment store: the writer flushes the tree into segment 1
+of a fresh directory, then records generation 0, seq 1 and 26 samples.
 """
 
 import hashlib
 import os
 import shutil
 
-from repro.resilience.checkpoint import CheckpointStore
+import pytest
+
+from repro.resilience.checkpoint import (
+    CheckpointPointer,
+    CheckpointStore,
+    plan_fingerprint,
+)
+from repro.errors import CheckpointError
 from repro.runtime.plan import build_plan_from_graph
 from repro.service import ContextService, ServiceConfig
 from repro.service.shards import ShardedContextTree
@@ -24,6 +35,7 @@ from repro.workloads.paperfigures import figure5_graph
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 V2_SHA256 = "5afa25405df97fbe7eb471b7330c4308a0ff6553ab448884fff40e70aa21bd2a"
 V1_SHA256 = "365b30cb0c4540b0d1bdc1412f6774f69920db712b1290ff3c1d4b6be531f2a3"
+V3_SHA256 = "bc208f2e4d31bdb49fe7337b654672229736deac518a01b3ae6224830b3598f6"
 
 #: (path, has_gaps, weight, epoch) in the order they are added.
 ADDS = [
@@ -119,3 +131,48 @@ def test_v1_golden_still_loads(tmp_path):
     assert state.epoch == 4
     assert state.fingerprint == "fp-v1"
     assert state.rows == V1_ROWS
+
+
+def test_writer_reproduces_the_v3_golden_pointer(tmp_path):
+    service = ContextService(
+        build_plan_from_graph(figure5_graph()),
+        ServiceConfig(shards=4, segment_dir=str(tmp_path / "seg")),
+    )
+    for path, has_gaps, weight, epoch in ADDS:
+        service.tree.add(path, has_gaps=has_gaps, weight=weight, epoch=epoch)
+    written = service.checkpoint(str(tmp_path / "ckpt"))
+    assert sha256_of(os.path.join(GOLDEN, "v3.dpck")) == V3_SHA256
+    assert sha256_of(written) == V3_SHA256
+    assert os.path.getsize(written) < 1024
+
+
+def test_v3_golden_loads_the_expected_pointer(tmp_path):
+    loaded = CheckpointStore(str(tmp_path)).load_file(
+        os.path.join(GOLDEN, "v3.dpck")
+    )
+    assert loaded == CheckpointPointer(
+        epoch=0,
+        fingerprint=plan_fingerprint(build_plan_from_graph(figure5_graph())),
+        generation=0,
+        seq=1,
+        samples=26,
+    )
+
+
+def test_v3_golden_needs_its_segment_store(tmp_path):
+    shutil.copy(
+        os.path.join(GOLDEN, "v3.dpck"),
+        os.path.join(str(tmp_path), "ckpt-00000001.dpck"),
+    )
+    fresh = ContextService(
+        build_plan_from_graph(figure5_graph()), ServiceConfig(shards=3)
+    )
+    with pytest.raises(CheckpointError, match="segment_dir"):
+        fresh.recover(str(tmp_path))
+    # Beside an empty store it covers more than the store holds.
+    fresh = ContextService(
+        build_plan_from_graph(figure5_graph()),
+        ServiceConfig(shards=3, segment_dir=str(tmp_path / "seg")),
+    )
+    with pytest.raises(CheckpointError, match="26 samples"):
+        fresh.recover(str(tmp_path))

@@ -368,23 +368,3 @@ class TestRecovery:
             key: (count, gaps) for key, count, gaps in fresh.tree.count_rows()
         }
         assert fresh.flush_segments() is None  # nothing re-emitted
-
-    def test_unreadable_store_falls_back_to_the_tree_rows(
-        self, tmp_path, plan, monkeypatch
-    ):
-        seg, ckpt = str(tmp_path / "seg"), str(tmp_path / "ckpt")
-        source = service_with(plan, 8, segment_dir=seg)
-        source.checkpoint(ckpt)  # never flushed: the segments hold nothing
-        fresh = ContextService(plan, ServiceConfig(shards=4, segment_dir=seg))
-
-        def unreadable():
-            raise OSError("segment store unreadable")
-
-        monkeypatch.setattr(fresh._segments.store, "retired_totals", unreadable)
-        fresh.recover(ckpt)
-        monkeypatch.undo()
-        # The fallback adopted the recovered tree's rows as the baseline.
-        assert fresh._segments._baseline == {
-            key: (count, gaps) for key, count, gaps in fresh.tree.count_rows()
-        }
-        assert fresh._segments._remainder == {}

@@ -8,6 +8,7 @@ process boundary.
 """
 
 import os
+import signal
 import threading
 import time
 
@@ -19,7 +20,12 @@ from repro.resilience import ResilienceConfig
 from repro.runtime.agent import DeltaPathProbe
 from repro.runtime.plan import build_plan_from_graph
 from repro.service import ContextService, SampleBatch, ServiceConfig
-from repro.service.workers import ProcessWorkerPool, worker_paths
+from repro.service.batch import node_lane
+from repro.service.workers import (
+    WEDGED_SUBMIT_S,
+    ProcessWorkerPool,
+    worker_paths,
+)
 
 
 def sample_graph():
@@ -239,6 +245,55 @@ class TestCrashRecovery:
             assert service.stop()
         acct = service.accounting()
         assert acct["submitted"] == accounted(acct)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_submit_survives_a_lane_wedged_by_a_dead_holder(
+        self, plan, snapshots
+    ):
+        # A worker dies holding its lane's lock (here: a forked child
+        # takes the lock and SIGKILLs itself, then the worker is
+        # killed). A submit to that lane must not wait on the lock
+        # while holding the slot's guard, which the restart needs to
+        # rebuild the lane: it returns, on the rebuilt lane, in bounded
+        # time, and every sample stays accounted.
+        service = ContextService(
+            plan, ServiceConfig(worker_processes=2, shards=4)
+        ).start()
+        pool = service._procs
+        try:
+            service.submit_batch(mkbatch(snapshots, 20))
+            service.flush(timeout=30)
+            slot = node_lane("e", 2)
+            lock = pool._lanes[slot]._lock
+            holder = os.fork()
+            if holder == 0:  # pragma: no cover - runs in the child
+                try:
+                    lock.acquire()
+                    os.kill(os.getpid(), signal.SIGKILL)
+                finally:
+                    os._exit(1)
+            _pid, status = os.waitpid(holder, 0)
+            assert os.WIFSIGNALED(status)
+            assert pool.kill_worker(slot) is not None
+            # The supervisor's part, once the submit below holds the
+            # guard and waits on the wedged lock.
+            restart = threading.Timer(0.3, pool.restart_worker, (slot,))
+            restart.start()
+            started = time.monotonic()
+            accepted = service.submit_batch(mkbatch(snapshots, 40))
+            assert time.monotonic() - started < WEDGED_SUBMIT_S
+            restart.join(timeout=30)
+            assert not restart.is_alive()
+            assert accepted == 40
+            assert pool.stats()["workers"][slot]["restarts"] == 1
+            service.flush(timeout=30)
+            acct = service.accounting()
+            assert acct["submitted"] == accounted(acct) == 60
+            assert acct["aggregated"] == 60
+        finally:
+            assert service.stop()
+        acct = service.accounting()
+        assert acct["submitted"] == accounted(acct) == 60
 
     def test_restart_worker_recovers_own_checkpoint(self, plan, snapshots,
                                                     tmp_path):

@@ -27,6 +27,7 @@ TESTS = os.path.dirname(__file__)
 
 #: golden file -> its format
 GOLDEN = {
+    os.path.join("resilience", "golden", "v3.dpck"): "checkpoint",
     os.path.join("resilience", "golden", "v2.dpck"): "checkpoint",
     os.path.join("resilience", "golden", "v1.dpck"): "checkpoint",
     os.path.join("query", "golden", "v3.dpqs"): "segment",
