@@ -40,7 +40,7 @@ from repro.bench.reporting import (
 from repro.query.engine import QueryEngine
 from repro.query.flamegraph import from_folded
 from repro.query.manifest import SegmentStore
-from repro.query.segment import SegmentState
+from repro.query.segment import SegmentState, span_overlaps
 
 __all__ = ["query_bench", "render_query_bench", "run", "write_bench_json"]
 
@@ -120,6 +120,27 @@ def _percentile(values: List[float], q: float) -> float:
     return ordered[idx]
 
 
+def _reference_counts(
+    spelled: List[tuple], window: Optional[Tuple[float, float]] = None
+) -> Dict[Tuple[str, ...], int]:
+    """The window's counts summed by path straight from the segments'
+    spelled-out rows, as :class:`QueryEngine` must answer them: a
+    segment counts when its window overlaps, and each of its rows when
+    the row's own span does."""
+    out: Dict[Tuple[str, ...], int] = {}
+    for seg, state in spelled:
+        if window is not None and not seg.overlaps(*window):
+            continue
+        for (path, count, _gaps, _epoch), span in zip(
+            state.rows, state.row_spans
+        ):
+            if count and (
+                window is None or span_overlaps(*state.spans[span], *window)
+            ):
+                out[path] = out.get(path, 0) + count
+    return out
+
+
 def _query_study(
     directory: str, contexts: int, segments: int, seed: int
 ) -> Dict[str, object]:
@@ -128,6 +149,9 @@ def _query_study(
     t0 = time.perf_counter()
     engine.refresh()
     load_ms = (time.perf_counter() - t0) * 1000.0
+    # The reference the answers are checked against, spelled out from
+    # the rows once and outside every timed interval.
+    spelled = [(seg, seg.state) for seg in engine.segments()]
 
     topk_ms: List[float] = []
     topk_exact = True
@@ -141,7 +165,7 @@ def _query_study(
         # dropped before the next timed trial.
         topk_exact = topk_exact and ranked == sorted(
             ((count, path)
-             for path, count in engine._counts((lo, hi)).items()),
+             for path, count in _reference_counts(spelled, (lo, hi)).items()),
             key=lambda item: (-item[0], item[1]),
         )[:_K]
 
@@ -168,7 +192,7 @@ def _query_study(
         topk_exact
         and len(parsed) == contexts
         and sum(parsed.values()) == engine.ucp_stats()["samples"]
-        and parsed == engine._counts()
+        and parsed == _reference_counts(spelled)
     )
 
     return {
@@ -273,11 +297,7 @@ def _retention_study(smoke: bool, seed: int) -> Dict[str, object]:
                 )
                 / 1024.0
             )
-        live = sum(
-            count
-            for seg in store.segments()
-            for _path, count, _gaps, _epoch in seg.rows
-        )
+        live = sum(seg.samples for seg in store.segments())
         retired = sum(
             count for count, _gaps in store.retired_totals().values()
         )

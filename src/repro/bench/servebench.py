@@ -632,7 +632,6 @@ def serve_bench(
     stream = _stream(observations, weights, samples, seed)
 
     uncached = decode_study(plan, stream, piece_cache=0, context_cache=0)
-    piece_only = decode_study(plan, stream, context_cache=0)
     cached = decode_study(plan, stream)
     speedup = (
         cached["per_s"] / uncached["per_s"] if uncached["per_s"] else None
@@ -675,7 +674,6 @@ def serve_bench(
         },
         "decode": {
             "uncached": uncached,
-            "piece_cache": piece_only,
             "cached": cached,
             "speedup": speedup,
         },
@@ -822,7 +820,7 @@ def render_serve_bench(result: Dict[str, object]) -> str:
     decode = result["decode"]
     rows = [
         dict(config=name, **decode[name])
-        for name in ("uncached", "piece_cache", "cached")
+        for name in ("uncached", "cached")
     ]
     lines = [
         render_table(

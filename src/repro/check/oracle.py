@@ -739,11 +739,7 @@ def check_compaction(case: FuzzCase, observations: int = 24) -> List[str]:
         build(aged)
         aged_store = SegmentStore(aged)
         live_segs = aged_store.refresh()
-        total = sum(
-            count
-            for seg in live_segs
-            for _path, count, _gaps, _epoch in seg.rows
-        )
+        total = sum(seg.samples for seg in live_segs)
         oldest_hi = min(seg.t_hi for seg in live_segs)
         cutoff = oldest_hi + 5.0  # mid-window: drops exactly the oldest
         window = (cutoff, now + 1.0)
@@ -756,11 +752,7 @@ def check_compaction(case: FuzzCase, observations: int = 24) -> List[str]:
             ),
         ).compact(now=now, force=True)
         aged_store.refresh()
-        live = sum(
-            count
-            for seg in aged_store.segments()
-            for _path, count, _gaps, _epoch in seg.rows
-        )
+        live = sum(seg.samples for seg in aged_store.segments())
         retired = sum(
             count for count, _gaps in aged_store.retired_totals().values()
         )

@@ -737,7 +737,7 @@ class Compactor:
             "from_generation": from_gen,
             "to_generation": to_gen,
             "inputs": [
-                [seg.seq, len(seg.rows), seg.samples] for seg in live
+                [seg.seq, len(seg.pids), seg.samples] for seg in live
             ],
             "output_seq": output_seq,
             "retired": retired,

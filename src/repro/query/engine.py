@@ -2,12 +2,21 @@
 
 Every query reduces to the same primitive: sum the delta rows of the
 segments whose half-open window overlaps the query window (optionally
-filtered to one plan epoch) into one plain integer per path, then shape
-the result. Because segments are immutable and the sum is
+filtered to one plan epoch) into one plain integer per context, then
+shape the result. Because segments are immutable and the sum is
 order-independent, any answer is a pure function of the segment set —
 the property the chaos harness turns into a byte-equivalence oracle
-across crash/recovery. Top-K ranks those integers first and compares
-paths only for the contexts that can make the cut.
+across crash/recovery.
+
+A context is an integer here, as it is in the service: the engine owns
+one **catalog** trie (a :class:`~repro.service.store.ContextStore`)
+shared by every segment it serves, maps each segment's trie into it
+once, and keeps a column of catalog ids beside the segment's integer
+count, gap and epoch columns. Queries sum integers per catalog id and
+spell out paths only for the contexts they answer with: top-K labels
+its candidates, inclusive rollups are one pass over the catalog
+(:meth:`~repro.service.store.ContextStore.function_totals`, the same
+pass the in-memory service makes).
 
 Query shapes mirror the in-memory service API (``top_contexts``,
 ``function_totals``, ``ucp_stats``) plus the ones only a durable store
@@ -22,16 +31,19 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Dict, List, Optional, Tuple
+from itertools import compress, repeat
+from operator import eq
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import QueryError
 from repro.postprocess import top_k
 from repro.query.flamegraph import to_folded
 from repro.query.manifest import SegmentStore
-from repro.query.segment import span_overlaps
+from repro.query.segment import Segment, span_overlaps
+from repro.service.store import ContextStore
 
 __all__ = ["QueryEngine", "WindowDiff", "ucp_forensics"]
 
@@ -68,14 +80,34 @@ def _window_buckets(seg, window: Optional[Window]):
     ]
 
 
-def _window_rows(seg, window: Optional[Window], epoch: Optional[int]):
-    """The rows of ``seg`` that count toward ``window`` and ``epoch``."""
-    rows = seg.rows
+def _pick(column: Sequence[int], buckets) -> List[int]:
+    """``column``'s values at the rows of ``buckets``, bucket by bucket
+    (a bucket's rows ascend, and compaction writes each as one run)."""
+    out: List[int] = []
+    for bucket in buckets:
+        if bucket and bucket[-1] - bucket[0] + 1 == len(bucket):
+            out += column[bucket[0]:bucket[-1] + 1]
+        else:
+            out += map(column.__getitem__, bucket)
+    return out
+
+
+def _window_rows(
+    seg: Segment,
+    window: Optional[Window],
+    epoch: Optional[int],
+    *columns: Sequence[int],
+) -> Iterator[tuple]:
+    """``zip(*columns)`` over the rows of ``seg`` that count toward
+    ``window`` and ``epoch``; each column holds one value per row."""
+    epochs = seg.epochs
     buckets = _window_buckets(seg, window)
     if len(buckets) != len(seg.span_rows):
-        rows = [rows[i] for bucket in buckets for i in bucket]
+        columns = tuple(_pick(column, buckets) for column in columns)
+        epochs = _pick(epochs, buckets)
+    rows = zip(*columns)
     if epoch is not None:
-        rows = [row for row in rows if row[3] == epoch]
+        rows = compress(rows, map(eq, epochs, repeat(epoch)))
     return rows
 
 
@@ -130,6 +162,11 @@ class QueryEngine:
     protects the listing→load window of the *next* refresh. Call
     :meth:`close` (or use the engine as a context manager) to release
     the pin.
+
+    ``catalog`` is the engine's one trie over every segment it serves,
+    whichever directory the segment came from: a context's catalog id
+    is its node there. It only grows, so an id, once handed out, names
+    the same path for the engine's lifetime.
     """
 
     def __init__(self, source, pin_lease_s: Optional[float] = None):
@@ -154,6 +191,10 @@ class QueryEngine:
             from repro.query.locks import SnapshotPin
 
             self._pin = SnapshotPin(directory, lease_s=pin_lease_s)
+        self.catalog = ContextStore(compression="none")
+        #: id(segment) -> (segment, its rows' catalog ids), one entry
+        #: per segment mapped in and not yet seen dropped by a refresh.
+        self._mapped: Dict[int, Tuple[Segment, array]] = {}
 
     def refresh(self) -> "QueryEngine":
         # Pin *before* listing: a brand-new pin (generation -1) blocks
@@ -165,7 +206,25 @@ class QueryEngine:
         self.store.refresh()
         if self._pin is not None:
             self._pin.renew(getattr(self.store, "generation", 0))
+        self._mapped = {
+            id(seg): (seg, self._catalog_ids(seg))
+            for seg in self.store.segments()
+        }
         return self
+
+    def _catalog_ids(self, seg: Segment) -> array:
+        """The catalog id of each row of ``seg`` (-1 for the empty
+        context), mapping the segment's trie in on first use
+        (:meth:`~repro.service.store.ContextStore.intern_trie`: one
+        child lookup per node, no path built)."""
+        entry = self._mapped.get(id(seg))
+        if entry is not None and entry[0] is seg:
+            return entry[1]
+        ids, _names = self.catalog.intern_trie(seg.names, seg.nodes, seg.pids)
+        ids.append(-1)  # so that row pid -1 reads catalog id -1
+        cids = array("q", map(ids.__getitem__, seg.pids))
+        self._mapped[id(seg)] = (seg, cids)
+        return cids
 
     @property
     def pinned_generation(self) -> Optional[int]:
@@ -204,23 +263,29 @@ class QueryEngine:
         self,
         window: Optional[Window] = None,
         epoch: Optional[int] = None,
-    ) -> Dict[Path, int]:
-        """Sum delta rows over every overlapping segment: {path: count},
-        zero counts dropped.
+    ) -> Dict[int, int]:
+        """Sum delta rows over every overlapping segment: {catalog id:
+        count}, zero counts dropped.
 
-        One plain integer per path and no per-row container, so a
-        query over many rows allocates nothing the garbage collector
-        tracks. Rows of a compacted (multi-span) segment count only
-        when *their own span* overlaps the window.
+        One plain integer per context, keyed by an integer, so a query
+        hashes no path and allocates nothing per row that the garbage
+        collector tracks. Rows of a compacted (multi-span) segment
+        count only when *their own span* overlaps the window.
         """
         window = _check_window(window)
-        out: Dict[Path, int] = {}
+        out: Dict[int, int] = {}
         get = out.get
         for seg in self.segments(window):
-            for path, count, _gaps, _epoch in _window_rows(seg, window, epoch):
+            for cid, count in _window_rows(
+                seg, window, epoch, self._catalog_ids(seg), seg.counts
+            ):
                 if count:
-                    out[path] = get(path, 0) + count
+                    out[cid] = get(cid, 0) + count
         return out
+
+    def _spelled(self, counts: Mapping[int, object]) -> Dict[Path, object]:
+        """``counts`` keyed by path instead of catalog id."""
+        return dict(zip(self.catalog.paths(counts), counts.values()))
 
     # ------------------------------------------------------------------
     def top_contexts(
@@ -235,14 +300,14 @@ class QueryEngine:
         Same shape and tie-break as ``ContextService.top_contexts``
         (count descending, then path ascending — both call
         :func:`repro.postprocess.top_k`) so in-memory and durable
-        answers are directly comparable. Paths are compared only for
-        contexts whose count reaches the k-th largest. Raises
-        :class:`QueryError` when ``k`` is negative.
+        answers are directly comparable. Only the contexts whose count
+        reaches the k-th largest have their paths spelled out and
+        compared. Raises :class:`QueryError` when ``k`` is negative.
         """
         if k < 0:
             raise QueryError(f"top_contexts needs k >= 0, got {k}")
         start = time.perf_counter()
-        ranked = top_k(self._counts(window, epoch), k)
+        ranked = top_k(self._counts(window, epoch), k, self.catalog.paths)
         obs.histogram("query.topk_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
@@ -259,18 +324,18 @@ class QueryEngine:
 
         ``leaf_only=True`` gives exclusive/self counts (context ends at
         the function); otherwise inclusive counts (function appears
-        anywhere, credited once per observation).
+        anywhere, credited once per observation). Either is one pass
+        over the catalog
+        (:meth:`~repro.service.store.ContextStore.function_totals`).
         """
         start = time.perf_counter()
-        totals: Dict[str, int] = {}
-        for path, count in self._counts(window, epoch).items():
-            if not path:
-                continue
-            if leaf_only:
-                totals[path[-1]] = totals.get(path[-1], 0) + count
-            else:
-                for name in set(path):
-                    totals[name] = totals.get(name, 0) + count
+        catalog = self.catalog
+        totals = {
+            catalog.name_of(name_id): count
+            for name_id, count in catalog.function_totals(
+                self._counts(window, epoch), leaf_only
+            ).items()
+        }
         obs.histogram("query.rollup_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
@@ -287,27 +352,29 @@ class QueryEngine:
 
         Each overlapping segment marks the trie nodes whose context
         contains ``function`` in one pass over its nodes
-        (:meth:`~repro.query.segment.Segment.nodes_through`), then
-        reads only the rows of the spans the window overlaps.
+        (:meth:`~repro.query.segment.Segment.nodes_through`), then sums
+        the rows of the spans the window overlaps whose node is marked;
+        only the contexts found are spelled out.
         """
         start = time.perf_counter()
         window = _check_window(window)
-        out: Dict[Path, int] = {}
+        out: Dict[int, int] = {}
+        get = out.get
         for seg in self.segments(window):
             marks = seg.nodes_through(function)
             if marks is None:
                 continue
-            rows, pid_of = seg.rows, seg.pids.__getitem__
-            for bucket in _window_buckets(seg, window):
-                hits = map(marks.__getitem__, map(pid_of, bucket))
-                for row_idx in compress(bucket, hits):
-                    path, count, _gaps, row_epoch = rows[row_idx]
-                    if count and (epoch is None or row_epoch == epoch):
-                        out[path] = out.get(path, 0) + count
+            for pid, cid, count in _window_rows(
+                seg, window, epoch, seg.pids, self._catalog_ids(seg),
+                seg.counts,
+            ):
+                if count and marks[pid]:
+                    out[cid] = get(cid, 0) + count
+        through = self._spelled(out)
         obs.histogram("query.through_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
-        return out
+        return through
 
     def diff(
         self,
@@ -319,22 +386,31 @@ class QueryEngine:
         """Window-vs-window comparison: what appeared/disappeared/moved.
 
         The canonical "what did the hot swap change?" query: diff the
-        windows on either side of a plan install.
+        windows on either side of a plan install. The windows are
+        compared by catalog id; only the contexts in the answer are
+        spelled out.
         """
         start = time.perf_counter()
         window_a = _check_window(window_a)
         window_b = _check_window(window_b)
         a = self._counts(window_a, epoch)
         b = self._counts(window_b, epoch)
-        appeared = {p: c for p, c in b.items() if p not in a}
-        disappeared = {p: c for p, c in a.items() if p not in b}
-        changed = {
-            p: (a[p], b[p]) for p in a.keys() & b.keys() if a[p] != b[p]
-        }
+        appeared = [cid for cid in b if cid not in a]
+        disappeared = [cid for cid in a if cid not in b]
+        changed = [cid for cid in a.keys() & b.keys() if a[cid] != b[cid]]
+        ids = appeared + disappeared + changed
+        path_of = dict(zip(ids, self.catalog.paths(ids)))
+        found = WindowDiff(
+            window_a,
+            window_b,
+            {path_of[cid]: b[cid] for cid in appeared},
+            {path_of[cid]: a[cid] for cid in disappeared},
+            {path_of[cid]: (a[cid], b[cid]) for cid in changed},
+        )
         obs.histogram("query.diff_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
-        return WindowDiff(window_a, window_b, appeared, disappeared, changed)
+        return found
 
     def flamegraph(
         self,
@@ -345,8 +421,8 @@ class QueryEngine:
         """The window's contexts in folded-stack flame-graph format."""
         start = time.perf_counter()
         counts = self._counts(window, epoch)
-        counts.pop((), None)  # the empty context has no frame to fold
-        folded = to_folded(counts)
+        counts.pop(-1, None)  # the empty context has no frame to fold
+        folded = to_folded(self._spelled(counts))
         obs.histogram("query.flame_us").observe_us(
             (time.perf_counter() - start) * 1e6
         )
@@ -364,8 +440,8 @@ class QueryEngine:
         samples = 0
         gaps = 0
         for seg in self.segments(window):
-            for _path, count, row_gaps, _epoch in _window_rows(
-                seg, window, epoch
+            for count, row_gaps in _window_rows(
+                seg, window, epoch, seg.counts, seg.gaps
             ):
                 samples += count
                 gaps += row_gaps

@@ -112,7 +112,7 @@ def write_manifest(
             "seq": seg.seq,
             "t_lo": seg.t_lo,
             "t_hi": seg.t_hi,
-            "rows": len(seg.rows),
+            "rows": len(seg.pids),
             "samples": seg.samples,
             "fingerprint": seg.fingerprint,
         }
@@ -264,7 +264,7 @@ class SegmentStore:
             del self._validated[seq]
         obs.gauge("query.segments").set(len(segments))
         obs.gauge("query.segment_rows").set(
-            sum(len(s.rows) for s in segments)
+            sum(len(s.pids) for s in segments)
         )
 
     # ------------------------------------------------------------------
@@ -352,8 +352,12 @@ class SegmentStore:
         :class:`~repro.query.compact.RetiredRows` on the file's trie,
         or None when nothing was retired (or the sidecar fails its
         checks, counted in ``query.retired_rejected``). Cached per
-        sidecar name: each generation writes its own, once."""
+        sidecar name: each generation writes its own, once. A store
+        not yet refreshed refreshes first, to learn the sidecar's name
+        from the manifest."""
         with self._lock:
+            if self._segments is None:
+                self._refresh_locked()
             name = self.retired_name
         return self._retired(name)
 
@@ -469,7 +473,7 @@ class SegmentStore:
             )
             obs.gauge("query.segments").set(len(self._segments))
             obs.gauge("query.segment_rows").set(
-                sum(len(s.rows) for s in self._segments)
+                sum(len(s.pids) for s in self._segments)
             )
             return path
 
@@ -531,7 +535,7 @@ class SegmentStore:
             return {
                 "directory": self.directory,
                 "segments": len(segments),
-                "rows": sum(len(s.rows) for s in segments),
+                "rows": sum(len(s.pids) for s in segments),
                 "samples": sum(s.samples for s in segments),
                 "rejected": self.rejected,
                 "manifest_fallbacks": self.manifest_fallbacks,

@@ -109,6 +109,41 @@ def _single_span(t_lo: float, t_hi: float) -> Tuple[Tuple[float, float], ...]:
     return ((float(t_lo), float(t_hi)),)
 
 
+def _layout_error(
+    t_lo: float,
+    t_hi: float,
+    spans: Sequence[Tuple[float, float]],
+    counts: Sequence[int],
+    gaps: Sequence[int],
+    row_spans: Sequence[int],
+) -> Optional[str]:
+    """What no writer makes, or None: an inverted window or span, a span
+    outside the window, spans that do not cover it, a negative count, a
+    row citing an unknown span. :class:`SegmentState` raises it and
+    :func:`parse_segment` rejects the file for it."""
+    if t_hi < t_lo:
+        return f"segment window is inverted: t_lo={t_lo} > t_hi={t_hi}"
+    if counts and (min(counts) < 0 or min(gaps) < 0):
+        row = next(
+            i for i, pair in enumerate(zip(counts, gaps)) if min(pair) < 0
+        )
+        return f"segment row {row} has negative counts"
+    for lo, hi in spans:
+        if hi < lo:
+            return f"segment span is inverted: [{lo}, {hi})"
+        if lo < t_lo or hi > t_hi:
+            return (
+                f"segment span [{lo}, {hi}) escapes the envelope "
+                f"[{t_lo}, {t_hi})"
+            )
+    if min(lo for lo, _ in spans) != t_lo or max(hi for _, hi in spans) != t_hi:
+        return "segment spans do not cover the window envelope"
+    if row_spans and not 0 <= min(row_spans) <= max(row_spans) < len(spans):
+        span_id = next(s for s in row_spans if not 0 <= s < len(spans))
+        return f"segment row cites unknown span {span_id}"
+    return None
+
+
 @dataclass(frozen=True)
 class SegmentState:
     """The logical content of one segment, paths spelled out.
@@ -135,49 +170,26 @@ class SegmentState:
     row_spans: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.t_hi < self.t_lo:
-            raise QueryError(
-                f"segment window is inverted: t_lo={self.t_lo} > "
-                f"t_hi={self.t_hi}"
-            )
-        normalized = []
-        for row in self.rows:
-            path, count, gaps, epoch = (
-                tuple(row[0]), int(row[1]), int(row[2]), int(row[3])
-            )
-            if count < 0 or gaps < 0:
-                raise QueryError(f"segment row has negative counts: {row!r}")
-            normalized.append((path, count, gaps, epoch))
-        object.__setattr__(self, "rows", tuple(normalized))
+        rows = tuple(
+            (tuple(row[0]), int(row[1]), int(row[2]), int(row[3]))
+            for row in self.rows
+        )
         spans = tuple(
             (float(lo), float(hi)) for lo, hi in self.spans
         ) or _single_span(self.t_lo, self.t_hi)
-        row_spans = tuple(int(s) for s in self.row_spans)
-        if not row_spans:
-            row_spans = (0,) * len(normalized)
-        if len(row_spans) != len(normalized):
+        row_spans = tuple(int(s) for s in self.row_spans) or (0,) * len(rows)
+        if len(row_spans) != len(rows):
             raise QueryError(
-                f"segment has {len(normalized)} rows but "
+                f"segment has {len(rows)} rows but "
                 f"{len(row_spans)} span assignments"
             )
-        for lo, hi in spans:
-            if hi < lo:
-                raise QueryError(f"segment span is inverted: [{lo}, {hi})")
-            if lo < self.t_lo or hi > self.t_hi:
-                raise QueryError(
-                    f"segment span [{lo}, {hi}) escapes the envelope "
-                    f"[{self.t_lo}, {self.t_hi})"
-                )
-        if spans:
-            if min(lo for lo, _ in spans) != self.t_lo or max(
-                hi for _, hi in spans
-            ) != self.t_hi:
-                raise QueryError(
-                    "segment spans do not cover the window envelope"
-                )
-        for span_id in row_spans:
-            if not 0 <= span_id < len(spans):
-                raise QueryError(f"segment row cites unknown span {span_id}")
+        error = _layout_error(
+            self.t_lo, self.t_hi, spans,
+            [row[1] for row in rows], [row[2] for row in rows], row_spans,
+        )
+        if error is not None:
+            raise QueryError(error)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "row_spans", row_spans)
 
@@ -281,16 +293,21 @@ def _build_postings(
 
 
 class Segment:
-    """One loaded, validated segment.
+    """One loaded, validated segment, held as its file holds it.
 
-    Besides the rows (:attr:`state`), a segment keeps its trie as the
-    file held it (``names``, the flat ``nodes`` and each row's ``pids``)
-    and its row indices bucketed by span (``span_rows``), so a windowed
-    read visits only the rows of the spans it overlaps.
+    A segment keeps its trie (``names``, the flat ``nodes``) and its
+    rows as integer columns: each row's trie node (``pids``), ``counts``,
+    ``gaps`` and ``epochs`` (one per row; ``state.epochs`` lists the
+    distinct ones), with the row indices bucketed by span
+    (``span_rows``), so a windowed read visits only the rows of the
+    spans it overlaps. No path is spelled out at load: :attr:`rows` and
+    :attr:`state` build the ``(path, count, gaps, epoch)`` form each
+    time they are read, and the segment does not keep it.
     """
 
     __slots__ = (
-        "path", "seq", "state", "names", "nodes", "pids", "span_rows",
+        "path", "seq", "t_lo", "t_hi", "fingerprint", "spans", "names",
+        "nodes", "pids", "counts", "gaps", "epochs", "span_rows",
         "samples", "_name_ids",
     )
 
@@ -298,39 +315,44 @@ class Segment:
         self,
         path: str,
         seq: int,
-        state: SegmentState,
+        t_lo: float,
+        t_hi: float,
+        fingerprint: str,
+        spans: Tuple[Tuple[float, float], ...],
         names: List[str],
         nodes: List[int],
         pids: List[int],
+        counts: List[int],
+        gaps: List[int],
+        epochs: List[int],
+        row_spans: Sequence[int],
     ):
         self.path = path
         self.seq = seq
-        self.state = state
+        self.t_lo = t_lo
+        self.t_hi = t_hi
+        self.fingerprint = fingerprint
+        self.spans = spans
         self.names = names
         self.nodes = nodes
         self.pids = pids
+        self.counts = counts
+        self.gaps = gaps
+        self.epochs = epochs
         #: Samples the rows hold (their counts' sum).
-        self.samples = state.total_samples
+        self.samples = sum(counts)
         self._name_ids = {name: i for i, name in enumerate(names)}
-        if state.multi_span:
-            buckets: List[List[int]] = [[] for _ in state.spans]
-            for row, span_id in enumerate(state.row_spans):
+        if len(spans) > 1:
+            buckets: List[List[int]] = [[] for _ in spans]
+            for row, span_id in enumerate(row_spans):
                 buckets[span_id].append(row)
             self.span_rows: Tuple[Sequence[int], ...] = tuple(
                 tuple(bucket) for bucket in buckets
             )
         else:
-            self.span_rows = (range(len(state.rows)),)
+            self.span_rows = (range(len(pids)),)
 
     # -- window ---------------------------------------------------------
-    @property
-    def t_lo(self) -> float:
-        return self.state.t_lo
-
-    @property
-    def t_hi(self) -> float:
-        return self.state.t_hi
-
     def overlaps(self, t_lo: float, t_hi: float) -> bool:
         """Half-open window intersection: ``[t_lo, t_hi)`` vs this one.
 
@@ -340,17 +362,39 @@ class Segment:
         return span_overlaps(self.t_lo, self.t_hi, t_lo, t_hi)
 
     @property
-    def spans(self) -> Tuple[Tuple[float, float], ...]:
-        return self.state.spans
+    def row_spans(self) -> Tuple[int, ...]:
+        """The span index of each row, in row order."""
+        if len(self.span_rows) == 1:
+            return (0,) * len(self.pids)
+        out = [0] * len(self.pids)
+        for span_id, bucket in enumerate(self.span_rows):
+            for row in bucket:
+                out[row] = span_id
+        return tuple(out)
 
     # -- content --------------------------------------------------------
     @property
     def rows(self) -> Tuple[Tuple[Tuple[str, ...], int, int, int], ...]:
-        return self.state.rows
+        """``(path, count, gaps, epoch)`` per row, in file order, the
+        paths spelled out from the trie on every read."""
+        paths = trie_paths(self.names, self.nodes)
+        paths.append(())  # node -1, the empty context
+        return tuple(zip(
+            map(paths.__getitem__, self.pids),
+            self.counts, self.gaps, self.epochs,
+        ))
 
     @property
-    def fingerprint(self) -> str:
-        return self.state.fingerprint
+    def state(self) -> SegmentState:
+        """The segment's :class:`SegmentState`, built on every read."""
+        return SegmentState(
+            t_lo=self.t_lo,
+            t_hi=self.t_hi,
+            fingerprint=self.fingerprint,
+            rows=self.rows,
+            spans=self.spans,
+            row_spans=self.row_spans,
+        )
 
     def functions(self) -> List[str]:
         """Every function on some row's context, in name-id order."""
@@ -401,7 +445,7 @@ class Segment:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Segment(seq={self.seq}, window=[{self.t_lo:.3f}, "
-            f"{self.t_hi:.3f}), rows={len(self.rows)})"
+            f"{self.t_hi:.3f}), rows={len(self.pids)})"
         )
 
 
@@ -484,7 +528,9 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
 
     The bytes are decoded exactly as reading the file in text mode
     would (:func:`~repro.durable.read_records`), so a caller that reads
-    the file once can hash and validate the very same bytes.
+    the file once can hash and validate the very same bytes. Every
+    check runs on the trie and the integer row columns; no path is
+    spelled out.
     """
     read = read_records(data, "header", _READABLE_VERSIONS)
     if read is None:
@@ -494,6 +540,7 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
     t_lo, t_hi = header.get("t_lo"), header.get("t_hi")
     if not isinstance(t_lo, (int, float)) or not isinstance(t_hi, (int, float)):
         return None
+    t_lo, t_hi = float(t_lo), float(t_hi)
     kinds = ("names", "nodes")
     if version < 3:
         kinds += ("index",)
@@ -503,19 +550,22 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
     if split is None:
         return None  # an unknown record: spans in v1, an index in v3
     sections, raw_rows = split
-    rows: List[Tuple[object, int, int, int, int]] = []
+    width = 5 if version >= 2 else 4
     try:
-        for row in raw_rows:
-            if version >= 2:
-                pid, count, gaps, epoch, span = row
-            else:
-                pid, count, gaps, epoch = row
-                span = 0
-            rows.append((pid, int(count), int(gaps), int(epoch), int(span)))
+        # Rows are read as columns, and zip would cut a long row short.
+        if any(map(width.__ne__, map(len, raw_rows))):
+            return None
+        columns = list(zip(*raw_rows)) or [()] * width
+        pids = list(columns[0])
+        counts, gaps, epochs = (
+            list(map(int, column)) for column in columns[1:4]
+        )
+        row_spans = (
+            list(map(int, columns[4])) if version >= 2 else [0] * len(pids)
+        )
     except (TypeError, ValueError):
         return None
     names, nodes_flat = sections.get("names"), sections.get("nodes")
-    pids = [row[0] for row in rows]
     if not valid_trie(names, nodes_flat, pids):
         return None
     if version >= 2:
@@ -527,12 +577,12 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
             for s in spans
         ):
             return None
-        span_windows = [(float(lo), float(hi)) for lo, hi in spans]
+        span_windows = tuple((float(lo), float(hi)) for lo, hi in spans)
         if header.get("spans") != len(span_windows):
             return None
     else:
-        span_windows = [(float(t_lo), float(t_hi))]
-    if footer.get("rows") != len(rows) or header.get("rows") != len(rows):
+        span_windows = ()
+    if footer.get("rows") != len(pids) or header.get("rows") != len(pids):
         return None
     # An older file's index must be exactly what the rows imply —
     # rebuilt here from the same decoded form, then compared. A
@@ -542,23 +592,13 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
         nodes_flat, pids
     ):
         return None
-    paths = trie_paths(names, nodes_flat)
-    try:
-        state = SegmentState(
-            t_lo=float(t_lo),
-            t_hi=float(t_hi),
-            fingerprint=str(header.get("fingerprint", "")),
-            rows=tuple(
-                (paths[pid] if pid >= 0 else (), count, gaps, epoch)
-                for pid, count, gaps, epoch, _span in rows
-            ),
-            spans=tuple(span_windows),
-            row_spans=tuple(row[4] for row in rows),
-        )
-    except QueryError:
-        # An inverted window or span, a negative count, a dangling
-        # span id: the state refuses what no writer made.
+    spans = span_windows or _single_span(t_lo, t_hi)
+    if _layout_error(t_lo, t_hi, spans, counts, gaps, row_spans) is not None:
         return None
-    if footer.get("samples") != state.total_samples:
+    seg = Segment(
+        path, seq, t_lo, t_hi, str(header.get("fingerprint", "")), spans,
+        names, nodes_flat, pids, counts, gaps, epochs, row_spans,
+    )
+    if footer.get("samples") != seg.samples:
         return None
-    return Segment(path, seq, state, names, nodes_flat, pids)
+    return seg

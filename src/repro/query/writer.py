@@ -53,10 +53,9 @@ def restore_tree(tree, store: SegmentStore) -> int:
     trie. Returns the samples restored."""
     restored = 0
     for seg in store.segments():
-        restored += tree.restore_trie(seg.names, seg.nodes, [
-            (pid, row[1], row[2], row[3])
-            for pid, row in zip(seg.pids, seg.rows)
-        ])
+        restored += tree.restore_trie(seg.names, seg.nodes, list(zip(
+            seg.pids, seg.counts, seg.gaps, seg.epochs
+        )))
     retired = store.retired_rows()
     if retired is not None:
         restored += tree.restore_trie(
@@ -175,8 +174,7 @@ class SegmentWriter:
         file holds them, so no path is built. Returns its path, or None
         when the write genuinely never made it.
         """
-        pids = [row[0] for row in encoded.rows]
-        counts = [row[1:] for row in encoded.rows]
+        rows = [tuple(row) for row in encoded.rows]
         try:
             self.store.refresh()
             for seg in self.store.segments():
@@ -186,9 +184,9 @@ class SegmentWriter:
                     and abs(seg.t_hi - encoded.t_hi) < 1e-9
                     and seg.names == encoded.names
                     and seg.nodes == encoded.nodes
-                    and seg.pids == pids
-                    and seg.state.row_spans == tuple(encoded.row_spans)
-                    and [row[1:] for row in seg.rows] == counts
+                    and seg.row_spans == tuple(encoded.row_spans)
+                    and list(zip(seg.pids, seg.counts, seg.gaps, seg.epochs))
+                    == rows
                 ):
                     return seg.path
         except Exception:  # noqa: BLE001 - salvage is best-effort

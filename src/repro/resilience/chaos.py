@@ -549,11 +549,7 @@ def kill_during_compaction_failures(
 
         def store_totals(store: SegmentStore) -> Tuple[int, int]:
             store.refresh()
-            live = sum(
-                count
-                for seg in store.segments()
-                for _path, count, _gaps, _epoch in seg.rows
-            )
+            live = sum(seg.samples for seg in store.segments())
             retired = sum(
                 count for count, _gaps in store.retired_totals().values()
             )

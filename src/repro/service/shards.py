@@ -225,12 +225,14 @@ class ShardedContextTree:
         ``leaf_only=True`` counts samples whose context *ends* at the
         function (exclusive/self counts); otherwise every function
         appearing anywhere in a context is credited once per observation
-        (inclusive counts, the flame-graph number). ``epoch`` filters as
-        in :meth:`top_contexts`; ``decoded=False`` keys the result by
+        (inclusive counts, the flame-graph number), in one pass over the
+        store's trie (:meth:`ContextStore.function_totals`, the pass the
+        durable query engine makes too). ``epoch`` filters as in
+        :meth:`top_contexts`; ``decoded=False`` keys the result by
         interned name id (resolve with ``tree.store.name_of``).
         """
-        totals: Dict[object, int] = {}
         if leaf_only:
+            totals: Dict[object, int] = {}
             for shard in self._shards:
                 with shard.lock:
                     for (leaf, row_epoch), count in shard.leaf_totals.items():
@@ -238,15 +240,13 @@ class ShardedContextTree:
                             continue
                         if leaf is None:
                             continue  # the empty context has no leaf
-                        key = self.store.name_of(leaf) if decoded else leaf
-                        totals[key] = totals.get(key, 0) + count
+                        totals[leaf] = totals.get(leaf, 0) + count
+        else:
+            totals = self.store.function_totals(self._merged_counts(epoch))
+        if not decoded:
             return totals
-        merged = self._merged_counts(epoch)
-        for path, count in zip(self.store.paths(merged), merged.values()):
-            for name in set(path):
-                key: object = name if decoded else self.store._name_ids[name]
-                totals[key] = totals.get(key, 0) + count
-        return totals
+        name_of = self.store.name_of
+        return {name_of(name_id): count for name_id, count in totals.items()}
 
     def merged_report(self) -> ContextTreeReport:
         """One tree containing every shard's contexts (a fresh copy)."""

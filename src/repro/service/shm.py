@@ -57,11 +57,13 @@ Layout (all little-endian)::
 
 Mutual exclusion is one ``multiprocessing.Lock`` per lane; both sides
 hold it only for counter arithmetic and ``memoryview`` copies, never
-while sleeping. A consumer SIGKILLed inside it leaves it held for good,
-so the producer side (:meth:`ShmLane.push`, :meth:`~ShmLane.request_sync`,
-:meth:`~ShmLane.count_dropped`, :meth:`~ShmLane.close`) waits at most
-:data:`LOCK_WAIT_S` for it and then raises :class:`LaneWedgedError`,
-having changed nothing; the pool rebuilds such a lane.
+while sleeping. A process SIGKILLed inside it leaves it held for good,
+so both sides (:meth:`ShmLane.push`, :meth:`~ShmLane.request_sync`,
+:meth:`~ShmLane.count_dropped`, :meth:`~ShmLane.close` and the
+consumer's :meth:`~ShmLane.pop`) wait at most :data:`LOCK_WAIT_S` for
+it and then raise :class:`LaneWedgedError`, having changed nothing. A
+worker whose ``pop`` raises exits, and the pool rebuilds the lane when
+it restarts the worker.
 """
 
 from __future__ import annotations
@@ -105,13 +107,13 @@ _U32 = struct.Struct("<I")
 
 _POLL_S = 0.0005
 
-#: Longest a producer waits for the lane lock, which a healthy consumer
-#: holds for a copy's length.
+#: Longest either side waits for the lane lock, which a healthy holder
+#: keeps for a copy's length.
 LOCK_WAIT_S = 1.0
 
 
 class LaneWedgedError(ServiceError):
-    """The lane's lock stayed held past :data:`LOCK_WAIT_S`: its consumer
+    """The lane's lock stayed held past :data:`LOCK_WAIT_S`: a process
     most likely died inside it. Nothing was changed."""
 
 
@@ -197,7 +199,7 @@ class ShmLane:
         return _HEADER_SIZE + (index % self.nslots) * self.slot_bytes
 
     @contextmanager
-    def _producer_lock(self) -> Iterator[None]:
+    def _bounded_lock(self) -> Iterator[None]:
         if not self._lock.acquire(timeout=LOCK_WAIT_S):
             raise LaneWedgedError(
                 f"lane {self.name!r}: lock held for over {LOCK_WAIT_S}s"
@@ -248,7 +250,7 @@ class ShmLane:
         return self._u32(_OFF_SYNC)
 
     def request_sync(self) -> int:
-        with self._producer_lock():
+        with self._bounded_lock():
             gen = self._u32(_OFF_SYNC) + 1
             self._set_u32(_OFF_SYNC, gen)
             return gen
@@ -256,7 +258,7 @@ class ShmLane:
     # -- producer ---------------------------------------------------------
 
     def close(self) -> None:
-        with self._producer_lock():
+        with self._bounded_lock():
             self._set_u32(_OFF_CLOSED, 1)
 
     def push(
@@ -287,7 +289,7 @@ class ShmLane:
             return True
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            with self._producer_lock():
+            with self._bounded_lock():
                 if self._u32(_OFF_CLOSED):
                     self._set_u64(
                         _OFF_DROPPED, self._u64(_OFF_DROPPED) + samples
@@ -317,7 +319,7 @@ class ShmLane:
                     )
             # "block": poll outside the lock.
             if deadline is not None and time.monotonic() >= deadline:
-                with self._producer_lock():
+                with self._bounded_lock():
                     self._count_drop(samples)
                 return False
             time.sleep(_POLL_S)
@@ -325,7 +327,7 @@ class ShmLane:
     def count_dropped(self, samples: int) -> None:
         """Charge a drop the producer decided on (e.g. a record too
         large for any slot) to this lane's conservation accounting."""
-        with self._producer_lock():
+        with self._bounded_lock():
             self._count_drop(samples)
 
     def _count_drop(self, samples: int) -> None:
@@ -364,11 +366,13 @@ class ShmLane:
         stays empty — callers distinguish idle from shutdown via
         :attr:`closed`.  A sequence or CRC mismatch raises
         :class:`StoreCorruptionError`: shared memory is same-host and
-        lock-protected, so a torn record is a bug, not weather.
+        lock-protected, so a torn record is a bug, not weather. Raises
+        :class:`LaneWedgedError` when the lock stays held past
+        :data:`LOCK_WAIT_S`.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            with self._lock:
+            with self._bounded_lock():
                 head = self._u64(_OFF_HEAD)
                 tail = self._u64(_OFF_TAIL)
                 if tail < head:

@@ -28,11 +28,13 @@ frames it passed below that state's pid, one child-index lookup each
 under one hold of the lock, so no path is built or hashed on ingest and
 the lock is taken once per *distinct* uncached key, not per sample.
 
-Whole-store reads (inclusive rollups, ``tree.rows()``), the changed
-contexts of a segment flush and the candidates of a decoded top-K all
-decode many pids at once through :meth:`ContextStore.paths`, which
-unseals each block at most once per call and builds each trie node's
-path once, from its parent's path.
+Whole-store reads (``tree.rows()``) and the candidates of a decoded
+top-K decode many pids at once through :meth:`ContextStore.paths`,
+which unseals each block at most once per call and builds each trie
+node's path once, from its parent's path. Per-function rollups decode
+none: :meth:`ContextStore.function_totals` sums counts up the trie in
+one pass, the same pass for the service's tree and for the durable
+query engine's catalog.
 
 Checkpoints decode nothing: :meth:`ContextStore.encode_counted` writes
 the counted contexts' sub-trie straight out in one preorder walk, and
@@ -48,7 +50,7 @@ import zlib
 from array import array
 from collections import OrderedDict
 from itertools import compress
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError, StoreCorruptionError
 
@@ -128,6 +130,8 @@ class ContextStore:
         # LRU of decompressed sealed-block views.
         self._hot: "OrderedDict[int, Tuple[array, array]]" = OrderedDict()
         self._hot_cap = hot_blocks
+        # Recursion flags of the first len() nodes (see _repeats).
+        self._repeat = bytearray()
         self.unseals = 0
         self.corruptions = 0
 
@@ -380,6 +384,99 @@ class ContextStore:
                     out.append(path)
         return out
 
+    def _columns(self, total: int) -> Tuple[array, array]:
+        """The parent and name-id columns of nodes ``[0, total)``, read
+        block by block. The lock is held per block; sealed blocks never
+        change and the open block only grows."""
+        block_size = self.block_size
+        parents, name_col = array("q"), array("q")
+        for lo in range(0, total, block_size):
+            block, n = lo // block_size, min(block_size, total - lo)
+            with self._lock:
+                if block < len(self._sealed):
+                    view = self._block_view(block)
+                else:
+                    view = (self._open_parent, self._open_name)
+                parents.extend(view[0][:n])
+                name_col.extend(view[1][:n])
+        return parents, name_col
+
+    def _repeats(self, parents: array, name_col: array) -> bytearray:
+        """``flags[node]`` is 1 when an ancestor of ``node`` has its name
+        (a recursive call), for every node the columns hold.
+
+        Nodes never change once added, so the flags are kept and only
+        nodes added since the last call walk up their ancestors.
+        """
+        done = self._repeat
+        total = len(parents)
+        if len(done) >= total:
+            return done
+        more = bytearray(total - len(done))
+        for at, node in enumerate(range(len(done), total)):
+            name = name_col[node]
+            up = parents[node]
+            while up >= 0 and name_col[up] != name:
+                up = parents[up]
+            if up >= 0:
+                more[at] = 1
+        flags = done + more
+        with self._lock:
+            if len(self._repeat) < total:
+                self._repeat = flags
+        return flags
+
+    def function_totals(
+        self, counts: Mapping[int, int], leaf_only: bool = False
+    ) -> Dict[int, int]:
+        """Per-function totals of ``counts`` (``{pid: count}``), keyed by
+        name id; the empty context (pid -1) names no function.
+
+        ``leaf_only`` credits each count to its context's leaf;
+        otherwise every function on the context is credited once per
+        observation, however often it recurs (inclusive totals). That
+        is one pass over the trie, children before parents: a node's
+        subtree count moves up to its parent, and lands on the node's
+        name unless an ancestor has that name too, so each counted path
+        credits each of its functions exactly once. A function named
+        only by zero-count contexts totals 0.
+        """
+        top = max(counts, default=-1)
+        if top < 0:
+            return {}
+        parents, name_col = self._columns(top + 1)
+        totals: Dict[int, int] = {}
+        get = totals.get
+        if leaf_only:
+            for pid, count in counts.items():
+                if pid >= 0:
+                    name = name_col[pid]
+                    totals[name] = get(name, 0) + count
+            return totals
+        repeats = self._repeats(parents, name_col)
+        below = [0] * (top + 1)
+        zeros = []
+        for pid, count in counts.items():
+            if count:
+                if pid >= 0:
+                    below[pid] = count
+            elif pid >= 0:
+                zeros.append(pid)
+        for node in range(top, -1, -1):
+            count = below[node]
+            if count:
+                parent = parents[node]
+                if parent >= 0:
+                    below[parent] += count
+                if not repeats[node]:
+                    name = name_col[node]
+                    totals[name] = get(name, 0) + count
+        for node in zeros:
+            while node >= 0:
+                totals.setdefault(name_col[node], 0)
+                node = parents[node]
+        return totals
+
     def encode_counted(
         self, counted: List[Tuple[Tuple[int, int], int, int]]
     ) -> Tuple[List[str], List[int], List[Tuple[int, int, int, int]]]:
@@ -400,19 +497,11 @@ class ContextStore:
         sorting a path. The lock is held per block; sealed blocks never
         change and the open block only grows.
         """
-        block_size = self.block_size
         with self._lock:
-            total = len(self._sealed) * block_size + len(self._open_parent)
-        parents, name_col = array("q"), array("q")
-        for lo in range(0, total, block_size):
-            block, n = lo // block_size, min(block_size, total - lo)
-            with self._lock:
-                if block < len(self._sealed):
-                    view = self._block_view(block)
-                else:
-                    view = (self._open_parent, self._open_name)
-                parents.extend(view[0][:n])
-                name_col.extend(view[1][:n])
+            total = (
+                len(self._sealed) * self.block_size + len(self._open_parent)
+            )
+        parents, name_col = self._columns(total)
         with self._lock:
             names = self._names[:]
         # Keep the ancestors of counted pids only.

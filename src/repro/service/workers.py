@@ -40,11 +40,12 @@ Parent/worker contract
 A worker killed *inside* the lane's lock (a microseconds-wide memcpy
 window) wedges the lane.  The supervisor still restarts the worker; the
 restart path detects the wedged lock, rebuilds the lane, and charges the
-stranded queued samples to ``crash_lost``.  The parent never waits on a
+stranded queued samples to ``crash_lost``.  Neither side waits on a
 wedged lock for long (:class:`~repro.service.shm.LaneWedgedError`): a
-submit releases the slot's guard so the restart can run, and retries on
-the rebuilt lane until its deadline, past which its part is counted
-dropped.
+live worker whose lane another process wedged exits, so the same pid
+check restarts it; a submit releases the slot's guard so the restart
+can run, and retries on the rebuilt lane until its deadline, past which
+its part is counted dropped.
 """
 
 from __future__ import annotations
@@ -231,7 +232,13 @@ def _worker_entry(spec: WorkerSpec, plan, lock) -> None:
     light_status()
     try:
         while True:
-            got = lane.pop(timeout=0.05)
+            try:
+                got = lane.pop(timeout=0.05)
+            except LaneWedgedError:
+                # A process died holding the lane's lock. Exit, so the
+                # supervisor's pid check restarts this slot and the
+                # restart rebuilds the lane.
+                raise SystemExit(1) from None
             heartbeat()
             if got is None:
                 if lane.closed and not len(lane):

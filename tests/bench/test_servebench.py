@@ -199,7 +199,7 @@ class TestServeBench:
         assert result["benchmark"] == "serve-bench"
         assert result["workload"]["contexts"] == TINY["contexts"]
         decode = result["decode"]
-        assert set(decode) == {"uncached", "piece_cache", "cached", "speedup"}
+        assert set(decode) == {"uncached", "cached", "speedup"}
         # The headline ratio; the full run clears 10x, tiny params less.
         assert decode["speedup"] > 1.0
         assert result["ingest"]["lost"] == 0

@@ -361,6 +361,23 @@ class TestRetention:
         assert engine.top_contexts(20, window=(30.0, 40.0)) == \
             windowed_before
 
+    def test_fresh_store_knows_the_retired_sidecar(self, tmp_path):
+        # A store object opened on the directory after a retention
+        # sweep, and never refreshed, must still find what was retired.
+        store = fill(tmp_path, n=4)
+        policy = CompactionPolicy(
+            min_inputs=2, retention=RetentionPolicy(max_age_s=15.0)
+        )
+        Compactor(store, policy).compact(now=50.0, force=True)
+        refreshed = SegmentStore(str(tmp_path))
+        refreshed.refresh()
+        assert refreshed.retired_totals()
+        assert SegmentStore(str(tmp_path)).retired_totals() == \
+            refreshed.retired_totals()
+        fresh = SegmentStore(str(tmp_path)).retired_rows()
+        assert fresh is not None
+        assert fresh.samples == refreshed.retired_rows().samples
+
     def test_keep_spans_floor_survives_total_expiry(self, tmp_path):
         store = fill(tmp_path, n=3)
         policy = CompactionPolicy(

@@ -295,6 +295,57 @@ class TestCrashRecovery:
         acct = service.accounting()
         assert acct["submitted"] == accounted(acct) == 60
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_live_worker_on_a_wedged_lane_is_restarted(self, plan, snapshots):
+        # Another process takes a live worker's lane lock and dies in
+        # it. The worker must not wait on that lock for good: it exits,
+        # the supervisor's pid check restarts it on a rebuilt lane, and
+        # a flush returns with every sample accounted.
+        resilience = ResilienceConfig(
+            supervise=True,
+            heartbeat_interval=0.02,
+            heartbeat_timeout=5.0,
+            max_restarts=4,
+        )
+        service = ContextService(
+            plan, ServiceConfig(worker_processes=2, shards=4),
+            resilience=resilience,
+        ).start()
+        pool = service._procs
+        try:
+            service.submit_batch(mkbatch(snapshots, 20))
+            service.flush(timeout=30)
+            slot = node_lane("e", 2)
+            worker = pool._slots[slot]["proc"].pid
+            lock = pool._lanes[slot]._lock
+            holder = os.fork()
+            if holder == 0:  # pragma: no cover - runs in the child
+                try:
+                    lock.acquire()
+                    os.kill(os.getpid(), signal.SIGKILL)
+                finally:
+                    os._exit(1)
+            _pid, status = os.waitpid(holder, 0)
+            assert os.WIFSIGNALED(status)
+            deadline = time.monotonic() + 15.0
+            while (
+                pool.stats()["workers"][slot]["restarts"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.02)
+            assert pool.stats()["workers"][slot]["restarts"] == 1
+            assert self.wait_alive(pool, 2) == 2
+            assert pool._slots[slot]["proc"].pid != worker
+            assert service.submit_batch(mkbatch(snapshots, 40)) == 40
+            service.flush(timeout=10)
+            acct = service.accounting()
+            assert acct["submitted"] == accounted(acct) == 60
+            assert acct["aggregated"] == 60
+        finally:
+            assert service.stop()
+        acct = service.accounting()
+        assert acct["submitted"] == accounted(acct) == 60
+
     def test_restart_worker_recovers_own_checkpoint(self, plan, snapshots,
                                                     tmp_path):
         pool = ProcessWorkerPool(
