@@ -9,7 +9,10 @@ Analysis computes. Three policies are provided:
 * **CHA** (class hierarchy analysis): a virtual site targets the resolved
   method of *every* statically known subtype of its base class.
 * **RTA** (rapid type analysis): subtypes are restricted to classes
-  actually instantiated in reachable code (computed by a fixpoint).
+  actually instantiated in reachable code. A worklist computes the
+  least fixpoint: each reachable method body is walked once, and a
+  class's first instantiation resolves only the virtual sites already
+  seen on its supertypes.
 * **ZERO_CFA**: alias of RTA with the degeneracy documented — on JIP they
   coincide; it exists so call sites in experiment configs can say what
   the paper said.
@@ -27,8 +30,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
+from repro.errors import DispatchError
 from repro.graph.callgraph import CallGraph
 from repro.lang.model import (
     Branch,
@@ -40,6 +44,7 @@ from repro.lang.model import (
     StaticCall,
     Stmt,
     VirtualCall,
+    iter_stmts,
 )
 
 __all__ = ["Policy", "CallSiteInfo", "build_callgraph", "call_sites_of"]
@@ -108,8 +113,10 @@ def build_callgraph(
 
     worklist: List[MethodRef] = [program.entry]
     seen: Set[MethodRef] = {program.entry}
-    while worklist:
-        ref = worklist.pop(0)
+    cursor = 0
+    while cursor < len(worklist):
+        ref = worklist[cursor]
+        cursor += 1
         method = program.method(ref)
         for site in call_sites_of(method, ref):
             targets = _dispatch_targets(
@@ -155,53 +162,78 @@ def _dispatch_targets(
     for subtype in program.subtypes(stmt.base, include_dynamic=include_dynamic):
         if instantiated is not None and subtype not in instantiated:
             continue
-        try:
-            resolved = program.resolve(subtype, stmt.method)
-        except Exception:
-            continue  # abstract-like subtype without the method
-        if not include_dynamic and program.klass(resolved.klass).dynamic:
-            continue
-        if resolved not in seen:
+        resolved = _resolve(program, subtype, stmt.method, include_dynamic)
+        if resolved is not None and resolved not in seen:
             seen.add(resolved)
             targets.append(resolved)
     return targets
 
 
+def _resolve(
+    program: Program, klass: str, method: str, include_dynamic: bool
+) -> Optional[MethodRef]:
+    """The method a receiver of class ``klass`` runs for a virtual call,
+    or None when the class lacks it or it is statically invisible."""
+    try:
+        resolved = program.resolve(klass, method)
+    except DispatchError:
+        return None  # abstract-like subtype without the method
+    if not include_dynamic and program.klass(resolved.klass).dynamic:
+        return None
+    return resolved
+
+
 def _instantiated_classes(
     program: Program, include_dynamic: bool
 ) -> Set[str]:
-    """RTA fixpoint: classes instantiated in methods reachable from the
-    entry, where reachability itself depends on the instantiated set."""
+    """RTA's instantiated classes: those ``New``-ed in methods reachable
+    from the entry, where reachability itself depends on the set.
+
+    A worklist walks each reachable body once. Virtual sites are
+    remembered as the method names called on each base class; when a
+    class is first instantiated, only the sites on its supertypes are
+    resolved against it. Dispatch grows monotonically with the set, so
+    the least fixpoint is unique and equals what re-walking every
+    reachable method until nothing changes would compute.
+    """
     instantiated: Set[str] = set()
     reachable: Set[MethodRef] = {program.entry}
-    changed = True
-    while changed:
-        changed = False
-        for ref in list(reachable):
-            method = program.method(ref)
-            for stmt in _walk(method.body):
-                if isinstance(stmt, New):
-                    klass = program.klass(stmt.klass)
-                    if klass.dynamic and not include_dynamic:
-                        continue
-                    if stmt.klass not in instantiated:
-                        instantiated.add(stmt.klass)
-                        changed = True
-                elif isinstance(stmt, (StaticCall, VirtualCall)):
-                    for target in _dispatch_targets(
-                        program, stmt, instantiated, include_dynamic
-                    ):
-                        if target not in reachable:
-                            reachable.add(target)
-                            changed = True
+    worklist: List[MethodRef] = [program.entry]
+    #: base class -> method names called on it, in first-seen order.
+    called_on: Dict[str, Dict[str, None]] = {}
+
+    def reach(target: MethodRef) -> None:
+        if target not in reachable:
+            reachable.add(target)
+            worklist.append(target)
+
+    while worklist:
+        method = program.method(worklist.pop())
+        for stmt in iter_stmts(method.body):
+            if isinstance(stmt, New):
+                name = stmt.klass
+                if name in instantiated:
+                    continue
+                if program.klass(name).dynamic and not include_dynamic:
+                    continue
+                instantiated.add(name)
+                for base in program.supertypes(name):
+                    for called in called_on.get(base, ()):
+                        target = _resolve(program, name, called, include_dynamic)
+                        if target is not None:
+                            reach(target)
+            elif isinstance(stmt, VirtualCall):
+                called = called_on.setdefault(stmt.base, {})
+                if stmt.method in called:
+                    continue  # its targets so far are reached already
+                called[stmt.method] = None
+                for target in _dispatch_targets(
+                    program, stmt, instantiated, include_dynamic
+                ):
+                    reach(target)
+            elif isinstance(stmt, StaticCall):
+                for target in _dispatch_targets(
+                    program, stmt, instantiated, include_dynamic
+                ):
+                    reach(target)
     return instantiated
-
-
-def _walk(body: Sequence[Stmt]) -> Iterator[Stmt]:
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, Loop):
-            yield from _walk(stmt.body)
-        elif isinstance(stmt, Branch):
-            yield from _walk(stmt.then)
-            yield from _walk(stmt.orelse)

@@ -208,13 +208,15 @@ class Program:
         """``name`` and all transitive subclasses, declaration order."""
         self.klass(name)  # existence check
         result: List[str] = []
-        stack = [name]
-        while stack:
-            current = stack.pop(0)
+        queue = [name]
+        cursor = 0
+        while cursor < len(queue):
+            current = queue[cursor]
+            cursor += 1
             klass = self._classes[current]
             if include_dynamic or not klass.dynamic:
                 result.append(current)
-            stack.extend(self._subclasses.get(current, ()))
+            queue.extend(self._subclasses.get(current, ()))
         return result
 
     def supertypes(self, name: str) -> List[str]:
