@@ -1,8 +1,9 @@
 """Anchor pre-seeding: cutting Algorithm 2's restart loop.
 
-Algorithm 2 discovers anchors one overflow at a time, re-running the
-whole static analysis after each (`goto again`, paper Line 16) — on our
-synthetic xml.validation at 24-bit width that is 54 restarts. The
+Algorithm 2 discovers anchors one overflow at a time, restarting its
+analysis after each (`goto again`, paper Line 16; ours resumes at the
+new anchor's topological position) — on our synthetic xml.validation at
+24-bit width that is 54 restarts. The
 overflow points are largely predictable from the *unbounded* context
 counts, which cost one cheap pass: wherever NC crosses the width budget,
 an anchor will be needed near the crossing.
