@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.analysis.callgraph_builder import Policy, call_sites_of
+from repro.analysis.callgraph_builder import Policy, _resolve, call_sites_of
 from repro.errors import GraphError
 from repro.graph.callgraph import CallEdge, CallGraph
 from repro.lang.model import (
@@ -348,8 +348,10 @@ def _delta_for_loaded_classes(
                     queue(target)
 
     # Phase 2: worklist over the newly added methods' own call sites.
-    while worklist:
-        ref = worklist.pop(0)
+    at = 0
+    while at < len(worklist):
+        ref = worklist[at]
+        at += 1
         note_node(ref)
         for site in call_sites_of(program.method(ref), ref):
             for target in _world_targets(
@@ -388,6 +390,9 @@ def _world_targets(
 
     Mirrors the batch builder's target resolution, except visibility is
     an explicit class set instead of the static/include-dynamic split.
+    A subtype without the method is skipped (``DispatchError``); any
+    other resolution fault propagates instead of becoming a missing
+    edge.
     """
     if isinstance(stmt, StaticCall):
         if stmt.target.klass not in world:
@@ -401,11 +406,8 @@ def _world_targets(
             continue
         if instantiated is not None and subtype not in instantiated:
             continue
-        try:
-            resolved = program.resolve(subtype, stmt.method)
-        except Exception:
-            continue  # abstract-like subtype without the method
-        if resolved.klass not in world:
+        resolved = _resolve(program, subtype, stmt.method, True)
+        if resolved is None or resolved.klass not in world:
             continue
         if resolved not in seen:
             seen.add(resolved)

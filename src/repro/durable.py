@@ -8,8 +8,9 @@ records, and a footer counting every line. :func:`write_records` is
 the only way they reach the disk (temp file, fsync, ``os.replace``,
 directory fsync) and :func:`read_records` the only way they are read
 back; each format then applies its own field rules. Three of them keep
-context paths as a prefix trie, checked by :func:`valid_trie` and
-spelled out by :func:`trie_paths`. A writer that dies mid-write leaves
+context paths as a prefix trie, checked by :func:`valid_trie`, merged
+by node ids with :class:`TrieMerge` and spelled out by
+:func:`trie_paths`. A writer that dies mid-write leaves
 its temp file behind; :func:`sweep_temp_files` deletes those of dead
 processes when a store opens its directory. ``docs/RESILIENCE.md``
 ("Durable files") has the rules and the crash points.
@@ -27,6 +28,7 @@ from operator import lt
 from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "TrieMerge",
     "delta_encode_rows",
     "fsync_dir",
     "load_records",
@@ -305,6 +307,69 @@ def delta_encode_rows(rows) -> Tuple[List[str], List[int], List[int]]:
             node = child
         pids.append(node)
     return names, nodes_flat, pids
+
+
+class TrieMerge:
+    """Tries merged into one by node ids, numbered as
+    :func:`delta_encode_rows` numbers the paths they spell.
+
+    :meth:`source` returns the map from one input trie's node ids to
+    merged ones. A node the merged trie has no id for yet climbs to its
+    nearest mapped ancestor, then the nodes below it are numbered
+    downward (one child-index lookup each, so equal paths from
+    different tries, or twice in one, share a node), and a name gets a
+    number when it is first seen. Mapping rows in some order therefore
+    gives the ``names``, ``nodes`` and row pids that
+    :func:`delta_encode_rows` makes of their spelled paths in that
+    order, without spelling one.
+    """
+
+    def __init__(self):
+        self.names: List[str] = []
+        #: Flat ``[parent, name_id, ...]``, parents before children.
+        self.nodes: List[int] = []
+        self._name_ids: Dict[str, int] = {}
+        self._children: Dict[Tuple[int, int], int] = {}
+
+    def source(self, names: List[str], nodes: List[int]) -> Callable[[int], int]:
+        """The merged id of each node of the :func:`valid_trie` table
+        ``(names, nodes)``, as a function of its id (-1, the empty
+        context, stays -1). Each node is mapped once."""
+        merged = [-1] * (len(nodes) // 2)
+        local_names = [-1] * len(names)
+        out_names, out_nodes = self.names, self.nodes
+        name_ids, children = self._name_ids, self._children
+
+        def node_of(node: int) -> int:
+            if node < 0:
+                return -1
+            out = merged[node]
+            if out >= 0:
+                return out
+            chain = []
+            while node >= 0 and merged[node] < 0:
+                chain.append(node)
+                node = nodes[2 * node]
+            parent = merged[node] if node >= 0 else -1
+            for node in reversed(chain):
+                name = nodes[2 * node + 1]
+                name_id = local_names[name]
+                if name_id < 0:
+                    text = names[name]
+                    name_id = name_ids.get(text)
+                    if name_id is None:
+                        name_id = name_ids[text] = len(out_names)
+                        out_names.append(text)
+                    local_names[name] = name_id
+                child = children.get((parent, name_id))
+                if child is None:
+                    child = children[(parent, name_id)] = len(out_nodes) // 2
+                    out_nodes.append(parent)
+                    out_nodes.append(name_id)
+                merged[node] = parent = child
+            return parent
+
+        return node_of
 
 
 def valid_trie(names, nodes, pids: Iterable[object]) -> bool:

@@ -40,6 +40,23 @@ old manifest still rules and readers quarantine the journal's
 uncommitted output; after it the inputs are tombstoned. The next
 mutator (or :meth:`Compactor.recover`) rolls the journal forward when
 its output validates completely, backward otherwise.
+
+A swap spells no path. Planning reads each live segment's integer
+columns (``pids``, ``counts``, ``span_rows``); a span is its segment and
+row indices. The merged segment is built in one pass over the retained
+spans' rows, each input trie node mapped to an output node the first
+time a row reaches it (:class:`~repro.durable.TrieMerge`), which is the
+numbering :func:`~repro.durable.delta_encode_rows` gives the spelled
+rows. The retired sidecar maps the previous sidecar's trie and the
+dropped spans' tries into one scratch
+:class:`~repro.service.store.ContextStore`, sums counts by ``(pid,
+epoch)`` and takes its sections from
+:meth:`~repro.service.store.ContextStore.encode_counted`. Both files
+are byte for byte what the path-keyed encoders
+(:meth:`~repro.query.segment.SegmentState.encode`,
+:func:`write_retired`) make of the spelled rows; those stay as the
+references the tests hold the compactor to. Nothing mapped outlives
+the swap.
 """
 
 from __future__ import annotations
@@ -47,10 +64,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.durable import (
+    TrieMerge,
     delta_encode_rows,
     fsync_dir,
     load_records,
@@ -70,12 +88,13 @@ from repro.query.locks import (
 )
 from repro.query.manifest import SegmentStore, load_manifest_info
 from repro.query.segment import (
+    EncodedSegment,
     Segment,
-    SegmentState,
     load_segment,
     segment_name,
     write_segment,
 )
+from repro.service.store import ContextStore
 
 __all__ = [
     "CompactionPolicy",
@@ -92,6 +111,7 @@ __all__ = [
     "retired_name",
     "write_journal",
     "write_retired",
+    "write_retired_encoded",
 ]
 
 JOURNAL_NAME = "compact.dpqj"
@@ -291,7 +311,38 @@ def write_retired(
     totals: Dict[_Key, Tuple[int, int]],
     fault: Optional[Callable[[int], None]] = None,
 ) -> str:
-    """Durably write the cumulative retired totals for ``generation``.
+    """Durably write the cumulative retired ``{(path, epoch): (count,
+    gaps)}`` totals for ``generation``: the path-keyed front end of
+    :func:`write_retired_encoded`.
+
+    Rows are sorted as ``(path, count, gaps, epoch)`` tuples and
+    encoded with :func:`~repro.durable.delta_encode_rows`. The
+    compactor writes the same bytes from its tries; this form is the
+    reference the golden files and tests hold it to.
+    """
+    rows = sorted(
+        (path, count, gaps, epoch)
+        for (path, epoch), (count, gaps) in totals.items()
+    )
+    names, nodes_flat, pids = delta_encode_rows(rows)
+    return write_retired_encoded(
+        directory, generation, names, nodes_flat,
+        [(pid, row[1], row[2], row[3]) for pid, row in zip(pids, rows)],
+        fault=fault,
+    )
+
+
+def write_retired_encoded(
+    directory: str,
+    generation: int,
+    names: List[str],
+    nodes: List[int],
+    rows: List[Tuple[int, int, int, int]],
+    fault: Optional[Callable[[int], None]] = None,
+) -> str:
+    """Durably write the retired sidecar of ``generation`` as its file
+    holds it: the ``names`` and flat ``nodes`` trie and ``(node, count,
+    gaps, epoch)`` rows, framed as-is.
 
     Same trie encoding as segment rows so the formats cannot drift.
     Queries do not serve it; recovery does: a service whose checkpoint
@@ -299,11 +350,6 @@ def write_retired(
     plus this sidecar (:func:`load_retired_rows`), so history retention
     deleted stays counted and is never written again.
     """
-    rows = sorted(
-        (path, count, gaps, epoch)
-        for (path, epoch), (count, gaps) in totals.items()
-    )
-    names, nodes_flat, pids = delta_encode_rows(rows)
     records = [
         {
             "kind": "retired",
@@ -312,12 +358,10 @@ def write_retired(
             "rows": len(rows),
         },
         {"kind": "names", **pack_section(names)},
-        {"kind": "nodes", **pack_section(nodes_flat)},
-        *row_records([
-            [pid, row[1], row[2], row[3]] for pid, row in zip(pids, rows)
-        ]),
+        {"kind": "nodes", **pack_section(nodes)},
+        *row_records([list(row) for row in rows]),
     ]
-    footer = {"rows": len(rows), "samples": sum(r[1] for r in rows)}
+    footer = {"rows": len(rows), "samples": sum(row[1] for row in rows)}
     return write_records(
         os.path.join(directory, retired_name(generation)), records, footer,
         fault=fault,
@@ -329,14 +373,18 @@ class RetiredRows:
     """A retired-totals sidecar as its file holds it: the ``names`` and
     flat ``nodes`` trie and ``(node, count, gaps, epoch)`` rows, ready
     for :meth:`~repro.service.shards.ShardedContextTree.restore_trie`.
-    ``paths`` spells out every node once, and ``samples`` is the rows'
-    count sum."""
+    ``samples`` is the rows' count sum. No path is spelled at load:
+    :attr:`paths` and :meth:`totals` spell them on every read."""
 
     names: List[str]
     nodes: List[int]
     rows: List[Tuple[int, int, int, int]]
-    paths: List[Tuple[str, ...]]
     samples: int
+
+    @property
+    def paths(self) -> List[Tuple[str, ...]]:
+        """The path of every trie node, built on every read."""
+        return trie_paths(self.names, self.nodes)
 
     def totals(self) -> Dict[_Key, Tuple[int, int]]:
         """``{(path, epoch): (count, gaps)}``, one entry per row."""
@@ -371,15 +419,18 @@ def load_retired_rows(path: str) -> Optional[RetiredRows]:
     if any(count < 0 or gaps < 0 for _pid, count, gaps, _epoch in rows):
         return None
     retired = RetiredRows(
-        names, nodes_flat, rows, trie_paths(names, nodes_flat),
-        sum(row[1] for row in rows),
+        names, nodes_flat, rows, sum(row[1] for row in rows)
     )
     if (
         footer.get("rows") != len(rows)
         or header.get("rows") != len(rows)
         or footer.get("samples") != retired.samples
-        or len(retired.totals()) != len(rows)
     ):
+        return None
+    # One row per (path, epoch): nodes spelling one path map to one
+    # merged node.
+    node_of = TrieMerge().source(names, nodes_flat)
+    if len({(node_of(pid), epoch) for pid, _c, _g, epoch in rows}) != len(rows):
         return None
     return retired
 
@@ -395,14 +446,57 @@ def load_retired(path: str) -> Optional[Dict[_Key, Tuple[int, int]]]:
 # ----------------------------------------------------------------------
 @dataclass
 class _Span:
+    """One span of a live segment: its window and its rows' indices
+    into the segment's integer columns."""
+
     t_lo: float
     t_hi: float
-    src_seq: int
-    rows: tuple  # ((path, count, gaps, epoch), ...)
+    seg: Segment
+    rows: Sequence[int]
 
     @property
     def samples(self) -> int:
-        return sum(r[1] for r in self.rows)
+        counts = self.seg.counts
+        return sum(counts[row] for row in self.rows)
+
+    def encoded_rows(self) -> List[Tuple[int, int, int, int]]:
+        """``(node, count, gaps, epoch)`` per row, on the segment's trie."""
+        seg = self.seg
+        return [
+            (seg.pids[row], seg.counts[row], seg.gaps[row], seg.epochs[row])
+            for row in self.rows
+        ]
+
+
+def _merged_segment(retained: List[_Span], fingerprint: str) -> EncodedSegment:
+    """The compacted segment of ``retained``: one span per input span,
+    rows in span-major order, every input trie mapped into one output
+    trie as its rows reach it (:class:`~repro.durable.TrieMerge`)."""
+    merge = TrieMerge()
+    mappers: Dict[int, Callable[[int], int]] = {}
+    rows: List[Tuple[int, int, int, int]] = []
+    row_spans: List[int] = []
+    for span_id, span in enumerate(retained):
+        seg = span.seg
+        mapped = mappers.get(seg.seq)
+        if mapped is None:
+            mapped = mappers[seg.seq] = merge.source(seg.names, seg.nodes)
+        pids, counts, gaps, epochs = seg.pids, seg.counts, seg.gaps, seg.epochs
+        rows.extend(
+            (mapped(pids[row]), counts[row], gaps[row], epochs[row])
+            for row in span.rows
+        )
+        row_spans.extend([span_id] * len(span.rows))
+    return EncodedSegment(
+        t_lo=min(span.t_lo for span in retained),
+        t_hi=max(span.t_hi for span in retained),
+        fingerprint=fingerprint,
+        names=merge.names,
+        nodes=merge.nodes,
+        rows=rows,
+        spans=tuple((span.t_lo, span.t_hi) for span in retained),
+        row_spans=tuple(row_spans),
+    )
 
 
 class Compactor:
@@ -526,7 +620,7 @@ class Compactor:
         )
         if output_ok and retired_is_new:
             output_ok = (
-                load_retired(os.path.join(self.directory, retired))
+                load_retired_rows(os.path.join(self.directory, retired))
                 is not None
             )
         if not output_ok:
@@ -623,15 +717,12 @@ class Compactor:
         if not live:
             return None
         retention = self.policy.retention
-        spans: List[_Span] = []
-        for seg in live:
-            rows = seg.rows
-            for (lo, hi), bucket in zip(seg.spans, seg.span_rows):
-                spans.append(_Span(
-                    t_lo=lo, t_hi=hi, src_seq=seg.seq,
-                    rows=tuple(rows[i] for i in bucket),
-                ))
-        spans.sort(key=lambda s: (s.t_lo, s.t_hi, s.src_seq))
+        spans = [
+            _Span(t_lo=lo, t_hi=hi, seg=seg, rows=bucket)
+            for seg in live
+            for (lo, hi), bucket in zip(seg.spans, seg.span_rows)
+        ]
+        spans.sort(key=lambda s: (s.t_lo, s.t_hi, s.seg.seq))
         total_bytes = 0
         for seg in live:
             try:
@@ -723,14 +814,11 @@ class Compactor:
         drop_rows = sum(len(s.rows) for s in dropped)
         drop_samples = sum(s.samples for s in dropped)
         if dropped and drop_rows:
-            totals = dict(self.store.retired_totals())
-            for span in dropped:
-                for path, count, gaps, epoch in span.rows:
-                    key = (tuple(path), epoch)
-                    prev = totals.get(key, (0, 0))
-                    totals[key] = (prev[0] + count, prev[1] + gaps)
             retired = retired_name(to_gen)
-            write_retired(self.directory, to_gen, totals, fault=stepped())
+            write_retired_encoded(
+                self.directory, to_gen, *self._retired_sections(dropped),
+                fault=stepped(),
+            )
 
         # 2. the intent journal: the swap is now declared
         intent = {
@@ -750,25 +838,11 @@ class Compactor:
         # 3. the merged output segment (one span per retained input)
         output: List[Segment] = []
         if retained:
-            t_lo = min(s.t_lo for s in retained)
-            t_hi = max(s.t_hi for s in retained)
             newest = max(live, key=lambda s: s.seq)
-            rows: List[tuple] = []
-            row_spans: List[int] = []
-            for span_id, span in enumerate(retained):
-                for row in span.rows:
-                    rows.append(row)
-                    row_spans.append(span_id)
-            state = SegmentState(
-                t_lo=t_lo,
-                t_hi=t_hi,
-                fingerprint=newest.fingerprint,
-                rows=tuple(rows),
-                spans=tuple((s.t_lo, s.t_hi) for s in retained),
-                row_spans=tuple(row_spans),
-            )
             path = write_segment(
-                self.directory, output_seq, state.encode(), fault=stepped()
+                self.directory, output_seq,
+                _merged_segment(retained, newest.fingerprint),
+                fault=stepped(),
             )
             seg = self.store.load(output_seq)
             if seg is None:  # pragma: no cover - write+load invariant
@@ -821,6 +895,43 @@ class Compactor:
             "deleted": deleted,
             "deferred": deferred,
         }
+
+    def _retired_sections(
+        self, dropped: List[_Span]
+    ) -> Tuple[List[str], List[int], List[Tuple[int, int, int, int]]]:
+        """The next retired sidecar's ``(names, nodes, rows)``: the
+        previous sidecar's rows plus the dropped spans', summed by
+        ``(path, epoch)`` in a scratch store and walked out of it by
+        :meth:`~repro.service.store.ContextStore.encode_counted`.
+
+        Its rows come in ``(path, epoch)`` order as preorder node ids;
+        sorted as integer tuples they are in the ``(path, count, gaps,
+        epoch)`` order :func:`write_retired` sorts spelled rows into
+        (a path retired under two epochs is ordered by count first).
+        """
+        previous = self.store.retired_rows()
+        sources = [] if previous is None else [
+            (previous.names, previous.nodes, previous.rows)
+        ]
+        sources += [
+            (span.seg.names, span.seg.nodes, span.encoded_rows())
+            for span in dropped
+        ]
+        scratch = ContextStore(compression="none")
+        totals: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        for names, nodes, rows in sources:
+            ids, _name_ids = scratch.intern_trie(
+                names, nodes, [row[0] for row in rows]
+            )
+            for node, count, gaps, epoch in rows:
+                key = (ids[node] if node >= 0 else -1, epoch)
+                have = totals.get(key, (0, 0))
+                totals[key] = (have[0] + count, have[1] + gaps)
+        names, nodes, rows = scratch.encode_counted([
+            (key, count, gaps) for key, (count, gaps) in totals.items()
+        ])
+        rows.sort()
+        return names, nodes, rows
 
     # ------------------------------------------------------------------
     def _commit(

@@ -8,15 +8,19 @@ exactly what happened in that window. The writer keeps the baseline
 wall-clock window ``[last_flush, now)``. A flush that would write an
 empty segment writes nothing.
 
-The baseline is keyed like the tree, by integer ``(pid, epoch)``, and
-remembers the shard versions it reflects
-(:meth:`~repro.service.shards.ShardedContextTree.count_rows_since`):
-a flush passes over the counts of the shards written since the last
-written flush, so one that finds nothing new costs one lock round trip
-per shard. It decodes no path: the changed keys' integer deltas go to
+The baseline is keyed like the tree, by integer ``(pid, epoch)``. A
+flush reads only the keys written since it last ran: it *takes* them
+from the tree
+(:meth:`~repro.service.shards.ShardedContextTree.take_rows`, which
+empties each shard's touched set under the lock it reads the counts
+under) and compares just those rows with the baseline, so its cost
+follows what the round added, not what the tree has counted, and one
+that finds nothing new costs one lock round trip per shard. It decodes
+no path: the changed keys' integer deltas go to
 :meth:`~repro.service.store.ContextStore.encode_counted`, which returns
 the segment's sections as an :class:`~repro.query.segment.EncodedSegment`
-holds them.
+holds them. The writer is the tree's one taker; every other reader
+(``count_rows``, ``rows``, checkpoints) leaves the touched keys alone.
 
 The directory is the log of everything flushed: its live segments plus
 the retired sidecar retention left hold every flushed count.
@@ -27,8 +31,10 @@ segment's trie mapped in through
 re-emits nothing.
 
 Crash discipline mirrors the checkpoint daemon: a failed flush leaves
-baseline and window untouched, so the next attempt re-covers the same
-delta — segments never lose samples, at worst a window widens.
+baseline and window untouched and hands the keys it took back to the
+tree (:meth:`~repro.service.shards.ShardedContextTree.retouch`), so the
+next attempt re-covers the same delta — segments never lose samples, at
+worst a window widens.
 """
 
 from __future__ import annotations
@@ -82,8 +88,6 @@ class SegmentWriter:
         self._lock = threading.Lock()
         #: (pid, epoch) -> (count, gaps) the segments durably hold.
         self._baseline: Dict[_PidKey, _Counts] = {}
-        #: The tree's shard versions the baseline reflects (None: none).
-        self._versions: Optional[List[int]] = None
         self._window_start = clock()
         self.flushes = 0
         self.empty_flushes = 0
@@ -97,8 +101,9 @@ class SegmentWriter:
         """Write one segment of deltas since the last flush.
 
         Returns the new segment's path, or None when nothing changed.
-        On an exception the baseline/window are left as they were, so
-        retrying covers the same samples — with one exception: when the
+        On an exception the baseline/window are left as they were and
+        the moved keys are handed back to the tree, so retrying covers
+        the same samples — with one exception: when the
         failed ``append`` turns out to have landed its segment durably
         (the rename happened, then loading or the manifest rewrite
         blew up — a crash window a dying worker process hits), the
@@ -111,7 +116,7 @@ class SegmentWriter:
         steps back cannot make a segment overlap the one before it.
         """
         with self._lock:
-            versions, moved = self._delta()
+            moved = self._delta()
             counted = [
                 (key, count - base[0], gaps - base[1])
                 for key, count, gaps, base in moved
@@ -119,51 +124,70 @@ class SegmentWriter:
             ]
             now = max(self._clock(), self._window_start)
             if not counted:
+                # A key new to the baseline with nothing counted (a
+                # zero-weight write) stays touched, so the baseline
+                # takes it at the next flush that writes.
+                self.tree.retouch(key for key, _c, _g, _b in moved)
                 self.empty_flushes += 1
                 self._window_start = now
                 return None
-            names, nodes, rows = self.tree.store.encode_counted(counted)
-            encoded = EncodedSegment(
-                t_lo=self._window_start,
-                t_hi=now,
-                fingerprint=self.fingerprint,
-                names=names,
-                nodes=nodes,
-                rows=rows,
-            )
-            with obs.span("query.flush", rows=len(rows)):
-                try:
-                    path = self.store.append(encoded, fault=fault)
-                except Exception:
-                    path = self._salvage(encoded)
-                    if path is None:
-                        raise
-                    self.salvaged_flushes += 1
-                    obs.counter("query.flush_salvaged").inc()
+            try:
+                path = self._write(counted, now, fault)
+            except BaseException:
+                self.tree.retouch(key for key, _c, _g, _b in moved)
+                raise
             for key, count, gaps, _base in moved:
                 self._baseline[key] = (count, gaps)
-            self._versions = versions
             self._window_start = now
             self.flushes += 1
             return path
 
-    def _delta(self) -> Tuple[List[int], List[tuple]]:
-        """The tree's shard versions and the keys new to the baseline
-        or past it, each ``((pid, epoch), count, gaps, baseline)``.
+    def _write(
+        self,
+        counted: List[tuple],
+        now: float,
+        fault: Optional[Callable[[int], None]],
+    ) -> str:
+        """Append the segment of the ``((pid, epoch), count, gaps)``
+        deltas ``counted`` over ``[window start, now)``, or find it
+        landed after a failure."""
+        names, nodes, rows = self.tree.store.encode_counted(counted)
+        encoded = EncodedSegment(
+            t_lo=self._window_start,
+            t_hi=now,
+            fingerprint=self.fingerprint,
+            names=names,
+            nodes=nodes,
+            rows=rows,
+        )
+        with obs.span("query.flush", rows=len(rows)):
+            try:
+                return self.store.append(encoded, fault=fault)
+            except Exception:
+                path = self._salvage(encoded)
+                if path is None:
+                    raise
+                self.salvaged_flushes += 1
+                obs.counter("query.flush_salvaged").inc()
+                return path
 
-        Only the shards written since the last written flush are read
-        (the tree only grows, and the baseline never runs ahead of it),
-        so a flush after one that wrote costs one lock round trip per
-        shard until something is added.
+    def _delta(self) -> List[tuple]:
+        """The keys written since the last flush that are new to the
+        baseline or past it, each ``((pid, epoch), count, gaps,
+        baseline)``.
+
+        Only the taken keys are compared
+        (:meth:`~repro.service.shards.ShardedContextTree.take_rows`): a
+        key nobody wrote since the last flush cannot have moved, since
+        the tree only grows and the baseline never runs ahead of it.
         """
-        versions, rows = self.tree.count_rows_since(self._versions)
         baseline = self._baseline
         moved: List[tuple] = []
-        for key, count, gaps in rows:
+        for key, count, gaps in self.tree.take_rows():
             base = baseline.get(key)
             if base is None or count > base[0] or gaps > base[1]:
                 moved.append((key, count, gaps, base or (0, 0)))
-        return versions, moved
+        return moved
 
     def _salvage(self, encoded: EncodedSegment) -> Optional[str]:
         """After a failed append: did the segment land durably anyway?
@@ -197,7 +221,7 @@ class SegmentWriter:
         """Make the tree's counts the baseline: everything the tree
         holds is durable, so no flush emits it again."""
         with self._lock:
-            self._versions, rows = self.tree.count_rows_since(None)
+            rows = self.tree.take_rows(every=True)
             self._baseline = {key: (count, gaps) for key, count, gaps in rows}
             self._window_start = self._clock()
 

@@ -22,12 +22,20 @@ The batched write path (:meth:`add_counts`) applies a whole decoded
 batch in one locked pass per shard — the per-group cost after
 dedup-then-decode is a dict update, not a lock round trip. Its entries
 carry pids the decode engine already interned, so it walks no path.
+
+Every write also marks its ``(pid, epoch)`` key *touched* in its shard
+(one ``set.add`` under the lock the write holds anyway). The segment
+writer takes the touched keys' rows (:meth:`take_rows`) instead of
+reading every count, so a flush costs what was written since the last
+one, not what the tree has counted over its life. Until the first take
+every key counts as touched and nothing is tracked, so a tree no
+writer takes from (a service without a segment store) keeps no set.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ServiceError
 from repro.postprocess import ContextTreeReport, top_k
@@ -46,7 +54,7 @@ class _Shard:
 
     __slots__ = (
         "lock", "counts", "leaf_totals", "gap_counts", "gap_samples",
-        "samples", "version",
+        "samples", "touched",
     )
 
     def __init__(self):
@@ -60,9 +68,10 @@ class _Shard:
         self.gap_counts: Dict[Tuple[int, int], int] = {}
         self.gap_samples = 0
         self.samples = 0
-        #: Bumped by every write, so a reader can tell that nothing in
-        #: this shard moved since it last looked.
-        self.version = 0
+        #: The (pid, epoch) keys written since the segment writer last
+        #: took them (:meth:`ShardedContextTree.take_rows`); None
+        #: before the first take, when every key counts as touched.
+        self.touched: Optional[Set[Tuple[int, int]]] = None
 
 
 class ShardStats:
@@ -146,9 +155,11 @@ class ShardedContextTree:
         for shard_index, rows in by_shard.items():
             shard = self._shards[shard_index]
             with shard.lock:
-                shard.version += 1
+                touched = shard.touched
                 for pid, has_gaps, weight, epoch, leaf in rows:
                     key = (pid, epoch)
+                    if touched is not None:
+                        touched.add(key)
                     shard.counts[key] = shard.counts.get(key, 0) + weight
                     leaf_key = (leaf, epoch)
                     shard.leaf_totals[leaf_key] = (
@@ -324,7 +335,8 @@ class ShardedContextTree:
                 shard.gap_counts.clear()
                 shard.gap_samples = 0
                 shard.samples = 0
-                shard.version += 1
+                if shard.touched is not None:
+                    shard.touched.clear()
 
     # ------------------------------------------------------------------
     # Checkpoint surface
@@ -335,35 +347,61 @@ class ShardedContextTree:
 
         Each shard lock is taken once and nothing is decoded, so the
         cost is one pass over the integer counts. Order is unspecified;
-        :meth:`rows` is the decoded, sorted form.
+        :meth:`rows` is the decoded, sorted form. Nothing is taken:
+        the keys written since the last :meth:`take_rows` stay touched.
         """
-        return self.count_rows_since(None)[1]
-
-    def count_rows_since(
-        self, versions: Optional[List[int]]
-    ) -> Tuple[List[int], List[Tuple[Tuple[int, int], int, int]]]:
-        """Every shard's version, and the :meth:`count_rows` of the
-        shards whose version is not the one in ``versions`` (all of
-        them when ``versions`` is None).
-
-        A shard's version and its rows are read under one acquisition
-        of its lock, so a caller that passes back the versions it got
-        sees exactly the shards written since: a tree nothing was added
-        to costs one lock round trip per shard.
-        """
-        now: List[int] = []
         rows: List[Tuple[Tuple[int, int], int, int]] = []
-        for index, shard in enumerate(self._shards):
+        for shard in self._shards:
             with shard.lock:
-                now.append(shard.version)
-                if versions is not None and versions[index] == shard.version:
-                    continue
                 gap_counts = shard.gap_counts
                 rows.extend(
                     (key, count, gap_counts.get(key, 0))
                     for key, count in shard.counts.items()
                 )
-        return now, rows
+        return rows
+
+    def take_rows(
+        self, *, every: bool = False
+    ) -> List[Tuple[Tuple[int, int], int, int]]:
+        """The :meth:`count_rows` of the keys written since the last
+        take (of every key at the first take, or when ``every``), and
+        no longer touched.
+
+        Each shard's rows are read and its touched set emptied under
+        one hold of its lock, so a write landing after the read touches
+        its key again and the next take returns it. The cost follows
+        the keys written, not the keys held. The segment writer is the
+        one caller: a second taker would see only what the first left.
+        """
+        rows: List[Tuple[Tuple[int, int], int, int]] = []
+        for shard in self._shards:
+            with shard.lock:
+                counts, gap_counts = shard.counts, shard.gap_counts
+                keys = shard.touched
+                if every or keys is None:
+                    keys = counts
+                rows.extend(
+                    (key, counts[key], gap_counts.get(key, 0)) for key in keys
+                )
+                shard.touched = set()
+        return rows
+
+    def retouch(self, keys: Iterable[Tuple[int, int]]) -> None:
+        """Mark ``keys`` written again, so the next :meth:`take_rows`
+        returns them: a flush that took them and failed hands them
+        back. Keys the tree no longer counts (cleared since) are
+        dropped."""
+        n_shards = len(self._shards)
+        by_shard: Dict[int, List[Tuple[int, int]]] = {}
+        for key in keys:
+            by_shard.setdefault(key[0] % n_shards, []).append(key)
+        for shard_index, shard_keys in by_shard.items():
+            shard = self._shards[shard_index]
+            with shard.lock:
+                counts = shard.counts
+                shard.touched.update(
+                    key for key in shard_keys if key in counts
+                )
 
     def rows(self) -> List[Tuple[Path, int, int, int]]:
         """A consistent-per-shard snapshot of
@@ -447,8 +485,10 @@ class ShardedContextTree:
         for shard_index, entries in by_shard.items():
             shard = self._shards[shard_index]
             with shard.lock:
-                shard.version += 1
+                touched = shard.touched
                 for key, leaf, count, gaps in entries:
+                    if touched is not None:
+                        touched.add(key)
                     shard.counts[key] = shard.counts.get(key, 0) + count
                     leaf_key = (leaf, key[1])
                     shard.leaf_totals[leaf_key] = (

@@ -11,7 +11,7 @@ from repro.analysis.incremental import (
     diff_graphs,
 )
 from repro.core.sid import compute_sids, update_sids
-from repro.errors import GraphError
+from repro.errors import GraphError, ProgramError
 from repro.graph.callgraph import CallEdge, CallGraph
 from repro.runtime.interpreter import Interpreter
 from repro.workloads.paperprograms import figure6_program
@@ -164,6 +164,24 @@ class TestDeltaForLoadedClasses:
                 assert "XImpl.m" in delta.added_nodes
                 return
         pytest.fail("no seed loads the plugin")
+
+    def test_resolution_faults_are_not_hidden(self, monkeypatch):
+        # A fault resolving the loaded class's method must surface, not
+        # turn into a hot-swap delta without the Main.b -> XImpl.m edge.
+        program = figure6_program()
+        from repro.analysis.callgraph_builder import build_callgraph
+
+        graph = build_callgraph(program)
+        resolve = program.resolve
+
+        def faulty(klass, method):
+            if klass == "XImpl":
+                raise ProgramError("corrupt class table")
+            return resolve(klass, method)
+
+        monkeypatch.setattr(program, "resolve", faulty)
+        with pytest.raises(ProgramError, match="corrupt class table"):
+            delta_for_loaded_classes(program, graph, ["XImpl"])
 
 
 class TestUpdateSids:

@@ -291,18 +291,16 @@ class TestCompactionOracle:
         from repro.check.oracle import check_compaction
         from repro.query import compact as compact_mod
 
-        real_execute = compact_mod.Compactor._execute
+        real_merge = compact_mod._merged_segment
 
-        def lossy(self, plan, lock, fault, now):
-            retained = plan["retained"]
-            if retained and retained[0].rows:
-                path, count, gaps, epoch = retained[0].rows[0]
-                retained[0].rows = (
-                    (path, count + 1, gaps, epoch),
-                ) + retained[0].rows[1:]
-            return real_execute(self, plan, lock, fault, now)
+        def lossy(retained, fingerprint):
+            encoded = real_merge(retained, fingerprint)
+            if encoded.rows:
+                node, count, gaps, epoch = encoded.rows[0]
+                encoded.rows[0] = (node, count + 1, gaps, epoch)
+            return encoded
 
-        monkeypatch.setattr(compact_mod.Compactor, "_execute", lossy)
+        monkeypatch.setattr(compact_mod, "_merged_segment", lossy)
         failures = check_compaction(generate_case(0), observations=16)
         assert failures
         assert all(f.startswith("compaction") for f in failures)

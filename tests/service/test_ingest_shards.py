@@ -355,6 +355,29 @@ class TestShardedContextTree:
         with pytest.raises(ValueError):
             ShardedContextTree(shards=0)
 
+    def test_take_rows_returns_what_was_written_since_the_last_take(self):
+        tree = ShardedContextTree(shards=4)
+        for i in range(12):
+            tree.add(("main", f"f{i}"), weight=2, epoch=i % 2)
+        # Nothing is tracked before the first take, which returns every
+        # key: a tree no writer takes from keeps no set.
+        assert all(shard.touched is None for shard in tree._shards)
+        assert sorted(tree.take_rows()) == sorted(tree.count_rows())
+        assert tree.take_rows() == []
+        tree.add(("main", "f3"), True, 1, epoch=1)
+        tree.add(("main", "new"), epoch=0)
+        tree.count_rows()
+        tree.rows()
+        taken = {key: (count, gaps) for key, count, gaps in tree.take_rows()}
+        pid = tree.store.lookup(("main", "f3"))
+        assert taken == {
+            (pid, 1): (3, 1),
+            (tree.store.lookup(("main", "new")), 0): (1, 0),
+        }
+        tree.retouch([(pid, 1)])
+        assert tree.take_rows() == [((pid, 1), 3, 1)]
+        assert len(tree.take_rows(every=True)) == 13
+
 
 def reference_top(tree, k, epoch=None, decoded=True):
     """The earlier ranking: decode every pid, sort all, slice."""

@@ -6,6 +6,7 @@ The path-table check is tested through every loader that uses it, in
 
 import itertools
 import os
+import random
 import signal
 import time
 import zlib
@@ -13,10 +14,13 @@ import zlib
 import pytest
 
 from repro.durable import (
+    TrieMerge,
+    delta_encode_rows,
     parse_record_line,
     read_records,
     record_line,
     sweep_temp_files,
+    trie_paths,
     write_records,
 )
 
@@ -114,6 +118,37 @@ class TestRecordLine:
         body = "[1]"
         crc = f"{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}"
         assert parse_record_line(f"{crc} {body}\n") is None
+
+
+class TestTrieMerge:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_numbers_as_delta_encode_rows_numbers_the_spelled_paths(
+        self, seed
+    ):
+        # Several tries, each numbered in another order than the rows
+        # read from it, mapped row by row in an interleaved order.
+        rng = random.Random(seed)
+        pool = [()] + [
+            tuple(rng.choice("abcdef") for _ in range(rng.randint(1, 4)))
+            for _ in range(20)
+        ]
+        tries = []
+        for _ in range(3):
+            paths = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+            names, nodes, pids = delta_encode_rows(
+                [(path,) for path in reversed(paths)]
+            )
+            tries.append((names, nodes, pids[::-1], paths))
+        merge = TrieMerge()
+        maps = [merge.source(names, nodes) for names, nodes, _p, _s in tries]
+        order = [(t, i) for t, tri in enumerate(tries) for i in range(len(tri[2]))]
+        rng.shuffle(order)
+        merged = [maps[t](tries[t][2][i]) for t, i in order]
+        spelled = [(tries[t][3][i],) for t, i in order]
+        names, nodes, pids = delta_encode_rows(spelled)
+        assert (merge.names, merge.nodes, merged) == (names, nodes, pids)
+        paths = trie_paths(merge.names, merge.nodes) + [()]
+        assert [paths[pid] for pid in merged] == [row[0] for row in spelled]
 
 
 class TestWriteRecords:
