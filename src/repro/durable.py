@@ -6,8 +6,9 @@ sidecars (``dpqr``) are files of CRC-framed JSON line records: a
 header record naming the format and its version, the format's own
 records, and a footer counting every line. :func:`write_records` is
 the only way they reach the disk (temp file, fsync, ``os.replace``,
-directory fsync) and :func:`read_records` the only way they are read
-back; each format then applies its own field rules. Three of them keep
+directory fsync; a caller may have the bytes hashed on the way) and
+:func:`read_records` the only way they are read back; each format then
+applies its own field rules. Three of them keep
 context paths as a prefix trie, checked by :func:`valid_trie`, merged
 by node ids with :class:`TrieMerge` and spelled out by
 :func:`trie_paths`. A writer that dies mid-write leaves
@@ -120,6 +121,7 @@ def write_records(
     records: Iterable[dict],
     footer: Optional[dict] = None,
     fault: Optional[Callable[[int], None]] = None,
+    digest=None,
 ) -> str:
     """Atomically make ``path`` the file of ``records`` plus a footer.
 
@@ -128,25 +130,31 @@ def write_records(
     included. ``fault`` (chaos) is called with the running record count
     after each record is written, the footer's too; raising from it
     abandons the temp file un-renamed, so readers only ever see the
-    previous file or none. Returns ``path``.
+    previous file or none. ``digest``, a :mod:`hashlib` object, is
+    updated with every byte written, so a caller reading the file back
+    can tell whether it holds exactly those bytes. Returns ``path``.
     """
     directory = os.path.dirname(path)
     tmp = os.path.join(
         directory, f".tmp-{os.path.basename(path)}-{os.getpid()}"
     )
-    written = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
+
+    def numbered():
+        written = 0
         for payload in records:
-            fh.write(record_line(payload))
             written += 1
+            yield written, payload
+        written += 1
+        yield written, dict(footer or {}, kind="footer", records=written)
+
+    with open(tmp, "wb") as fh:
+        for written, payload in numbered():
+            line = record_line(payload).encode("utf-8")
+            fh.write(line)
+            if digest is not None:
+                digest.update(line)
             if fault is not None:
                 fault(written)
-        fh.write(record_line(
-            dict(footer or {}, kind="footer", records=written + 1)
-        ))
-        written += 1
-        if fault is not None:
-            fault(written)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

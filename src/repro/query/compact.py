@@ -57,10 +57,17 @@ are byte for byte what the path-keyed encoders
 :func:`write_retired`) make of the spelled rows; those stay as the
 references the tests hold the compactor to. Nothing mapped outlives
 the swap.
+
+Both files are read back after their rename and hashed. Bytes equal to
+those just written are checked as the values that were serialized
+(:func:`~repro.query.segment.adopt_segment`, :func:`adopt_retired_rows`:
+the parsers' checks, one copy of each), so the commit hands the store a
+segment and a sidecar nobody decodes again; other bytes are parsed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -73,6 +80,7 @@ from repro.durable import (
     fsync_dir,
     load_records,
     pack_section,
+    read_records,
     row_records,
     split_body,
     trie_paths,
@@ -92,7 +100,6 @@ from repro.query.segment import (
     Segment,
     load_segment,
     segment_name,
-    write_segment,
 )
 from repro.service.store import ContextStore
 
@@ -104,6 +111,7 @@ __all__ = [
     "RETIRED_VERSION",
     "RetentionPolicy",
     "RetiredRows",
+    "adopt_retired_rows",
     "journal_quarantine",
     "load_journal",
     "load_retired",
@@ -332,6 +340,27 @@ def write_retired(
     )
 
 
+def _retired_file(
+    generation: int,
+    names: List[str],
+    nodes: List[int],
+    rows: List[Tuple[int, int, int, int]],
+) -> Tuple[dict, Dict[str, object], List[Tuple[int, int, int, int]], dict]:
+    """What the sidecar of ``generation`` holds before framing: its
+    header, its packed sections by kind, its rows (JSON writes a tuple
+    as a list) and its footer's fields. :func:`write_retired_encoded`
+    frames exactly these, and :func:`adopt_retired_rows` checks exactly
+    these."""
+    header = {
+        "kind": "retired",
+        "version": RETIRED_VERSION,
+        "generation": int(generation),
+        "rows": len(rows),
+    }
+    footer = {"rows": len(rows), "samples": sum(row[1] for row in rows)}
+    return header, {"names": names, "nodes": nodes}, rows, footer
+
+
 def write_retired_encoded(
     directory: str,
     generation: int,
@@ -339,10 +368,12 @@ def write_retired_encoded(
     nodes: List[int],
     rows: List[Tuple[int, int, int, int]],
     fault: Optional[Callable[[int], None]] = None,
+    digest=None,
 ) -> str:
     """Durably write the retired sidecar of ``generation`` as its file
     holds it: the ``names`` and flat ``nodes`` trie and ``(node, count,
-    gaps, epoch)`` rows, framed as-is.
+    gaps, epoch)`` rows, framed as-is. ``digest`` (a :mod:`hashlib`
+    object) is fed the bytes written.
 
     Same trie encoding as segment rows so the formats cannot drift.
     Queries do not serve it; recovery does: a service whose checkpoint
@@ -350,21 +381,18 @@ def write_retired_encoded(
     plus this sidecar (:func:`load_retired_rows`), so history retention
     deleted stays counted and is never written again.
     """
+    header, sections, raw_rows, footer = _retired_file(
+        generation, names, nodes, rows
+    )
     records = [
-        {
-            "kind": "retired",
-            "version": RETIRED_VERSION,
-            "generation": int(generation),
-            "rows": len(rows),
-        },
-        {"kind": "names", **pack_section(names)},
-        {"kind": "nodes", **pack_section(nodes)},
-        *row_records([list(row) for row in rows]),
+        header,
+        *({"kind": kind, **pack_section(value)}
+          for kind, value in sections.items()),
+        *row_records(raw_rows),
     ]
-    footer = {"rows": len(rows), "samples": sum(row[1] for row in rows)}
     return write_records(
         os.path.join(directory, retired_name(generation)), records, footer,
-        fault=fault,
+        fault=fault, digest=digest,
     )
 
 
@@ -398,7 +426,17 @@ class RetiredRows:
 def load_retired_rows(path: str) -> Optional[RetiredRows]:
     """Parse and fully validate a retired-totals file, its rows left on
     the file's trie; None when bad."""
-    read = load_records(path, "retired", (RETIRED_VERSION,))
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    return _parse_retired_rows(data)
+
+
+def _parse_retired_rows(data: bytes) -> Optional[RetiredRows]:
+    """:func:`load_retired_rows` of a sidecar file's bytes."""
+    read = read_records(data, "retired", (RETIRED_VERSION,))
     if read is None:
         return None
     header, body, footer = read
@@ -406,6 +444,34 @@ def load_retired_rows(path: str) -> Optional[RetiredRows]:
     if split is None:
         return None
     sections, raw_rows = split
+    return _checked_retired(header, sections, raw_rows, footer)
+
+
+def adopt_retired_rows(
+    generation: int,
+    names: List[str],
+    nodes: List[int],
+    rows: List[Tuple[int, int, int, int]],
+) -> Optional[RetiredRows]:
+    """The sidecar :func:`write_retired_encoded` wrote from these
+    sections, checked as the values it serialized; None when they fail
+    a check :func:`load_retired_rows` runs. Only for a file whose bytes
+    are the ones written for them (as
+    :func:`~repro.query.segment.adopt_segment`)."""
+    return _checked_retired(*_retired_file(generation, names, nodes, rows))
+
+
+def _checked_retired(
+    header: dict,
+    sections: Dict[str, object],
+    raw_rows: Sequence,
+    footer: dict,
+) -> Optional[RetiredRows]:
+    """The :class:`RetiredRows` of a sidecar's values, or None when they
+    fail a check: 4-column int rows, the trie
+    (:func:`~repro.durable.valid_trie`), no negative count, the header
+    and footer totals, and one row per ``(path, epoch)``. The one copy
+    of the checks, for parsing and adopting alike."""
     try:
         rows = [
             (pid, int(count), int(gaps), int(epoch))
@@ -427,12 +493,31 @@ def load_retired_rows(path: str) -> Optional[RetiredRows]:
         or footer.get("samples") != retired.samples
     ):
         return None
-    # One row per (path, epoch): nodes spelling one path map to one
-    # merged node.
-    node_of = TrieMerge().source(names, nodes_flat)
-    if len({(node_of(pid), epoch) for pid, _c, _g, epoch in rows}) != len(rows):
+    if not _one_row_per_path_epoch(names, nodes_flat, rows):
         return None
     return retired
+
+
+def _one_row_per_path_epoch(
+    names: List[str], nodes: List[int], rows: Sequence[tuple]
+) -> bool:
+    """Whether no two ``(node, count, gaps, epoch)`` rows of the
+    :func:`~repro.durable.valid_trie` table ``(names, nodes)`` spell one
+    ``(path, epoch)``.
+
+    When no ``(parent, name)`` pair repeats, distinct nodes spell
+    distinct paths (two nodes spelling one path would need equal pairs
+    at some depth), so distinct ``(node, epoch)`` keys decide; every
+    sidecar the compactor writes is such a trie. Otherwise nodes
+    spelling one path are mapped to one merged node first
+    (:class:`~repro.durable.TrieMerge`).
+    """
+    if len(set(zip(nodes[0::2], nodes[1::2]))) == len(nodes) // 2:
+        keys = {(row[0], row[3]) for row in rows}
+    else:
+        node_of = TrieMerge().source(names, nodes)
+        keys = {(node_of(row[0]), row[3]) for row in rows}
+    return len(keys) == len(rows)
 
 
 def load_retired(path: str) -> Optional[Dict[_Key, Tuple[int, int]]]:
@@ -811,13 +896,13 @@ class Compactor:
         # 1. retired totals (cumulative: prior retirements + new drops)
         prev_retired: Optional[str] = self.store.retired_name
         retired: Optional[str] = prev_retired
+        retired_rows: Optional[RetiredRows] = None
         drop_rows = sum(len(s.rows) for s in dropped)
         drop_samples = sum(s.samples for s in dropped)
         if dropped and drop_rows:
             retired = retired_name(to_gen)
-            write_retired_encoded(
-                self.directory, to_gen, *self._retired_sections(dropped),
-                fault=stepped(),
+            retired_rows = self._write_retired(
+                to_gen, self._retired_sections(dropped), stepped()
             )
 
         # 2. the intent journal: the swap is now declared
@@ -839,17 +924,10 @@ class Compactor:
         output: List[Segment] = []
         if retained:
             newest = max(live, key=lambda s: s.seq)
-            path = write_segment(
-                self.directory, output_seq,
-                _merged_segment(retained, newest.fingerprint),
+            output = [self.store.write(
+                output_seq, _merged_segment(retained, newest.fingerprint),
                 fault=stepped(),
-            )
-            seg = self.store.load(output_seq)
-            if seg is None:  # pragma: no cover - write+load invariant
-                raise QueryError(
-                    f"freshly compacted segment {path!r} failed validation"
-                )
-            output = [seg]
+            )]
 
         # 4. commit — the manifest rename is the point of no return
         point()
@@ -862,7 +940,9 @@ class Compactor:
         tombstones = self._merge_tombstones(
             self.store.tombstones, intent["inputs"], to_gen
         )
-        self._commit(to_gen, output, input_seqs, tombstones, retired)
+        self._commit(
+            to_gen, output, input_seqs, tombstones, retired, retired_rows
+        )
         point()
 
         # 5. delete the superseded inputs (pin-aware), drop the journal
@@ -895,6 +975,33 @@ class Compactor:
             "deleted": deleted,
             "deferred": deferred,
         }
+
+    def _write_retired(
+        self,
+        generation: int,
+        sections: Tuple[List[str], List[int], List[Tuple[int, int, int, int]]],
+        fault: Optional[Callable[[int], None]],
+    ) -> Optional[RetiredRows]:
+        """Write the sidecar of ``generation`` and read it back: bytes
+        equal to those written are adopted from ``sections``, any other
+        bytes are parsed. None when they fail validation; the commit
+        then leaves the store to load the sidecar, and reject it, as a
+        reader would."""
+        written = hashlib.sha256()
+        path = write_retired_encoded(
+            self.directory, generation, *sections, fault=fault,
+            digest=written,
+        )
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            return None
+        if hashlib.sha256(data).digest() == written.digest():
+            adopted = adopt_retired_rows(generation, *sections)
+            if adopted is not None:
+                return adopted
+        return _parse_retired_rows(data)
 
     def _retired_sections(
         self, dropped: List[_Span]
@@ -941,9 +1048,11 @@ class Compactor:
         input_seqs: Set[int],
         tombstones: List[dict],
         retired: Optional[str],
+        retired_rows: Optional[RetiredRows] = None,
     ) -> None:
         self.store.commit_generation(
-            generation, output, input_seqs, tombstones, retired
+            generation, output, input_seqs, tombstones, retired,
+            retired_rows,
         )
 
     def _merge_tombstones(

@@ -40,13 +40,19 @@ segment list the :class:`~repro.query.engine.QueryEngine` queries,
 quarantining any segment a pending compaction intent journal names as
 its uncommitted output (see :mod:`repro.query.compact`).
 
-Validation is memoized by content digest: the store keeps the SHA-256
-of the exact bytes it validated for each segment it serves, reads
-every listed file on every refresh, and re-validates a file in full
-whenever its bytes hash differently (``query.segment_parses``);
-byte-identical files are served from the memo
-(``query.segment_reuses``). Validation is a pure function of the
-bytes, so this is exactly equivalent to re-validating everything.
+Validation is memoized by content digest, once per process: every
+refresh reads and hashes each listed file in full, and a file whose
+bytes hash to those of a segment some store of this process already
+validated at that path serves that same :class:`Segment`
+(``query.segment_reuses``; the index holds a segment only while
+something serves it). A store's own writes, its appends and the
+compactor's outputs, are read back and hashed too: bytes equal to
+those just serialized are checked as the values that were serialized
+(:func:`~repro.query.segment.adopt_segment`, ``query.segment_adopted``),
+without decoding them. Any other bytes are validated in full
+(``query.segment_parses``). Validation is a pure function of the
+bytes, and the adopted values are what those bytes decode to, so this
+is exactly equivalent to re-validating everything.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -62,6 +69,7 @@ from repro.errors import QueryError
 from repro.query.segment import (
     EncodedSegment,
     Segment,
+    adopt_segment,
     parse_segment,
     segment_name,
     sequence_of,
@@ -79,6 +87,51 @@ __all__ = [
 
 MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.dpqm"
+
+#: Every validated segment something in this process still holds, by
+#: the path its store joined: one index for all stores, so a second
+#: store on a directory serves the first one's objects.
+_validated: "weakref.WeakValueDictionary[str, Segment]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _load(
+    seq: int,
+    path: str,
+    written: Optional[Tuple[EncodedSegment, bytes]] = None,
+) -> Optional[Segment]:
+    """Segment ``seq`` validated from the bytes at ``path`` now, or None
+    when the file is missing or invalid.
+
+    The whole file is read and hashed. ``written`` is ``(encoded, the
+    digest of the bytes written for it)`` when the file is this
+    process's own write: bytes with that digest are adopted
+    (:func:`~repro.query.segment.adopt_segment`). Otherwise bytes that
+    hash to the indexed segment of ``path`` and ``seq`` reuse it, and
+    any other bytes are parsed in full.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    digest = hashlib.sha256(data).digest()
+    if written is not None and written[1] == digest:
+        seg = adopt_segment(path, seq, written[0], digest)
+        if seg is not None:
+            obs.counter("query.segment_adopted").inc()
+            _validated[path] = seg
+            return seg
+    seg = _validated.get(path)
+    if seg is not None and seg.seq == seq and seg.digest == digest:
+        obs.counter("query.segment_reuses").inc()
+        return seg
+    obs.counter("query.segment_parses").inc()
+    seg = parse_segment(path, seq, data)
+    if seg is not None:
+        _validated[path] = seg
+    return seg
 
 
 def write_manifest(
@@ -195,11 +248,8 @@ class SegmentStore:
         self.retired_name: Optional[str] = None
         self.tombstone_skips = 0
         self.quarantined = 0
-        #: (sidecar name, its rows) as last loaded.
+        #: (sidecar name, its rows) as last loaded or written.
         self._retired_cache: Optional[Tuple[Optional[str], object]] = None
-        # seq -> (SHA-256 of the bytes validated, the Segment they made),
-        # one entry per served segment.
-        self._validated: Dict[int, Tuple[bytes, Segment]] = {}
         os.makedirs(directory, exist_ok=True)
         sweep_temp_files(directory)
 
@@ -230,38 +280,36 @@ class SegmentStore:
     def load(self, seq: int) -> Optional[Segment]:
         """Segment ``seq`` of this directory validated from the bytes on
         disk now, or None when the file is missing or invalid."""
-        with self._lock:
-            return self._load_locked(
-                seq, os.path.join(self.directory, segment_name(seq))
-            )
+        return _load(seq, os.path.join(self.directory, segment_name(seq)))
 
-    def _load_locked(self, seq: int, path: str) -> Optional[Segment]:
-        # Always read the whole file; validate in full unless the bytes
-        # hash to what was validated for this seq before.
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            return None
-        digest = hashlib.sha256(data).digest()
-        memo = self._validated.get(seq)
-        if memo is not None and memo[0] == digest:
-            obs.counter("query.segment_reuses").inc()
-            return memo[1]
-        obs.counter("query.segment_parses").inc()
-        seg = parse_segment(path, seq, data)
+    def write(
+        self,
+        seq: int,
+        encoded: EncodedSegment,
+        fault: Optional[Callable[[int], None]] = None,
+    ) -> Segment:
+        """Durably write ``encoded`` as segment ``seq`` and read it back.
+
+        The read-back hashes the renamed file: the bytes just written
+        are adopted from ``encoded``, any other bytes are parsed, and
+        :class:`QueryError` is raised when they fail validation. Touches
+        no store state, so it takes no store lock: :meth:`append` holds
+        it, the compactor holds the directory lock.
+        """
+        written = hashlib.sha256()
+        path = write_segment(
+            self.directory, seq, encoded, fault=fault, digest=written
+        )
+        seg = _load(seq, path, (encoded, written.digest()))
         if seg is None:
-            self._validated.pop(seq, None)
-        else:
-            self._validated[seq] = (digest, seg)
+            raise QueryError(
+                f"freshly written segment {path!r} failed validation"
+            )
         return seg
 
     def _serve_locked(self, segments: List[Segment]) -> None:
-        """Make ``segments`` the served list; the memo keeps only them."""
+        """Make ``segments`` the served list."""
         self._segments = segments
-        served = {seg.seq for seg in segments}
-        for seq in [s for s in self._validated if s not in served]:
-            del self._validated[seq]
         obs.gauge("query.segments").set(len(segments))
         obs.gauge("query.segment_rows").set(
             sum(len(s.pids) for s in segments)
@@ -318,7 +366,7 @@ class SegmentStore:
                     self.quarantined += 1
                     obs.counter("query.segments_quarantined").inc()
                     continue
-                seg = self._load_locked(seq, path)
+                seg = _load(seq, path)
                 if seg is None:
                     self.rejected += 1
                     obs.counter("query.segments_rejected").inc()
@@ -443,13 +491,7 @@ class SegmentStore:
                 # First touch: learn the directory's generation and
                 # tombstones before rewriting the manifest over them.
                 self._refresh_locked()
-            seq = self._next_seq_locked()
-            path = write_segment(self.directory, seq, encoded, fault=fault)
-            seg = self._load_locked(seq, path)
-            if seg is None:  # pragma: no cover - write+load invariant
-                raise QueryError(
-                    f"freshly written segment {path!r} failed validation"
-                )
+            seg = self.write(self._next_seq_locked(), encoded, fault=fault)
             if self._segments is None:  # pragma: no cover - refreshed above
                 self._segments = []
             info = load_manifest_info(self.directory)
@@ -475,7 +517,7 @@ class SegmentStore:
             obs.gauge("query.segment_rows").set(
                 sum(len(s.pids) for s in self._segments)
             )
-            return path
+            return seg.path
 
     # ------------------------------------------------------------------
     def commit_generation(
@@ -485,6 +527,7 @@ class SegmentStore:
         drop_seqs,
         tombstones: Sequence[dict],
         retired: Optional[str],
+        retired_rows=None,
     ) -> List[Segment]:
         """Publish a generation swap (the compactor's commit point).
 
@@ -493,7 +536,10 @@ class SegmentStore:
         segment appended mid-swap survives into the new manifest, and
         any append after this call carries the new generation and
         tombstones forward. The manifest rename inside is the swap's
-        atomic commit.
+        atomic commit. ``retired_rows``, the swap's validated read-back
+        of the sidecar ``retired``, becomes the retired cache; without
+        it, rows cached for that same sidecar (carried forward
+        unchanged) stay, and the cache is otherwise cleared.
         """
         with self._lock:
             drop = {int(s) for s in drop_seqs}
@@ -506,7 +552,7 @@ class SegmentStore:
                 for seq, path in self._listing():
                     if seq in drop or seq in dead or seq in have:
                         continue
-                    seg = self._load_locked(seq, path)
+                    seg = _load(seq, path)
                     if seg is not None:
                         cached.append(seg)
             for seg in cached:
@@ -526,7 +572,13 @@ class SegmentStore:
             self.tombstones = list(tombstones)
             self.retired_name = retired
             self._serve_locked(survivors)
-            self._retired_cache = None
+            if retired_rows is None and self._retired_cache is not None:
+                name, rows = self._retired_cache
+                if name == retired:
+                    retired_rows = rows  # the sidecar, carried forward
+            self._retired_cache = (
+                None if retired_rows is None else (retired, retired_rows)
+            )
             return list(survivors)
 
     def stats(self) -> dict:

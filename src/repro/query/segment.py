@@ -31,7 +31,10 @@ An :class:`EncodedSegment` is a segment as its file holds it, and
 :func:`write_segment` frames one as-is: the writer hands it sections
 walked straight off its context trie
 (:meth:`~repro.service.store.ContextStore.encode_counted`), and
-:meth:`SegmentState.encode` encodes path rows for compaction and tests.
+:meth:`SegmentState.encode` encodes path rows for tests, the CLI demo
+and query-bench. :func:`parse_segment` validates a file's bytes and
+:func:`adopt_segment` the values a write serialized, both through one
+function holding every check.
 
 Version-1 and version-2 files still load. They carry an ``index``
 record between ``nodes`` and ``spans`` (``[[name_id, [row, ...]],
@@ -52,6 +55,7 @@ serving garbage.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from dataclasses import dataclass
@@ -76,6 +80,7 @@ __all__ = [
     "EncodedSegment",
     "Segment",
     "SegmentState",
+    "adopt_segment",
     "load_segment",
     "parse_segment",
     "segment_name",
@@ -236,7 +241,8 @@ class EncodedSegment:
     over the window, as in :class:`SegmentState`. :func:`write_segment`
     frames it as-is, so a writer holding its contexts as a trie never
     builds a path. Nothing here is checked: the read-back of the
-    written file is.
+    written file is (:func:`adopt_segment` when the file holds the
+    bytes written).
     """
 
     t_lo: float
@@ -308,7 +314,7 @@ class Segment:
     __slots__ = (
         "path", "seq", "t_lo", "t_hi", "fingerprint", "spans", "names",
         "nodes", "pids", "counts", "gaps", "epochs", "span_rows",
-        "samples", "_name_ids",
+        "samples", "digest", "_name_ids", "__weakref__",
     )
 
     def __init__(
@@ -326,6 +332,7 @@ class Segment:
         gaps: List[int],
         epochs: List[int],
         row_spans: Sequence[int],
+        digest: Optional[bytes] = None,
     ):
         self.path = path
         self.seq = seq
@@ -341,6 +348,8 @@ class Segment:
         self.epochs = epochs
         #: Samples the rows hold (their counts' sum).
         self.samples = sum(counts)
+        #: SHA-256 of the file bytes the segment was validated as.
+        self.digest = digest
         self._name_ids = {name: i for i, name in enumerate(names)}
         if len(spans) > 1:
             buckets: List[List[int]] = [[] for _ in spans]
@@ -452,42 +461,61 @@ class Segment:
 # ----------------------------------------------------------------------
 # Write path
 # ----------------------------------------------------------------------
+def _file_values(
+    encoded: EncodedSegment,
+) -> Tuple[dict, Dict[str, object], List[tuple], dict]:
+    """What the file of ``encoded`` holds before framing: its header,
+    its packed sections by kind, its rows and its footer's fields.
+    :func:`write_segment` frames exactly these, and
+    :func:`adopt_segment` checks exactly these."""
+    rows = encoded.rows
+    header = {
+        "kind": "header",
+        "version": FORMAT_VERSION,
+        "t_lo": encoded.t_lo,
+        "t_hi": encoded.t_hi,
+        "fingerprint": encoded.fingerprint,
+        "rows": len(rows),
+        "spans": len(encoded.spans),
+    }
+    sections = {
+        "names": encoded.names,
+        "nodes": encoded.nodes,
+        "spans": [list(s) for s in encoded.spans],
+    }
+    footer = {"rows": len(rows), "samples": encoded.total_samples}
+    return header, sections, [
+        (*row, span) for row, span in zip(rows, encoded.row_spans)
+    ], footer
+
+
 def write_segment(
     directory: str,
     seq: int,
     encoded: EncodedSegment,
     fault: Optional[Callable[[int], None]] = None,
+    digest=None,
 ) -> str:
     """Durably write ``encoded`` as segment ``seq``; returns the path.
 
     ``fault`` (chaos) is called with the running record count after
     each record; raising from it abandons the temp file un-renamed, so
-    readers only ever see previous, complete segments.
+    readers only ever see previous, complete segments. ``digest`` (a
+    :mod:`hashlib` object) is fed the bytes written
+    (:func:`~repro.durable.write_records`).
     """
     start = time.perf_counter()
-    rows = encoded.rows
+    header, sections, rows, footer = _file_values(encoded)
     records = [
-        {
-            "kind": "header",
-            "version": FORMAT_VERSION,
-            "t_lo": encoded.t_lo,
-            "t_hi": encoded.t_hi,
-            "fingerprint": encoded.fingerprint,
-            "rows": len(rows),
-            "spans": len(encoded.spans),
-        },
-        {"kind": "names", **pack_section(encoded.names)},
-        {"kind": "nodes", **pack_section(encoded.nodes)},
-        {"kind": "spans", **pack_section([list(s) for s in encoded.spans])},
-        *row_records([
-            (*row, span) for row, span in zip(rows, encoded.row_spans)
-        ]),
+        header,
+        *({"kind": kind, **pack_section(value)}
+          for kind, value in sections.items()),
+        *row_records(rows),
     ]
-    footer = {"rows": len(rows), "samples": encoded.total_samples}
     try:
         final = write_records(
             os.path.join(directory, segment_name(seq)), records, footer,
-            fault=fault,
+            fault=fault, digest=digest,
         )
     except BaseException:
         obs.counter("query.segment_write_failures").inc()
@@ -537,10 +565,6 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
         return None
     header, body, footer = read
     version = header["version"]
-    t_lo, t_hi = header.get("t_lo"), header.get("t_hi")
-    if not isinstance(t_lo, (int, float)) or not isinstance(t_hi, (int, float)):
-        return None
-    t_lo, t_hi = float(t_lo), float(t_hi)
     kinds = ("names", "nodes")
     if version < 3:
         kinds += ("index",)
@@ -550,6 +574,48 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
     if split is None:
         return None  # an unknown record: spans in v1, an index in v3
     sections, raw_rows = split
+    return _checked(
+        path, seq, header, sections, raw_rows, footer,
+        hashlib.sha256(data).digest(),
+    )
+
+
+def adopt_segment(
+    path: str, seq: int, encoded: EncodedSegment, digest: bytes
+) -> Optional[Segment]:
+    """The segment :func:`write_segment` wrote at ``path`` from
+    ``encoded``, checked as the values it serialized; None when they
+    fail a check :func:`parse_segment` runs.
+
+    Only for a file whose bytes hash to ``digest``, the digest of the
+    bytes written for ``encoded``: those bytes decode to these values
+    (JSON turns tuples into lists, which no check tells apart), so the
+    answer is :func:`parse_segment`'s without decoding a line.
+    """
+    return _checked(path, seq, *_file_values(encoded), digest)
+
+
+def _checked(
+    path: str,
+    seq: int,
+    header: dict,
+    sections: Dict[str, object],
+    raw_rows: Sequence,
+    footer: dict,
+    digest: bytes,
+) -> Optional[Segment]:
+    """The :class:`Segment` of a segment file's values, or None when
+    they fail a check: the window, rows of 5 columns (4 in version 1)
+    with int columns, the trie (:func:`~repro.durable.valid_trie`), the
+    spans' shape and the header's span count, the header and footer
+    row totals, (versions 1 and 2) the index, :func:`_layout_error` and
+    the footer's sample total. The one copy of the checks, for
+    :func:`parse_segment` and :func:`adopt_segment` alike."""
+    version = header["version"]
+    t_lo, t_hi = header.get("t_lo"), header.get("t_hi")
+    if not isinstance(t_lo, (int, float)) or not isinstance(t_hi, (int, float)):
+        return None
+    t_lo, t_hi = float(t_lo), float(t_hi)
     width = 5 if version >= 2 else 4
     try:
         # Rows are read as columns, and zip would cut a long row short.
@@ -597,7 +663,7 @@ def parse_segment(path: str, seq: int, data: bytes) -> Optional[Segment]:
         return None
     seg = Segment(
         path, seq, t_lo, t_hi, str(header.get("fingerprint", "")), spans,
-        names, nodes_flat, pids, counts, gaps, epochs, row_spans,
+        names, nodes_flat, pids, counts, gaps, epochs, row_spans, digest,
     )
     if footer.get("samples") != seg.samples:
         return None

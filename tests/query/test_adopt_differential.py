@@ -1,12 +1,19 @@
-"""What a durable write serialized, against the parse of its bytes.
+"""Adopting what a durable write serialized, against parsing its bytes.
+
+A durable write reads its file back after the rename. When the bytes
+hash to the bytes it serialized, the segment is built from the
+:class:`~repro.query.segment.EncodedSegment` it holds
+(:func:`~repro.query.segment.adopt_segment`) through the checks
+:func:`~repro.query.segment.parse_segment` runs, and the compactor's
+retired sidecar likewise (:func:`~repro.query.compact.adopt_retired_rows`
+against :func:`~repro.query.compact.load_retired_rows`).
 
 Over 200 seeded segments and 200 seeded retired sidecars, each written
-by the one writer of its format: parsing the file back
-(:func:`~repro.query.segment.parse_segment`,
-:func:`~repro.query.compact.load_retired_rows`) must give exactly the
-values the writer was handed, and a file holding what no writer should
-make (a parent after its child, a negative count, a row citing an
-unknown span, one ``(path, epoch)`` on two rows) must be refused.
+by the one writer of its format: parsing the file back must give
+exactly the values the writer was handed, adopting them must give the
+parse on every attribute, and values no writer should make (a parent
+after its child, a negative count, a row citing an unknown span, one
+``(path, epoch)`` on two rows) must be refused by both.
 
 The segments mix single-span and multi-span windows, rows on node -1
 (the empty context), rows with count 0 and gaps above 0, names outside
@@ -14,19 +21,27 @@ ASCII, unused and duplicated trie nodes, and windows whose ends need
 17 significant digits.
 """
 
+import hashlib
 import random
 
 import pytest
 
+from repro import obs
 from repro.durable import delta_encode_rows
 from repro.errors import QueryError
 from repro.query.compact import (
     RetiredRows,
+    adopt_retired_rows,
     load_retired_rows,
     write_retired_encoded,
 )
 from repro.query.manifest import SegmentStore
-from repro.query.segment import EncodedSegment, parse_segment, write_segment
+from repro.query.segment import (
+    EncodedSegment,
+    adopt_segment,
+    parse_segment,
+    write_segment,
+)
 
 NAMES = ("main", "parse", "lex", "emit", "λ-lift", "名前", "gc 🎉", "io")
 CASES = 200
@@ -73,7 +88,9 @@ def random_encoded(seed):
     names, nodes = random_trie(rng, rng.randint(0, 30))
     node_count = len(nodes) // 2
     t_lo = seventeen_digits(rng, 1.5e9, 1.8e9)
-    t_hi = t_lo if rng.random() < 0.1 else seventeen_digits(rng, t_lo, t_lo + 60.0)
+    t_hi = t_lo
+    if rng.random() >= 0.1:
+        t_hi = seventeen_digits(rng, t_lo, t_lo + 60.0)
     spans = () if seed % 2 == 0 else random_spans(rng, t_lo, t_hi)
     rows = []
     for _ in range(rng.randint(0, 40)):
@@ -173,9 +190,43 @@ def test_parse_holds_what_was_written(tmp_path, chunk):
         path = write_segment(str(tmp_path), seq, encoded)
         parsed = parse_segment(path, seq, read(path))
         assert parsed is not None, seed
-        assert repr(attributes(parsed)) == repr(expected(path, seq, encoded)), seed
+        want = expected(path, seq, encoded)
+        assert repr(attributes(parsed)) == repr(want), seed
     for shape, held in covered(encodings).items():
         assert held, shape
+
+
+@pytest.mark.parametrize("chunk", range(CASES // CHUNK))
+def test_adopted_segment_equals_the_parse(tmp_path, chunk):
+    for seed in range(chunk * CHUNK, (chunk + 1) * CHUNK):
+        encoded = random_encoded(seed)
+        seq = seed + 1
+        written = hashlib.sha256()
+        path = write_segment(str(tmp_path), seq, encoded, digest=written)
+        data = read(path)
+        assert hashlib.sha256(data).digest() == written.digest(), seed
+        parsed = parse_segment(path, seq, data)
+        adopted = adopt_segment(path, seq, encoded, written.digest())
+        assert adopted is not None, seed
+        assert repr(attributes(adopted)) == repr(attributes(parsed)), seed
+        assert repr(adopted.span_rows) == repr(parsed.span_rows), seed
+        assert adopted.digest == parsed.digest == written.digest(), seed
+
+
+def test_appends_serve_the_parse_of_what_they_wrote(tmp_path):
+    """Through a store: each append is adopted, never parsed, and the
+    segment it serves is the parse of the file on every attribute."""
+    store = SegmentStore(str(tmp_path))
+    adopted = obs.counter("query.segment_adopted").value
+    parses = obs.counter("query.segment_parses").value
+    for seed in range(CHUNK):
+        path = store.append(random_encoded(seed))
+        served = store.segments()[-1]
+        assert served.path == path
+        parsed = parse_segment(path, served.seq, read(path))
+        assert repr(attributes(served)) == repr(attributes(parsed)), seed
+    assert obs.counter("query.segment_adopted").value == adopted + CHUNK
+    assert obs.counter("query.segment_parses").value == parses
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +264,10 @@ INVALID = {
 @pytest.mark.parametrize("case", sorted(INVALID))
 def test_invalid_segments_are_refused(tmp_path, case):
     encoded = INVALID[case]()
-    path = write_segment(str(tmp_path), 1, encoded)
+    written = hashlib.sha256()
+    path = write_segment(str(tmp_path), 1, encoded, digest=written)
     assert parse_segment(path, 1, read(path)) is None
+    assert adopt_segment(path, 1, encoded, written.digest()) is None
     with pytest.raises(QueryError):
         SegmentStore(str(tmp_path / "store")).append(encoded)
 
@@ -255,6 +308,20 @@ def test_parsed_sidecar_holds_what_was_written(tmp_path, chunk):
         assert repr(loaded) == repr(want), seed
 
 
+@pytest.mark.parametrize("chunk", range(CASES // CHUNK))
+def test_adopted_sidecar_equals_the_parse(tmp_path, chunk):
+    for seed in range(chunk * CHUNK, (chunk + 1) * CHUNK):
+        names, nodes, rows = random_sidecar(seed)
+        written = hashlib.sha256()
+        path = write_retired_encoded(
+            str(tmp_path), seed, names, nodes, rows, digest=written
+        )
+        assert hashlib.sha256(read(path)).digest() == written.digest()
+        adopted = adopt_retired_rows(seed, names, nodes, rows)
+        assert adopted is not None, seed
+        assert repr(adopted) == repr(load_retired_rows(path)), seed
+
+
 INVALID_SIDECARS = {
     "parent_after_child": (["main", "f"], [1, 0, -1, 1], [(0, 1, 0, 0)]),
     "negative_count": (["main"], [-1, 0], [(-1, 2, 0, 0), (0, -1, 0, 0)]),
@@ -270,3 +337,4 @@ def test_invalid_sidecars_are_refused(tmp_path, case):
     names, nodes, rows = INVALID_SIDECARS[case]
     path = write_retired_encoded(str(tmp_path), 1, names, nodes, rows)
     assert load_retired_rows(path) is None
+    assert adopt_retired_rows(1, names, nodes, rows) is None

@@ -1,11 +1,15 @@
 """Compaction: equivalence, journal corruption matrix, crash sweep,
 retention conservation, pin-deferred deletion."""
 
+import json
 import os
+import random
+import signal
+import time
 
 import pytest
 
-from repro.durable import record_line
+from repro.durable import TrieMerge, record_line, trie_paths
 from repro.errors import ChaosError, QueryError
 from repro.query.compact import (
     JOURNAL_NAME,
@@ -13,12 +17,15 @@ from repro.query.compact import (
     CompactionPolicy,
     Compactor,
     RetentionPolicy,
+    _one_row_per_path_epoch,
     journal_quarantine,
     load_journal,
     load_retired,
+    load_retired_rows,
     retired_name,
     write_journal,
     write_retired,
+    write_retired_encoded,
 )
 from repro.query.engine import QueryEngine
 from repro.query.locks import DirectoryLock, LockHeldError, SnapshotPin
@@ -512,6 +519,61 @@ class TestRetiredSidecar:
         assert not os.path.exists(tmp_path / retired_name(2))
 
 
+class TestOneRowPerPathEpoch:
+    """The sidecar's uniqueness check decides by ``(node, epoch)`` when
+    no ``(parent, name)`` pair repeats, and maps equal paths to one
+    node with ``TrieMerge`` otherwise: the same verdict as mapping
+    every table, and as spelling every path."""
+
+    @staticmethod
+    def table(rng):
+        names = ["main", "f", "g", "h"][:rng.randint(1, 4)]
+        nodes = []
+        for node in range(rng.randint(0, 12)):
+            if node and rng.random() < 0.25:  # repeat an earlier pair
+                twin = rng.randrange(node)
+                nodes += [nodes[2 * twin], nodes[2 * twin + 1]]
+            else:
+                nodes += [rng.randint(-1, node - 1), rng.randrange(len(names))]
+        keys = [
+            (rng.randint(-1, len(nodes) // 2 - 1), rng.randint(0, 1))
+            for _ in range(rng.randint(0, 8))
+        ]
+        if rng.random() < 0.7:
+            keys = list(dict.fromkeys(keys))  # distinct (node, epoch)
+        return names, nodes, [(pid, 1, 0, epoch) for pid, epoch in keys]
+
+    def test_fast_path_agrees_with_trie_merge(self):
+        rng = random.Random(5)
+        seen = dict.fromkeys(
+            ("unique_pairs", "repeated_pairs", "two_nodes_one_path"), 0
+        )
+        for _ in range(600):
+            names, nodes, rows = self.table(rng)
+            node_of = TrieMerge().source(names, nodes)
+            merged = len({(node_of(pid), e) for pid, _c, _g, e in rows})
+            paths = trie_paths(names, nodes) + [()]
+            spelled = len({(paths[pid], e) for pid, _c, _g, e in rows})
+            want = merged == len(rows)
+            assert (spelled == len(rows)) == want
+            assert _one_row_per_path_epoch(names, nodes, rows) == want
+            pairs = len(set(zip(nodes[0::2], nodes[1::2])))
+            if pairs == len(nodes) // 2:
+                seen["unique_pairs"] += 1
+            else:
+                seen["repeated_pairs"] += 1
+                keys = len({(pid, e) for pid, _c, _g, e in rows})
+                seen["two_nodes_one_path"] += keys == len(rows) and not want
+        assert min(seen.values()) >= 20, seen
+
+    def test_one_path_through_two_nodes_is_refused(self, tmp_path):
+        path = write_retired_encoded(
+            str(tmp_path), 1, ["main", "f"], [-1, 0, 0, 1, -1, 0, 2, 1],
+            [(1, 2, 0, 0), (3, 5, 1, 0)],
+        )
+        assert load_retired_rows(path) is None
+
+
 class TestCrossProcessAppend:
     def test_append_adopts_foreign_generation_swap(self, tmp_path):
         """Regression: an appender whose cached manifest predates a
@@ -539,6 +601,77 @@ class TestCrossProcessAppend:
         # both the merged output and the new append are served
         live = SegmentStore(str(tmp_path)).refresh()
         assert {seg.seq for seg in live} == entry_seqs
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "SegmentStore.append's detect-then-rewrite window: a swap another "
+        "process commits after append re-reads the manifest and before "
+        "its manifest rename is overwritten by the appender's stale "
+        "generation, tombstones and retired reference"
+    ))
+    def test_a_swap_inside_the_manifest_rewrite_is_not_reverted(
+        self, tmp_path
+    ):
+        """A forked second process runs a forced swap under a byte cap
+        once the appender's segment is renamed into place and its
+        manifest rewrite is in progress; the swap drops spans and writes
+        a sidecar. The generation must never go backwards, and live
+        plus retired must equal everything flushed. (A set-up that goes
+        wrong fails with ``pytest.fail``, which the xfail does not
+        cover: only those two properties may fail.)"""
+        appender = fill(tmp_path, n=4)
+        late = SegmentState(
+            t_lo=40.0, t_hi=50.0, fingerprint="fp9",
+            rows=((("main", "f0", "late"), 3, 0, 0),),
+        )
+        flushed = total_samples(appender) + late.total_samples
+        landed = tmp_path / segment_name(appender.next_seq())
+        generations = [load_manifest_info(str(tmp_path))["generation"]]
+        swapped = tmp_path / "swap-report"
+
+        def swap_mid_rewrite(_records):
+            if not landed.exists() or swapped.exists():
+                return
+            child = os.fork()
+            if child == 0:  # pragma: no cover - runs in the child
+                try:
+                    report = Compactor(
+                        SegmentStore(str(tmp_path)),
+                        CompactionPolicy(
+                            retention=RetentionPolicy(max_bytes=1)
+                        ),
+                    ).compact(now=100.0, force=True)
+                    swapped.write_text(json.dumps(report))
+                finally:
+                    os._exit(0)
+            _reap(child)
+            generations.append(
+                load_manifest_info(str(tmp_path))["generation"]
+            )
+
+        appender.append(late.encode(), fault=swap_mid_rewrite)
+        generations.append(load_manifest_info(str(tmp_path))["generation"])
+        if not swapped.exists():
+            pytest.fail("the forked swap did not run to its report")
+        report = json.loads(swapped.read_text())
+        sidecar = tmp_path / retired_name(report["to_generation"])
+        if not (report["dropped_rows"] and sidecar.exists()):
+            pytest.fail(f"the swap retired nothing: {report}")
+        assert generations == sorted(generations), generations
+        assert total_samples(SegmentStore(str(tmp_path))) == flushed
+
+
+def _reap(child, timeout=30.0):
+    """Wait for ``child``; kill it and fail the test past ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        pid, status = os.waitpid(child, os.WNOHANG)
+        if pid:
+            return status
+        time.sleep(0.01)
+    os.kill(child, signal.SIGKILL)
+    os.waitpid(child, 0)
+    pytest.fail("the forked compactor did not finish in time")
 
 
 class TestPinnedReaders:

@@ -1,11 +1,26 @@
 """Manifest + SegmentStore: cache-not-truth, forward compat, orphans."""
 
+import gc
+import hashlib
 import json
 import os
+import sys
+import threading
 import zlib
 
+import pytest
+
 from repro import obs
-from repro.query.compact import CompactionPolicy, Compactor, write_journal
+from repro.errors import QueryError
+from repro.query import compact as compact_module
+from repro.query import manifest as manifest_module
+from repro.query.compact import (
+    CompactionPolicy,
+    Compactor,
+    RetentionPolicy,
+    load_retired_rows,
+    write_journal,
+)
 from repro.query.manifest import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
@@ -14,7 +29,12 @@ from repro.query.manifest import (
     load_manifest_info,
     write_manifest,
 )
-from repro.query.segment import SegmentState, segment_name, write_segment
+from repro.query.segment import (
+    SegmentState,
+    parse_segment,
+    segment_name,
+    write_segment,
+)
 
 
 def state(t_lo=0.0, t_hi=10.0, n=3, epoch=0):
@@ -225,24 +245,40 @@ def reuses():
     return obs.counter("query.segment_reuses").value
 
 
+def adopted():
+    return obs.counter("query.segment_adopted").value
+
+
+def indexed(directory):
+    """The seqs of ``directory``'s segments in the process's validation
+    index once every unreachable segment is collected."""
+    gc.collect()
+    prefix = os.path.join(str(directory), "")
+    return sorted(
+        seg.seq for path, seg in list(manifest_module._validated.items())
+        if path.startswith(prefix)
+    )
+
+
 class TestValidationMemo:
     """Validation is memoized by the digest of the bytes validated.
 
     Every case drives one ``SegmentStore`` instance across refreshes,
-    the way a long-lived query engine does.
+    the way a long-lived query engine does. The memo is one index per
+    process; it holds a segment only while something serves it.
     """
 
     def test_refresh_reuses_what_append_validated(self, tmp_path):
         store = SegmentStore(str(tmp_path))
-        before = parses()
+        before = adopted()
         for i in range(3):
             store.append(state(10 * i, 10 * i + 10).encode())
-        assert parses() == before + 3  # one read-back per append
+        assert adopted() == before + 3  # one read-back per append
         hits = reuses()
         assert [s.seq for s in store.refresh()] == [1, 2, 3]
-        assert parses() == before + 3
+        assert adopted() == before + 3
         assert reuses() == hits + 3
-        assert sorted(store._validated) == [1, 2, 3]
+        assert indexed(tmp_path) == [1, 2, 3]
 
     def test_same_length_rewrite_with_restored_mtime_is_rejected(
         self, tmp_path
@@ -270,7 +306,7 @@ class TestValidationMemo:
         assert [s.seq for s in store.refresh()] == [1]
         assert store.rejected == rejected + 1
         assert parses() == before + 1  # only the changed file re-parsed
-        assert sorted(store._validated) == [1]
+        assert indexed(tmp_path) == [1]
 
     def test_byte_identical_replacement_is_not_reparsed(self, tmp_path):
         store = SegmentStore(str(tmp_path))
@@ -300,7 +336,7 @@ class TestValidationMemo:
         )
         assert os.path.exists(tmp_path / segment_name(1))
         assert [s.seq for s in store.refresh()] == [2]
-        assert sorted(store._validated) == [2]
+        assert indexed(tmp_path) == [2]
 
     def test_memoized_seq_quarantined_by_journal_is_not_served(
         self, tmp_path
@@ -323,23 +359,231 @@ class TestValidationMemo:
         quarantined = store.quarantined
         assert [s.seq for s in store.refresh()] == [1, 2]
         assert store.quarantined == quarantined + 1
-        assert sorted(store._validated) == [1, 2]
+        assert indexed(tmp_path) == [1, 2]
 
     def test_memo_holds_only_served_seqs_after_a_swap(self, tmp_path):
         store = SegmentStore(str(tmp_path))
         for i in range(4):
             store.append(state(10 * i, 10 * i + 10).encode())
         store.refresh()
-        before = parses()
+        before = adopted()
         report = Compactor(store, CompactionPolicy(min_inputs=2)).compact(
             force=True
         )
         assert report is not None
         # The inputs came from the memo; only the output was validated.
-        assert parses() == before + 1
+        assert adopted() == before + 1
         served = [s.seq for s in store.segments()]
         assert served == [report["output_seq"]]
-        assert sorted(store._validated) == served
+        assert indexed(tmp_path) == served
         assert [s.seq for s in store.refresh()] == served
-        assert sorted(store._validated) == served
+        assert indexed(tmp_path) == served
+        assert adopted() == before + 1
+
+
+def rewrite_after_rename(monkeypatch, module, name, change):
+    """Wrap ``module.name`` (a durable writer) so that ``change(path)``
+    runs on the file once it is renamed into place, before the writer's
+    caller reads it back."""
+    real = getattr(module, name)
+
+    def writer(*args, **kwargs):
+        path = real(*args, **kwargs)
+        change(path)
+        return path
+
+    monkeypatch.setattr(module, name, writer)
+
+
+def flip_a_byte(path):
+    data = bytearray(open(path, "rb").read())
+    data[len(data) // 2] ^= 0x01
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+class TestReadBack:
+    """A write reads its file back: the bytes it wrote are adopted, any
+    other bytes are parsed, and fail as they always did."""
+
+    def test_a_byte_flipped_after_the_rename_is_parsed_and_refused(
+        self, tmp_path, monkeypatch
+    ):
+        store = SegmentStore(str(tmp_path))
+        store.append(state(0, 10).encode())
+        rewrite_after_rename(
+            monkeypatch, manifest_module, "write_segment", flip_a_byte
+        )
+        before, adoptions = parses(), adopted()
+        with pytest.raises(QueryError, match="failed validation"):
+            store.append(state(10, 20).encode())
         assert parses() == before + 1
+        assert adopted() == adoptions
+        assert [s.seq for s in store.segments()] == [1]
+
+    def test_other_valid_bytes_after_the_rename_are_what_is_served(
+        self, tmp_path, monkeypatch
+    ):
+        """Bytes that differ from the write but validate are parsed and
+        served as the file holds them, not as the write meant them."""
+        os.makedirs(tmp_path / "other")
+        other = write_segment(
+            str(tmp_path / "other"), 1, state(10, 20, n=5).encode()
+        )
+        data = open(other, "rb").read()
+
+        def replace(path):
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+        store = SegmentStore(str(tmp_path / "store"))
+        rewrite_after_rename(
+            monkeypatch, manifest_module, "write_segment", replace
+        )
+        before, adoptions = parses(), adopted()
+        path = store.append(state(10, 20, n=2).encode())
+        assert parses() == before + 1
+        assert adopted() == adoptions
+        (seg,) = store.segments()
+        assert seg.path == path
+        assert len(seg.pids) == 5
+        assert seg.digest == parse_segment(path, 1, data).digest
+
+    def test_a_sidecar_flipped_after_the_rename_is_refused_as_before(
+        self, tmp_path, monkeypatch
+    ):
+        """The swap commits, and the sidecar is rejected when the store
+        loads it, as when no read-back looked at it."""
+        store = SegmentStore(str(tmp_path))
+        for i in range(4):
+            store.append(state(10 * i, 10 * i + 10).encode())
+        rewrite_after_rename(
+            monkeypatch, compact_module, "write_retired_encoded", flip_a_byte
+        )
+        rejected = obs.counter("query.retired_rejected").value
+        report = Compactor(store, CompactionPolicy(
+            retention=RetentionPolicy(max_bytes=1)
+        )).compact(now=100.0, force=True)
+        assert report["dropped_rows"]
+        assert store.retired_name is not None
+        assert store.retired_rows() is None
+        assert obs.counter("query.retired_rejected").value == rejected + 1
+
+    def test_a_swap_installs_the_sidecar_it_wrote(self, tmp_path, monkeypatch):
+        """Neither the swap that wrote a sidecar nor a later swap that
+        carries it forward leaves the store a sidecar to load."""
+        store = SegmentStore(str(tmp_path))
+        for i in range(4):
+            store.append(state(10 * i, 10 * i + 10).encode())
+        report = Compactor(store, CompactionPolicy(
+            retention=RetentionPolicy(max_bytes=1)
+        )).compact(now=100.0, force=True)
+        assert report["dropped_rows"]
+
+        def loaded(*_args):
+            pytest.fail("the sidecar the swap wrote was loaded again")
+
+        monkeypatch.setattr(compact_module, "load_retired_rows", loaded)
+        retired = store.retired_rows()
+        assert retired is not None
+        store.append(state(40, 50).encode())
+        report = Compactor(store).compact(now=100.0, force=True)
+        assert not report["dropped_rows"]
+        assert store.retired_rows() is retired
+        assert store.position()["samples"] == sum(
+            seg.samples for seg in store.segments()
+        ) + retired.samples
+        monkeypatch.undo()
+        path = os.path.join(str(tmp_path), store.retired_name)
+        assert repr(retired) == repr(load_retired_rows(path))
+
+
+class TestOneValidationPerProcess:
+    def test_a_process_parses_no_segment_it_wrote(self, tmp_path):
+        """Appends, byte-capped swaps and a second store refreshing every
+        round: nothing is parsed, and the second store serves the
+        writer's objects."""
+        directory = str(tmp_path)
+        writer = SegmentStore(directory)
+        reader = SegmentStore(directory)
+        compactor = Compactor(writer, CompactionPolicy(
+            retention=RetentionPolicy(max_bytes=400, keep_spans=2)
+        ))
+        before, adoptions = parses(), adopted()
+        appends = swaps = sidecars = 0
+        for r in range(12):
+            writer.append(state(10 * r, 10 * r + 10, n=1 + r % 4).encode())
+            appends += 1
+            if r % 3 == 2:
+                report = compactor.compact(now=10.0 * r + 10, force=True)
+                swaps += 1
+                sidecars += bool(report["dropped_rows"])
+            reader.refresh()
+            assert [id(s) for s in reader.segments()] == [
+                id(s) for s in writer.segments()
+            ]
+        assert sidecars >= 2
+        assert parses() == before
+        assert adopted() == adoptions + appends + swaps
+        served = [s.seq for s in reader.segments()]
+        assert indexed(directory) == served
+        # Once no store holds a segment, the index forgets it, and the
+        # next store parses each served file once.
+        del writer, reader, compactor
+        assert indexed(directory) == []
+        fresh = SegmentStore(directory)
+        assert [s.seq for s in fresh.refresh()] == served
+        assert parses() == before + len(served)
+        fresh.refresh()
+        assert parses() == before + len(served)
+
+    def test_stores_on_many_threads_serve_only_what_is_on_disk(self, tmp_path):
+        """Four reader threads, each with its own store, refresh while
+        this thread appends and compacts, with a short switch interval:
+        every segment a refresh serves holds the digest of its file's
+        bytes, whichever thread validated it."""
+        directory = str(tmp_path)
+        writer = SegmentStore(directory)
+        for i in range(4):
+            writer.append(state(10 * i, 10 * i + 10).encode())
+        stop = threading.Event()
+        problems = []
+        refreshes = [0] * 4
+
+        def read(slot):
+            store = SegmentStore(directory)
+            try:
+                while not stop.is_set():
+                    for seg in store.refresh():
+                        try:
+                            data = open(seg.path, "rb").read()
+                        except FileNotFoundError:
+                            continue  # compacted away since the listing
+                        if hashlib.sha256(data).digest() != seg.digest:
+                            problems.append(seg.path)
+                    refreshes[slot] += 1
+            except Exception as exc:  # noqa: BLE001 - reported below
+                problems.append(repr(exc))
+
+        threads = [
+            threading.Thread(target=read, args=(slot,), daemon=True)
+            for slot in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            compactor = Compactor(writer, CompactionPolicy(min_inputs=2))
+            for r in range(4, 24):
+                writer.append(state(10 * r, 10 * r + 10, n=1 + r % 3).encode())
+                if r % 5 == 0:
+                    compactor.compact(now=10.0 * r + 10, force=True)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not problems, problems[:5]
+        assert min(refreshes) > 0
