@@ -324,7 +324,8 @@ class SegmentStore:
         us what *should* be there, so drift (stale entries, orphan
         segments, corrupt files) is observable in the counters rather
         than silent. Each listed file is read in full; bytes identical
-        to those validated before are served from the memo.
+        to those of a segment some store of this process validated at
+        that path are served as that segment (the process-wide memo).
 
         Consistency under a concurrent generation swap: files named by
         tombstones (deletions, possibly deferred) and by a pending

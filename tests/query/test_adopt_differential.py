@@ -272,6 +272,59 @@ def test_invalid_segments_are_refused(tmp_path, case):
         SegmentStore(str(tmp_path / "store")).append(encoded)
 
 
+# Values a writer may be handed that JSON writes as something else, or
+# that no reader accepts: adopting them must never accept what the
+# parse refuses, must agree with it where both accept, and an append
+# serves the parse either way.
+ODD = {
+    "row_spans_longer": dict(spans=((0.0, 5.0), (5.0, 10.0)),
+                             row_spans=(0, 1, 1)),
+    "row_spans_shorter": dict(spans=((0.0, 5.0), (5.0, 10.0)),
+                              row_spans=(0,)),
+    "row_of_five": dict(rows=[(0, 2, 0, 0, 9), (1, 3, 1, 1)]),
+    "row_of_three": dict(rows=[(0, 2, 0), (1, 3, 1, 1)]),
+    "float_count": dict(rows=[(0, 2.0, 0, 0), (1, 3, 1, 1)]),
+    "fractional_count": dict(rows=[(0, 2.5, 0, 0), (1, 3, 1, 1)]),
+    "bool_pid": dict(rows=[(True, 2, 0, 0), (1, 3, 1, 1)]),
+    "list_rows": dict(rows=[[0, 2, 0, 0], [1, 3, 1, 1]]),
+    "names_tuple": dict(names=("main", "f")),
+    "nodes_tuple": dict(nodes=(-1, 0, 0, 1)),
+    "span_of_three": dict(spans=((0.0, 5.0, 1.0), (5.0, 10.0)),
+                          row_spans=(0, 1)),
+    "int_window": dict(t_lo=0, t_hi=10, spans=((0, 5), (5, 10)),
+                       row_spans=(0, 1)),
+    "nan_window": dict(t_lo=float("nan")),
+    "none_fingerprint": dict(fingerprint=None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD))
+def test_adoption_never_accepts_what_the_parse_refuses(tmp_path, case):
+    fields = dict(
+        t_lo=0.0, t_hi=10.0, fingerprint="fp", names=["main", "f"],
+        nodes=[-1, 0, 0, 1], rows=[(0, 2, 0, 0), (1, 3, 1, 1)],
+    )
+    fields.update(ODD[case])
+    encoded = EncodedSegment(**fields)
+    written = hashlib.sha256()
+    path = write_segment(str(tmp_path), 1, encoded, digest=written)
+    parsed = parse_segment(path, 1, read(path))
+    adopted = adopt_segment(path, 1, encoded, written.digest())
+    if adopted is not None:
+        assert parsed is not None
+        assert repr(attributes(adopted)) == repr(attributes(parsed))
+    store = SegmentStore(str(tmp_path / "store"))
+    if parsed is None:
+        assert adopted is None
+        with pytest.raises(QueryError):
+            store.append(encoded)
+    else:
+        store.append(encoded)
+        (served,) = store.segments()
+        reread = parse_segment(served.path, 1, read(served.path))
+        assert repr(attributes(served)) == repr(attributes(reread))
+
+
 # ----------------------------------------------------------------------
 # Retired sidecars
 # ----------------------------------------------------------------------
