@@ -116,6 +116,28 @@ def fsync_dir(directory: str) -> None:
 # ----------------------------------------------------------------------
 # Write path
 # ----------------------------------------------------------------------
+#: The temp paths of this process's writes in progress.
+_writing: Dict[str, object] = {}
+
+
+def _claim_temp(path: str) -> str:
+    """A temp path for a write of ``path`` that no other write in this
+    process is using: ``.tmp-<name>-<pid>``, or ``.tmp-<name>-<pid>.<n>``
+    with the smallest free ``n`` while another write of the same file
+    holds that. Each claim is one atomic ``dict.setdefault``, so
+    threads need no lock (and a forked child inherits none held).
+    """
+    base = os.path.join(
+        os.path.dirname(path), f".tmp-{os.path.basename(path)}-{os.getpid()}"
+    )
+    token = object()
+    tmp, n = base, 0
+    while _writing.setdefault(tmp, token) is not token:
+        n += 1
+        tmp = f"{base}.{n}"
+    return tmp
+
+
 def write_records(
     path: str,
     records: Iterable[dict],
@@ -132,12 +154,11 @@ def write_records(
     abandons the temp file un-renamed, so readers only ever see the
     previous file or none. ``digest``, a :mod:`hashlib` object, is
     updated with every byte written, so a caller reading the file back
-    can tell whether it holds exactly those bytes. Returns ``path``.
+    can tell whether it holds exactly those bytes. Two writes of one
+    file that overlap in one process each write their own temp file
+    (:func:`_claim_temp`), and the later rename wins. Returns ``path``.
     """
     directory = os.path.dirname(path)
-    tmp = os.path.join(
-        directory, f".tmp-{os.path.basename(path)}-{os.getpid()}"
-    )
 
     def numbered():
         written = 0
@@ -147,17 +168,21 @@ def write_records(
         written += 1
         yield written, dict(footer or {}, kind="footer", records=written)
 
-    with open(tmp, "wb") as fh:
-        for written, payload in numbered():
-            line = record_line(payload).encode("utf-8")
-            fh.write(line)
-            if digest is not None:
-                digest.update(line)
-            if fault is not None:
-                fault(written)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    tmp = _claim_temp(path)
+    try:
+        with open(tmp, "wb") as fh:
+            for written, payload in numbered():
+                line = record_line(payload).encode("utf-8")
+                fh.write(line)
+                if digest is not None:
+                    digest.update(line)
+                if fault is not None:
+                    fault(written)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        del _writing[tmp]
     fsync_dir(directory)
     return path
 
@@ -176,9 +201,10 @@ def sweep_temp_files(directory: str) -> int:
     """Delete the temp files :func:`write_records` left in ``directory``
     when its writer died mid-write; returns how many went.
 
-    A temp file is ``.tmp-<final name>-<pid>``. One whose pid is this
-    process's or any live process's is kept: its write may still be
-    running (a reused pid only keeps a file longer).
+    A temp file is ``.tmp-<final name>-<pid>``, with ``.<n>`` after the
+    pid when it was written beside another write of the same file. One
+    whose pid is this process's or any live process's is kept: its
+    write may still be running (a reused pid only keeps a file longer).
     """
     try:
         names = os.listdir(directory)
@@ -188,7 +214,7 @@ def sweep_temp_files(directory: str) -> int:
     for name in names:
         if not name.startswith(".tmp-"):
             continue
-        pid = name.rsplit("-", 1)[-1]
+        pid = name.rsplit("-", 1)[-1].split(".", 1)[0]
         if not pid.isdigit() or int(pid) == os.getpid():
             continue
         if _pid_alive(int(pid)):

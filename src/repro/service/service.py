@@ -89,6 +89,17 @@ from repro.service.store import ContextStore
 
 __all__ = ["ServiceConfig", "ContextService"]
 
+#: The conservation-law buckets a submitted sample settles in (see
+#: :meth:`ContextService.accounting`).
+_SETTLED = (
+    "aggregated",
+    "dead_lettered",
+    "epoch_mismatches",
+    "dropped",
+    "fallback_dropped",
+    "fallback_pending",
+)
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -98,9 +109,11 @@ class ServiceConfig:
     shards: int = 8
     #: Worker threads draining the ingestion queue.
     workers: int = 2
-    #: Bounded-queue capacity (samples).
+    #: Bounded-queue capacity (samples). A default
+    #: :meth:`ContextService.batch_sink` hands off half of it at a time.
     queue_capacity: int = 4096
-    #: Maximum samples per drained batch.
+    #: Worker drain budget in samples (see ``batch_max``). It does not
+    #: size the batches :meth:`ContextService.batch_sink` submits.
     batch_size: int = 256
     #: Overload policy: "block" | "drop-newest" | "drop-oldest" | "error".
     backpressure: str = "block"
@@ -112,14 +125,11 @@ class ServiceConfig:
     retain_epochs: Optional[int] = None
     # -- batch-first knobs (pass as keywords; trailing-with-defaults is
     #    the 3.9-compatible spelling of keyword-only) -------------------
-    #: Worker drain budget in samples for the batch path (None keeps
-    #: ``batch_size``). Raise it so a worker turn swallows whole
-    #: submitted batches instead of chopping the queue into crumbs.
+    #: Worker drain budget in samples (None keeps ``batch_size``): a
+    #: worker takes queued batches until it holds this many. Batches
+    #: are never split, so a drain may run over by one batch. It does
+    #: not size the batches :meth:`ContextService.batch_sink` submits.
     batch_max: Optional[int] = None
-    #: How long (milliseconds) a worker lingers for more traffic when a
-    #: drain comes back under budget — bounded latency for fuller,
-    #: cheaper-per-sample batches. 0 disables.
-    batch_linger_ms: float = 0.0
     #: Context-store compression for sealed blocks: "zlib" | "none".
     store_compression: str = "zlib"
     #: Directory for the durable query-segment store (None disables the
@@ -236,7 +246,6 @@ class ContextService:
             self._handle_items,
             workers=self.config.workers,
             batch_size=self.config.drain_budget,
-            linger=self.config.batch_linger_ms / 1000.0,
             on_error=lambda exc: self.metrics.record_error(repr(exc)),
             fault=chaos.worker_fault if chaos is not None else None,
         )
@@ -491,10 +500,25 @@ class ContextService:
         (node, stack object, ID, and its probe's plan epoch, so hot
         swaps mid-buffer are safe; the epoch is resolved once per plan
         and again after every install or renumbering of the engine's
-        epochs) and, whenever ``batch_max`` samples
-        accumulate, packs them with :meth:`SampleBatch.from_columns` and
-        submits the batch. Call its ``flush()`` attribute — or
-        ``collector.close()`` — after the run to submit the tail.
+        epochs) and, whenever ``batch_max`` samples accumulate, packs
+        them with :meth:`SampleBatch.from_columns` and submits the
+        batch.
+
+        ``batch_max`` defaults to half the queue,
+        ``max(1, config.queue_capacity // 2)``: the largest batch that
+        fits beside another, so under ``block`` a producer can queue
+        one batch while a worker decodes the previous one. Each
+        hand-off costs a queue round trip and a regroup and re-add of
+        the batch's distinct contexts whatever its size, so fewer,
+        larger batches cost less per sample. The worker drain budget
+        (``config.drain_budget``) does not size these batches.
+
+        A live sink therefore holds up to ``batch_max`` observations
+        that the tree has not seen, and nothing submits them on a
+        timer: call its ``flush()`` attribute — or
+        ``collector.close()`` — to submit the tail, and before
+        :meth:`flush` whenever the tree must hold every observation
+        made so far.
 
         If a submit fails with :class:`~repro.errors.ServiceError`, the
         error is re-raised with an ``unsubmitted`` attribute: the
@@ -502,9 +526,11 @@ class ContextService:
         never counted (empty for an overflow, whose samples the queue
         or lanes counted as dropped). The sink's buffer is empty
         afterwards, so every observation is submitted, carried by an
-        error, or still buffered (``buffered()``).
+        error, or still buffered (``buffered()``). Under
+        ``drop-newest``, ``drop-oldest`` and ``error`` a refused
+        hand-off loses its whole batch, each sample counted dropped.
         """
-        limit = batch_max if batch_max else self.config.drain_budget
+        limit = batch_max or max(1, self.config.queue_capacity // 2)
         engine = self.engine
         # (plan, engine generation, epoch) of the last resolved stamp.
         stamp = (None, -1, 0)
@@ -574,47 +600,29 @@ class ContextService:
         or retained in the fallback store. While the breaker is closed,
         flush also replays the fallback so a post-storm flush leaves the
         tree complete. On timeout it counts ``service.flush_timeout``
-        and raises — never a silent half-flush.
+        and raises — never a silent half-flush. Observations a
+        :meth:`batch_sink` still buffers are not submitted yet: flush
+        the sink (or close its collector) first.
         """
         deadline = time.monotonic() + timeout
-        if self._procs is not None:
-            while time.monotonic() < deadline:
+        procs = self._procs
+        while time.monotonic() < deadline:
+            # Degraded, no workers are left: the flushing thread retains
+            # what they would have drained.
+            if procs is None:
+                if self._degraded:
+                    self._shed_queue_to_fallback()
+                synced = not len(self._queue)
+            else:
                 if self._degraded:
                     self._drain_dead_lanes()
                 remaining = max(0.01, deadline - time.monotonic())
-                synced = self._procs.sync(timeout=remaining)
-                if len(self._fallback):
-                    self.replay_fallback()
-                acct = self.accounting()
-                done = (
-                    acct["aggregated"]
-                    + acct["dead_lettered"]
-                    + acct["epoch_mismatches"]
-                    + acct["dropped"]
-                    + acct["fallback_dropped"]
-                    + acct["fallback_pending"]
-                )
-                if synced and done >= acct["submitted"]:
-                    return
-                time.sleep(0.002)
-            self.metrics.count("flush_timeout")
-            raise ServiceError(f"flush timed out after {timeout}s")
-        while time.monotonic() < deadline:
-            if self._degraded:
-                # No workers left: the flushing thread does the work.
-                self._shed_queue_to_fallback()
+                synced = procs.sync(timeout=remaining)
             if len(self._fallback):
                 self.replay_fallback()
-            snap = self.metrics.snapshot()
-            done = (
-                snap["aggregated"]
-                + snap["dead_lettered"]
-                + snap["epoch_mismatches"]
-                + self._queue.dropped
-                + snap["fallback_dropped"]
-                + len(self._fallback)
-            )
-            if not len(self._queue) and done >= snap["submitted"]:
+            acct = self.accounting()
+            settled = sum(acct[term] for term in _SETTLED)
+            if synced and settled >= acct["submitted"]:
                 return
             time.sleep(0.002)
         self.metrics.count("flush_timeout")
@@ -1411,16 +1419,7 @@ class ContextService:
             # between lane pop and status write) is already folded into
             # the pool's dead_lettered, and lane drops into dropped.
             fleet = self._procs.accounting()
-            for bucket in (
-                "aggregated",
-                "dead_lettered",
-                "epoch_mismatches",
-                "dropped",
-                "fallback_dropped",
-                "fallback_pending",
-                "decode_errors",
-                "recovered",
-            ):
+            for bucket in _SETTLED + ("decode_errors", "recovered"):
                 out[bucket] += fleet.get(bucket, 0)
             out["crash_lost"] = fleet.get("crash_lost", 0)
         return out

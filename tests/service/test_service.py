@@ -283,6 +283,129 @@ class TestSinkFailures:
         assert raised.value.unsubmitted == [(node, snap)]
 
 
+class TestSinkHandOffs:
+    """A default sink hands the queue half its capacity per batch."""
+
+    @staticmethod
+    def recording(service):
+        """Stub ``submit_batch`` to record each batch's size."""
+        sizes = []
+        service.submit_batch = lambda batch, timeout=None: (
+            sizes.append(len(batch)) or len(batch)
+        )
+        return sizes
+
+    @staticmethod
+    def feed(sink, plan, n):
+        snaps = [walk_snapshot(plan, PATH_ACE), walk_snapshot(plan, PATH_BCD)]
+        for i in range(n):
+            sink(*snaps[i % 2])
+
+    @pytest.mark.parametrize("config,batch_max,n,size", [
+        ({}, None, 5000, 2048),
+        ({}, None, 4096, 2048),
+        ({"queue_capacity": 64}, None, 150, 32),
+        ({"queue_capacity": 7}, None, 20, 3),
+        ({"queue_capacity": 1}, None, 5, 1),
+        # The worker drain budget does not size the sink's batches...
+        ({"queue_capacity": 64, "batch_size": 4, "batch_max": 8}, None,
+         64, 32),
+        # ...but an explicit batch_sink(batch_max=...) does.
+        ({}, 100, 250, 100),
+    ], ids=["default", "default-exact", "half-of-64", "half-of-7",
+            "one-sample-queue", "not-the-drain-budget", "explicit"])
+    def test_sink_hands_off_every_size_samples(
+        self, plan, config, batch_max, n, size
+    ):
+        service = ContextService(plan, ServiceConfig(**config))
+        sizes = self.recording(service)
+        sink = service.batch_sink(batch_max=batch_max)
+        self.feed(sink, plan, n)
+        assert sizes == [size] * (n // size)
+        assert sink.buffered() == n % size
+        sink.flush()  # ceil(n / size) hand-offs, the tail included
+        assert sizes == [size] * (n // size) + [n % size] * (n % size > 0)
+
+    @pytest.mark.parametrize("policy", ["drop-newest", "drop-oldest", "error"])
+    def test_refused_hand_offs_keep_the_law(self, plan, policy):
+        """A stalled worker fills a 64-sample queue, so later 32-sample
+        batches are refused whole; the service stops mid-run, so the
+        rest fail at the sink. Every observation is submitted, counted
+        as a sink failure, or still buffered, and the law is exact."""
+        import threading
+
+        service = ContextService(plan, ServiceConfig(
+            workers=1, shards=2, queue_capacity=64, backpressure=policy,
+        )).start()
+        release = threading.Event()
+        handle = service._handle_items
+
+        def stalled(items):
+            release.wait(10)
+            handle(items)
+
+        service._pool._handler = stalled
+        sink = service.batch_sink()
+        collector = ContextCollector(sink=sink, sink_errors="drop")
+        probe = DeltaPathProbe(plan, cpt=True)
+        probe.begin_execution("main")
+        probe.enter_function("main")
+        try:
+            for n in range(400):
+                collector.on_entry("main", 1, probe)
+                if n + 1 == 300:
+                    release.set()
+                    assert service.stop()
+        finally:
+            release.set()
+            service.stop()
+        metrics = service.service_metrics()
+        acct = service.accounting()
+        assert acct["submitted"] == 32 * metrics["batch.submitted"] > 0
+        assert acct["dropped"] > 0
+        assert collector.sink_failures == 96  # three batches after stop
+        assert sink.buffered() == 16
+        assert collector.total == (
+            acct["submitted"] + collector.sink_failures + sink.buffered()
+        )
+        collector.close()  # the tail fails the same way
+        assert collector.total == acct["submitted"] + collector.sink_failures
+        assert acct["submitted"] == (
+            acct["aggregated"] + acct["dead_lettered"]
+            + acct["epoch_mismatches"] + acct["dropped"]
+            + acct["fallback_dropped"] + acct["fallback_pending"]
+        )
+        assert acct["aggregated"] == service.tree.total_samples
+
+    def test_default_sink_feeds_worker_processes(self, plan):
+        service = ContextService(plan, ServiceConfig(
+            worker_processes=2, shards=2, queue_capacity=256,
+        )).start()
+        try:
+            collector = ContextCollector(sink=service.batch_sink())
+            probe = DeltaPathProbe(plan, cpt=True)
+            probe.begin_execution("main")
+            probe.enter_function("main")
+            collector.on_entry("main", 1, probe)
+            for _ in range(300):
+                for caller, label, callee in PATH_ACE:
+                    probe.before_call(caller, label, callee)
+                    probe.enter_function(callee)
+                    collector.on_entry(callee, 1, probe)
+                for caller, label, callee in reversed(PATH_ACE):
+                    collector.on_exit(callee)
+                    probe.exit_function(callee)
+                    probe.after_call(caller, label, callee)
+            collector.close()
+            service.flush(timeout=60)
+            acct = service.accounting()
+            assert acct["submitted"] == collector.total == 901
+            assert acct["aggregated"] == collector.total
+            assert service.service_metrics()["batch.submitted"] == 8
+        finally:
+            service.stop()
+
+
 class TestCollectorTruthModes:
     def drive(self, plan, collector):
         probe = DeltaPathProbe(plan, cpt=True)

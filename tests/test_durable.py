@@ -8,6 +8,8 @@ import itertools
 import os
 import random
 import signal
+import sys
+import threading
 import time
 import zlib
 
@@ -185,6 +187,82 @@ class TestWriteRecords:
         abandoned = [n for n in os.listdir(str(tmp_path)) if n != "f.demo"]
         assert len(abandoned) == 1 and abandoned[0].startswith(".tmp-f.demo-")
 
+    def test_two_writers_of_one_file_keep_their_own_temp_files(
+        self, tmp_path
+    ):
+        """Writer A pauses after its first record; writer B, another
+        thread of this process, writes the same file whole meanwhile.
+        Neither write touches the other's temp file: B's file lands
+        whole, then A's replaces it whole."""
+        path = str(tmp_path / "f.demo")
+        first = [HEADER, {"kind": "rows", "rows": [[1, 1]] * 50}]
+        second = [HEADER, {"kind": "rows", "rows": [[2, 2]]}]
+        paused, resume = threading.Event(), threading.Event()
+        errors = []
+
+        def pause(records):
+            if records == 1:
+                paused.set()
+                assert resume.wait(30)
+
+        def writer_a():
+            try:
+                write_records(path, first, fault=pause)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer_a)
+        thread.start()
+        try:
+            assert paused.wait(30)
+            write_records(path, second)
+            with open(path, "rb") as fh:
+                assert read(fh.read()) == (HEADER, second[1:], footer(3))
+        finally:
+            resume.set()
+            thread.join(30)
+        assert not thread.is_alive() and errors == []
+        with open(path, "rb") as fh:
+            assert read(fh.read()) == (HEADER, first[1:], footer(3))
+        assert os.listdir(str(tmp_path)) == ["f.demo"]
+
+    def test_concurrent_writers_never_share_a_temp_file(self, tmp_path):
+        """Eight threads (more than cores) rewrite one file 20 times each
+        under a 1 µs switch interval. A temp name claimed twice would
+        interleave two writes in one file or fail a rename."""
+        path = str(tmp_path / "f.demo")
+        bodies = [
+            [HEADER, {"kind": "rows", "rows": [[t, i] for i in range(40)]}]
+            for t in range(8)
+        ]
+        errors = []
+
+        def writer(t):
+            try:
+                for _ in range(20):
+                    write_records(path, bodies[t])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(t,)) for t in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        with open(path, "rb") as fh:
+            header, body, _footer = read(fh.read())
+        assert [header, *body] in bodies
+        assert os.listdir(str(tmp_path)) == ["f.demo"]
+
 
 FINAL_NAMES = {
     "segment": "seg-00000001.dpqs",
@@ -242,3 +320,35 @@ def test_opening_a_store_sweeps_a_dead_writers_temp_file(
     assert len(after) == before - 1
     assert dead not in after
     assert sweep_temp_files(directory) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_dead_writers_overlapping_temp_files_are_swept(tmp_path):
+    """A process killed inside two overlapping writes of one file leaves
+    ``.tmp-<name>-<pid>`` and ``.tmp-<name>-<pid>.1``; both are swept,
+    while this process's suffixed temp file stays."""
+    directory = str(tmp_path)
+    final = os.path.join(directory, "f.demo")
+
+    def nest(records):
+        if records == 1:
+            write_records(final, [HEADER, *BODY], fault=die)
+
+    def die(records):
+        if records >= 2:
+            os._exit(0)
+
+    child = os.fork()
+    if child == 0:  # pragma: no cover - runs in the child
+        try:
+            write_records(final, [HEADER, *BODY], fault=nest)
+        finally:
+            os._exit(1)
+    status = _reap(child)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    base = f".tmp-f.demo-{child}"
+    assert sorted(os.listdir(directory)) == [base, base + ".1"]
+    mine = f".tmp-f.demo-{os.getpid()}.1"
+    open(os.path.join(directory, mine), "w").close()
+    assert sweep_temp_files(directory) == 2
+    assert os.listdir(directory) == [mine]
