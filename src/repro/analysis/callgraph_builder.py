@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import DispatchError
 from repro.graph.callgraph import CallGraph
@@ -187,7 +187,21 @@ def _instantiated_classes(
     program: Program, include_dynamic: bool
 ) -> Set[str]:
     """RTA's instantiated classes: those ``New``-ed in methods reachable
-    from the entry, where reachability itself depends on the set.
+    from the entry, where reachability itself depends on the set."""
+    world = {
+        klass.name
+        for klass in program.classes
+        if include_dynamic or not klass.dynamic
+    }
+    return _world_instantiated(program, world)
+
+
+def _world_instantiated(
+    program: Program, world: Set[str], loaded: Iterable[str] = ()
+) -> Set[str]:
+    """RTA's instantiated classes with the classes of ``world`` visible
+    and the ``loaded`` ones instantiated from the start (dynamic
+    loading happens at first instantiation).
 
     A worklist walks each reachable body once. Virtual sites are
     remembered as the method names called on each base class; when a
@@ -196,7 +210,7 @@ def _instantiated_classes(
     the least fixpoint is unique and equals what re-walking every
     reachable method until nothing changes would compute.
     """
-    instantiated: Set[str] = set()
+    instantiated: Set[str] = set(loaded)
     reachable: Set[MethodRef] = {program.entry}
     worklist: List[MethodRef] = [program.entry]
     #: base class -> method names called on it, in first-seen order.
@@ -212,28 +226,60 @@ def _instantiated_classes(
         for stmt in iter_stmts(method.body):
             if isinstance(stmt, New):
                 name = stmt.klass
-                if name in instantiated:
-                    continue
-                if program.klass(name).dynamic and not include_dynamic:
+                if name in instantiated or name not in world:
                     continue
                 instantiated.add(name)
                 for base in program.supertypes(name):
                     for called in called_on.get(base, ()):
-                        target = _resolve(program, name, called, include_dynamic)
-                        if target is not None:
+                        target = _resolve(program, name, called, True)
+                        if target is not None and target.klass in world:
                             reach(target)
             elif isinstance(stmt, VirtualCall):
                 called = called_on.setdefault(stmt.base, {})
                 if stmt.method in called:
                     continue  # its targets so far are reached already
                 called[stmt.method] = None
-                for target in _dispatch_targets(
-                    program, stmt, instantiated, include_dynamic
+                for target in _world_targets(
+                    program, stmt, instantiated, world
                 ):
                     reach(target)
             elif isinstance(stmt, StaticCall):
-                for target in _dispatch_targets(
-                    program, stmt, instantiated, include_dynamic
+                for target in _world_targets(
+                    program, stmt, instantiated, world
                 ):
                     reach(target)
     return instantiated
+
+
+def _world_targets(
+    program: Program,
+    stmt: Stmt,
+    instantiated: Optional[Set[str]],
+    world: Set[str],
+) -> List[MethodRef]:
+    """Dispatch targets of a call statement with ``world`` visible.
+
+    :func:`_dispatch_targets` with visibility an explicit class set
+    instead of the static/include-dynamic split. A subtype without the
+    method is skipped (``DispatchError``); any other resolution fault
+    propagates instead of becoming a missing edge.
+    """
+    if isinstance(stmt, StaticCall):
+        if stmt.target.klass not in world:
+            return []
+        return [stmt.target]
+    assert isinstance(stmt, VirtualCall)
+    targets: List[MethodRef] = []
+    seen: Set[MethodRef] = set()
+    for subtype in program.subtypes(stmt.base, include_dynamic=True):
+        if subtype not in world:
+            continue
+        if instantiated is not None and subtype not in instantiated:
+            continue
+        resolved = _resolve(program, subtype, stmt.method, True)
+        if resolved is None or resolved.klass not in world:
+            continue
+        if resolved not in seen:
+            seen.add(resolved)
+            targets.append(resolved)
+    return targets

@@ -29,17 +29,15 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.analysis.callgraph_builder import Policy, _resolve, call_sites_of
+from repro.analysis.callgraph_builder import (
+    Policy,
+    _world_instantiated,
+    _world_targets,
+    call_sites_of,
+)
 from repro.errors import GraphError
 from repro.graph.callgraph import CallEdge, CallGraph
-from repro.lang.model import (
-    MethodRef,
-    New,
-    Program,
-    StaticCall,
-    VirtualCall,
-    iter_stmts,
-)
+from repro.lang.model import MethodRef, Program, StaticCall, VirtualCall
 
 __all__ = [
     "GraphDelta",
@@ -284,7 +282,11 @@ def _delta_for_loaded_classes(
     if policy is Policy.CHA:
         instantiated: Optional[Set[str]] = None
     else:
-        instantiated = _world_instantiated(program, world)
+        instantiated = _world_instantiated(
+            program,
+            world,
+            [k.name for k in program.classes if k.dynamic and k.name in world],
+        )
 
     existing_edges = set(graph.edges)
     existing_nodes = set(graph.nodes)
@@ -378,68 +380,3 @@ def _graph_world(program: Program, graph: CallGraph) -> Set[str]:
         if attrs.get("dynamic") and "klass" in attrs:
             world.add(attrs["klass"])
     return world
-
-
-def _world_targets(
-    program: Program,
-    stmt,
-    instantiated: Optional[Set[str]],
-    world: Set[str],
-) -> List[MethodRef]:
-    """Dispatch targets of a call statement with ``world`` visible.
-
-    Mirrors the batch builder's target resolution, except visibility is
-    an explicit class set instead of the static/include-dynamic split.
-    A subtype without the method is skipped (``DispatchError``); any
-    other resolution fault propagates instead of becoming a missing
-    edge.
-    """
-    if isinstance(stmt, StaticCall):
-        if stmt.target.klass not in world:
-            return []
-        return [stmt.target]
-    assert isinstance(stmt, VirtualCall)
-    targets: List[MethodRef] = []
-    seen: Set[MethodRef] = set()
-    for subtype in program.subtypes(stmt.base, include_dynamic=True):
-        if subtype not in world:
-            continue
-        if instantiated is not None and subtype not in instantiated:
-            continue
-        resolved = _resolve(program, subtype, stmt.method, True)
-        if resolved is None or resolved.klass not in world:
-            continue
-        if resolved not in seen:
-            seen.add(resolved)
-            targets.append(resolved)
-    return targets
-
-
-def _world_instantiated(program: Program, world: Set[str]) -> Set[str]:
-    """RTA fixpoint with ``world`` visible; loaded dynamic classes count
-    as instantiated (loading happens at first instantiation)."""
-    instantiated: Set[str] = {
-        k.name for k in program.classes if k.dynamic and k.name in world
-    }
-    reachable: Set[MethodRef] = {program.entry}
-    changed = True
-    while changed:
-        changed = False
-        for ref in list(reachable):
-            method = program.method(ref)
-            for site in call_sites_of(method, ref):
-                for target in _world_targets(
-                    program, site.stmt, instantiated, world
-                ):
-                    if target not in reachable:
-                        reachable.add(target)
-                        changed = True
-            for stmt in iter_stmts(method.body):
-                if (
-                    isinstance(stmt, New)
-                    and stmt.klass in world
-                    and stmt.klass not in instantiated
-                ):
-                    instantiated.add(stmt.klass)
-                    changed = True
-    return instantiated

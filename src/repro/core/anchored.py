@@ -10,7 +10,8 @@ encodable within a fixed :class:`~repro.core.widths.Width`:
   added to ``An`` and the analysis restarts. The restart resumes rather
   than starting over (a departure documented in DESIGN.md): nothing
   before the new anchor's topological position can change, so the pass
-  rewinds its journal to that position and continues from there.
+  undoes its journal back to that position and continues from there,
+  with the territories grown by the new anchor rather than recomputed.
 * CAV and ICC become two-dimensional — indexed by (node, anchor) — scoped
   by anchor territories (:mod:`repro.core.territories`), because several
   anchors' territories overlap and a call site needs one addition value
@@ -35,7 +36,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.core.territories import Territories, identify_territories
+from repro.core.territories import (
+    Territories,
+    TerritoryGrowth,
+    identify_territories,
+)
 from repro.core.widths import UNBOUNDED, Width
 from repro.errors import (
     DecodingError,
@@ -302,15 +307,15 @@ def encode_anchored(
 
         order = topological_order(acyclic)
         position = {node: index for index, node in enumerate(order)}
-        journal = _Journal()
+        with obs.span("encode.territories", anchors=len(anchors)):
+            territories = identify_territories(acyclic, anchors)
+        growth = TerritoryGrowth(acyclic, territories, position)
+        journal = _Journal(territories)
         restarts = 0
         while True:
-            with obs.span("encode.territories", anchors=len(anchors)):
-                territories = identify_territories(acyclic, anchors)
             try:
-                cav = _encode_pass(
-                    acyclic, order, anchors, territories, width,
-                    edge_priority, journal,
+                _encode_pass(
+                    acyclic, order, growth, width, edge_priority, journal
                 )
             except _Overflow as overflow:
                 restarts += 1
@@ -327,7 +332,16 @@ def encode_anchored(
                     [journal.position - 1]
                     + [position[anchor] for anchor in anchors[known:]]
                 ))
+                with obs.span("encode.territories", anchors=len(anchors)):
+                    journal.retarget(*growth.grow(anchors[known:]))
                 continue
+            bound = journal.cav
+            if restarts:
+                # The grown membership is exact; the key orders of the
+                # final tables are a recompute's.
+                with obs.span("encode.territories", anchors=len(anchors)):
+                    territories = identify_territories(acyclic, anchors)
+                bound = journal.cav_in_order(territories)
             encoding = AnchoredEncoding(
                 graph=acyclic,
                 back_edges=removed,
@@ -335,7 +349,7 @@ def encode_anchored(
                 anchors=list(anchors),
                 territories=territories,
                 icc=journal.icc,
-                bound=cav,
+                bound=bound,
                 av=journal.av,
                 restarts=restarts,
             )
@@ -400,22 +414,29 @@ def _grow_anchors(
 
 class _Journal:
     """Everything a pass has written, in topological order, so that a
-    restart can rewind to a position instead of starting over.
+    restart can undo back to a position instead of starting over.
 
     AV and ICC gain each key once, in pass order, so they rewind by
-    dropping their newest items. CAV entries are overwritten, so its
-    writes are kept as ``callee, anchor, value`` runs and replayed onto
-    the zeros of the next pass's territories. ``marks`` holds, per
-    position of the topological order, the three lengths as it
-    started. Both lists are flat: a tuple per write would be one more
-    object for the garbage collector to track, enough on durable-churn's
-    set-ups to trigger an extra full collection inside the plan.
+    dropping their newest items. CAV (``cav``, every (node, anchor)
+    pair of the territories, zero until written) is kept across
+    passes: ``undo`` holds ``callee, anchor, previous value`` for every
+    write, and a rewind restores the discarded writes' previous values,
+    newest first. ``marks`` holds, per position of the topological
+    order, the three lengths as it started. Both lists are flat: a
+    tuple per write would be one more object for the garbage collector
+    to track, enough on durable-churn's set-ups to trigger an extra
+    full collection inside the plan.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, territories: Territories) -> None:
         self.av: Dict[CallSite, int] = {}
         self.icc: Dict[Tuple[str, str], int] = {}
-        self.cav_writes: List[object] = []
+        self.cav: Dict[Tuple[str, str], int] = {
+            (node, anchor): 0
+            for node, reaching in territories.nanchors.items()
+            for anchor in reaching
+        }
+        self.undo: List[object] = []
         self.marks: List[int] = []
 
     @property
@@ -425,19 +446,10 @@ class _Journal:
 
     def mark(self) -> None:
         """Record that the next position starts here."""
-        self.marks.extend((len(self.av), len(self.icc), len(self.cav_writes)))
-
-    def record(self, callee: str, anchor: str, value: int) -> None:
-        self.cav_writes.extend((callee, anchor, value))
-
-    def replay(self, cav: Dict[Tuple[str, str], int]) -> None:
-        """Overlay the surviving CAV writes, in pass order, on ``cav``."""
-        run = iter(self.cav_writes)
-        for callee, anchor, value in zip(run, run, run):
-            cav[(callee, anchor)] = value
+        self.marks.extend((len(self.av), len(self.icc), len(self.undo)))
 
     def rewind(self, position: int) -> None:
-        """Forget every write made at ``position`` or later.
+        """Undo every write made at ``position`` or later.
 
         Exact when every anchor added since those writes sits at
         ``position`` or later: no new anchor reaches a node before it,
@@ -446,61 +458,88 @@ class _Journal:
         compute.
         """
         cut = 3 * position
-        av_size, icc_size, cav_size = self.marks[cut:cut + 3]
+        av_size, icc_size, undo_size = self.marks[cut:cut + 3]
         while len(self.av) > av_size:
             self.av.popitem()
         while len(self.icc) > icc_size:
             self.icc.popitem()
-        del self.cav_writes[cav_size:]
+        undo, cav = self.undo, self.cav
+        for at in range(len(undo) - 3, undo_size - 1, -3):
+            cav[(undo[at], undo[at + 1])] = undo[at + 2]
+        del undo[undo_size:]
         del self.marks[cut:]
+
+    def retarget(
+        self, left: List[Tuple[str, str]], joined: List[Tuple[str, str]]
+    ) -> None:
+        """Follow grown territories: drop the pairs that left one, zero
+        the pairs that joined one. No surviving write touches a pair
+        that left: its caller sits before the rewind's position, where
+        no territory changes."""
+        cav = self.cav
+        for pair in left:
+            del cav[pair]
+        for pair in joined:
+            cav[pair] = 0
+
+    def cav_in_order(self, territories: Territories) -> Dict[Tuple[str, str], int]:
+        """CAV in ``territories``' (node, anchor) order, which must hold
+        exactly CAV's pairs."""
+        cav = self.cav
+        ordered = {
+            (node, anchor): cav[(node, anchor)]
+            for node, reaching in territories.nanchors.items()
+            for anchor in reaching
+        }
+        if len(ordered) != len(cav):
+            raise EncodingError(
+                f"grown territories hold {len(cav)} (node, anchor) pairs, "
+                f"a recompute {len(ordered)}"
+            )
+        return ordered
 
 
 def _encode_pass(
     acyclic: CallGraph,
     order: List[str],
-    anchors: List[str],
-    territories: Territories,
+    territories: TerritoryGrowth,
     width: Width,
     edge_priority: Optional[Callable[[CallEdge], float]],
     journal: _Journal,
-) -> Dict[Tuple[str, str], int]:
-    """Algorithm 2's main loop for a fixed anchor set, from the first
-    position ``journal`` does not hold; returns the final CAV table.
-
-    CAV starts as a zero for every (node, anchor) pair of
-    ``territories``, overlaid with the journal's surviving writes.
+) -> None:
+    """Algorithm 2's main loop for the current anchor set, from the
+    first position ``journal`` does not hold, writing into its tables.
     """
     obs.counter("encode.passes").inc()
-    anchor_set = set(anchors)
-    cav: Dict[Tuple[str, str], int] = {}
-    for node, reaching in territories.nanchors.items():
-        for anchor in reaching:
-            cav[(node, anchor)] = 0
-    journal.replay(cav)
-    icc, av, record = journal.icc, journal.av, journal.record
+    anchor_set = territories.anchor_set
+    nanchors = territories.nanchors
+    edge_anchors = territories.out_anchors.get  # by the edge's caller
+    cav, icc, av, undo = journal.cav, journal.icc, journal.av, journal.undo
 
     def calculate_increment(site: CallSite) -> int:
         edges = acyclic.site_targets(site)
+        reaching = edge_anchors(site.caller, ())
         a = 0
         for edge in edges:
-            for anchor in territories.edge_anchors(edge):
+            for anchor in reaching:
                 candidate = cav.get((edge.callee, anchor), 0)
                 if candidate > a:
                     a = candidate
         for edge in edges:
             callee = edge.callee
-            for anchor in territories.edge_anchors(edge):
+            for anchor in reaching:
                 caller_icc = icc[(edge.caller, anchor)]
                 value = caller_icc + a
                 if not width.fits(value):
                     raise _Overflow(edge)
-                cav[(callee, anchor)] = value
-                record(callee, anchor, value)
+                key = (callee, anchor)
+                undo.extend((callee, anchor, cav[key]))
+                cav[key] = value
         return a
 
     start = journal.position
     with obs.span(
-        "encode.cav_icc", anchors=len(anchors), start=start
+        "encode.cav_icc", anchors=len(anchor_set), start=start
     ) as sp:
         for index in range(start, len(order)):
             node = order[index]
@@ -512,7 +551,7 @@ def _encode_pass(
                 site = edge.site
                 if site in av:
                     continue  # processed through another target
-                if not territories.edge_anchors(edge):
+                if not edge_anchors(edge.caller):
                     # Site in a node unreachable from any anchor (dead code
                     # relative to the entry): never executes, zero
                     # increment.
@@ -522,7 +561,6 @@ def _encode_pass(
             if node in anchor_set:
                 icc[(node, node)] = 1
             else:
-                for anchor in territories.node_anchors(node):
+                for anchor in nanchors.get(node, ()):
                     icc[(node, anchor)] = cav[(node, anchor)]
         sp.set("sites", len(av))
-    return cav

@@ -16,7 +16,7 @@ only when the dynamic dispatch actually lands on a recursive target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, Iterable, List, Set
 
 from repro.graph.callgraph import CallEdge, CallGraph, CallSite
 from repro.graph.scc import back_edges
@@ -41,16 +41,22 @@ class RecursionPlan:
     def num_sites(self) -> int:
         return len(self.recursive_targets)
 
+    @classmethod
+    def from_back_edges(cls, removed: Iterable[CallEdge]) -> "RecursionPlan":
+        """Classify already-found back edges (an encoding's
+        ``back_edges``) into a runtime plan."""
+        removed = list(removed)
+        by_site: Dict[CallSite, Set[str]] = {}
+        for edge in removed:
+            by_site.setdefault(edge.site, set()).add(edge.callee)
+        return cls(
+            recursive_targets={
+                site: frozenset(targets) for site, targets in by_site.items()
+            },
+            removed_edges=removed,
+        )
+
 
 def plan_recursion(graph: CallGraph) -> RecursionPlan:
     """Classify the graph's back edges into a runtime plan."""
-    removed = back_edges(graph)
-    by_site: Dict[CallSite, Set[str]] = {}
-    for edge in removed:
-        by_site.setdefault(edge.site, set()).add(edge.callee)
-    return RecursionPlan(
-        recursive_targets={
-            site: frozenset(targets) for site, targets in by_site.items()
-        },
-        removed_edges=removed,
-    )
+    return RecursionPlan.from_back_edges(back_edges(graph))

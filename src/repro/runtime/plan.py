@@ -36,7 +36,7 @@ from repro.analysis.callgraph_builder import Policy, build_callgraph
 from repro.analysis.incremental import GraphDelta, apply_delta as _apply_graph_delta
 from repro.core.anchored import AnchoredEncoding, encode_anchored
 from repro.core.decoder import ContextDecoder, DecodedContext
-from repro.core.recursion import RecursionPlan, plan_recursion
+from repro.core.recursion import RecursionPlan
 from repro.core.reencode import ReencodeResult, reencode
 from repro.core.selective import project_interesting, reattach_orphans
 from repro.core.sid import SidTable, compute_sids, update_sids
@@ -131,7 +131,9 @@ class DeltaPathPlan:
                 touched=delta.touched_nodes(self.graph),
                 max_restarts=max_restarts,
             )
-            recursion = plan_recursion(new_graph)
+            recursion = RecursionPlan.from_back_edges(
+                result.encoding.back_edges
+            )
             sids = update_sids(self.sids, new_graph, delta)
             new_plan = _assemble_plan(
                 new_graph, result.encoding, sids, recursion, self.zero_elided
@@ -194,14 +196,15 @@ def build_plan_from_graph(
         else:
             encoded_graph = graph
 
-        with obs.span("plan.recursion"):
-            recursion = plan_recursion(encoded_graph)
         encoding = encode_anchored(
             encoded_graph,
             width=width,
             edge_priority=edge_priority,
             initial_anchors=initial_anchors,
         )
+        # The encoding removed the same back edges.
+        with obs.span("plan.recursion"):
+            recursion = RecursionPlan.from_back_edges(encoding.back_edges)
         with obs.span("plan.sids"):
             sids = compute_sids(encoded_graph)
         with obs.span("plan.assemble"):

@@ -316,6 +316,11 @@ class WorkerPool:
     drain iteration *before* a batch is taken (so a kill never strands
     an in-hand batch); it may sleep (slow consumer) or raise
     :class:`WorkerKilled`.
+
+    Every handled batch and every worker exit count one *progress*
+    event (:meth:`notify_progress`, which the owner also calls on its
+    drops and on close); :meth:`wait_progress` sleeps until the next
+    one, so a flush wakes when the drain settles instead of polling.
     """
 
     def __init__(
@@ -340,6 +345,8 @@ class WorkerPool:
         self._poll = poll_interval
         self._fault = fault
         self._lock = threading.Lock()
+        self._progress = threading.Condition(threading.Lock())
+        self._events = 0
         self._threads: List[threading.Thread] = [
             self._make_thread(slot) for slot in range(workers)
         ]
@@ -380,6 +387,7 @@ class WorkerPool:
                 if not batch:
                     if self._queue.closed and not len(self._queue):
                         self._exited[slot] = True
+                        self.notify_progress()
                         return
                     continue
                 try:
@@ -389,9 +397,35 @@ class WorkerPool:
                 except BaseException as exc:  # noqa: BLE001 - keep draining
                     if self._on_error is not None:
                         self._on_error(exc)
+                self.notify_progress()
         except WorkerKilled:
             with self._lock:
                 self.deaths += 1
+            self.notify_progress()
+
+    # ------------------------------------------------------------------
+    # Progress events
+    # ------------------------------------------------------------------
+    @property
+    def progress(self) -> int:
+        """Progress events so far; read it before checking what the
+        events change, then pass it to :meth:`wait_progress`."""
+        return self._events
+
+    def notify_progress(self) -> None:
+        """Count one progress event and wake every waiter."""
+        with self._progress:
+            self._events += 1
+            self._progress.notify_all()
+
+    def wait_progress(self, seen: int, timeout: float) -> int:
+        """Wait until the event count differs from ``seen``, at most
+        ``timeout`` seconds; returns the count. An event between the
+        read of ``seen`` and this call returns at once."""
+        with self._progress:
+            if self._events == seen:
+                self._progress.wait(timeout)
+            return self._events
 
     # ------------------------------------------------------------------
     # Supervision surface

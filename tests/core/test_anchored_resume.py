@@ -204,14 +204,26 @@ def _blowup_graph(layers, lanes=2):
 
 def test_a_restart_resumes_at_the_new_anchor(monkeypatch):
     """After each overflow, the next pass reads first the in-edges of
-    the anchor just added, not those of the entry."""
+    the anchor just added, not those of the entry. Only the passes'
+    reads count: growing the territories between passes reads the
+    in-edges of the new anchors' bounded DFSs too."""
     graph = _blowup_graph(16)
     order = topological_order(graph)
     reads = []
     in_edges = CallGraph.in_edges
+    encode_pass = anchored._encode_pass
+    in_pass = []
+
+    def spy_pass(*args):
+        in_pass.append(True)
+        try:
+            return encode_pass(*args)
+        finally:
+            in_pass.pop()
 
     def spy_in_edges(self, name):
-        reads.append(name)
+        if in_pass:
+            reads.append(name)
         return in_edges(self, name)
 
     def spy_grow(acyclic, anchors, edge, width):
@@ -220,6 +232,7 @@ def test_a_restart_resumes_at_the_new_anchor(monkeypatch):
         reads.append(("grown", tuple(anchors[known:])))
 
     monkeypatch.setattr(CallGraph, "in_edges", spy_in_edges)
+    monkeypatch.setattr(anchored, "_encode_pass", spy_pass)
     monkeypatch.setattr(anchored, "_grow_anchors", spy_grow)
     encoding = encode_anchored(graph, width=W8)
 

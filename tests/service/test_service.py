@@ -564,3 +564,66 @@ class TestDroppedCounterIsExported:
             self.assert_exported(service)
         finally:
             service.stop()
+
+
+class TestFlushWakesOnProgress:
+    """The thread topology's ``flush`` sleeps on the workers' progress
+    events instead of polling, so it settles when the worker does."""
+
+    def test_flush_settles_when_the_worker_finishes(self, plan, monkeypatch):
+        import threading
+        import time
+
+        from repro.service import service as service_module
+
+        class NoPoll:
+            """``time`` for the service module, without ``sleep``."""
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            def sleep(self, seconds):
+                raise AssertionError("flush polled with time.sleep")
+
+        node, snap = walk_snapshot(plan, PATH_ACE)
+        service = ContextService(
+            plan, ServiceConfig(workers=1, shards=2)
+        ).start()
+        release = threading.Event()
+        handle = service._handle_items
+
+        def stalled(items):
+            release.wait(10)
+            handle(items)
+
+        service._pool._handler = stalled
+        wait = service._pool.wait_progress
+        waits = []
+        woke = []
+
+        def watched(seen, timeout):
+            waits.append(timeout)
+            if len(waits) < 3:
+                return wait(seen, timeout)
+            # Let the worker finish, then wait far longer than a poll:
+            # only the worker's event can end this wait early.
+            release.set()
+            start = time.monotonic()
+            got = wait(seen, 30.0)
+            woke.append((got != seen, time.monotonic() - start))
+            return got
+
+        monkeypatch.setattr(service_module, "time", NoPoll())
+        service._pool.wait_progress = watched
+        try:
+            service.submit_batch(one(node, snap))
+            service.flush(timeout=60)
+            assert service.accounting()["aggregated"] == 1
+            assert waits[:2] == [0.002, 0.002]
+            assert len(woke) == 1
+            event, waited = woke[0]
+            assert event and waited < 10
+        finally:
+            release.set()
+            monkeypatch.undo()
+            service.stop()
