@@ -102,6 +102,7 @@ def build_callgraph(
     comparison in tests, never available to real static analysis.
     """
     program.validate()
+    world = _visible_classes(program, include_dynamic)
     if policy is Policy.CHA:
         instantiated = None
     else:
@@ -119,9 +120,7 @@ def build_callgraph(
         cursor += 1
         method = program.method(ref)
         for site in call_sites_of(method, ref):
-            targets = _dispatch_targets(
-                program, site.stmt, instantiated, include_dynamic
-            )
+            targets = _world_targets(program, site.stmt, instantiated, world)
             for target in targets:
                 graph.add_node(str(target))
                 _annotate_node(graph, program, target)
@@ -143,44 +142,23 @@ def _annotate_node(graph: CallGraph, program: Program, ref: MethodRef) -> None:
     )
 
 
-def _dispatch_targets(
-    program: Program,
-    stmt: Stmt,
-    instantiated: Optional[Set[str]],
-    include_dynamic: bool,
-) -> List[MethodRef]:
-    """Resolved targets of a call statement under the active policy."""
-    if isinstance(stmt, StaticCall):
-        target_klass = program.klass(stmt.target.klass)
-        if target_klass.dynamic and not include_dynamic:
-            return []  # statically invisible
-        return [stmt.target]
-
-    assert isinstance(stmt, VirtualCall)
-    targets: List[MethodRef] = []
-    seen: Set[MethodRef] = set()
-    for subtype in program.subtypes(stmt.base, include_dynamic=include_dynamic):
-        if instantiated is not None and subtype not in instantiated:
-            continue
-        resolved = _resolve(program, subtype, stmt.method, include_dynamic)
-        if resolved is not None and resolved not in seen:
-            seen.add(resolved)
-            targets.append(resolved)
-    return targets
-
-
-def _resolve(
-    program: Program, klass: str, method: str, include_dynamic: bool
-) -> Optional[MethodRef]:
+def _resolve(program: Program, klass: str, method: str) -> Optional[MethodRef]:
     """The method a receiver of class ``klass`` runs for a virtual call,
-    or None when the class lacks it or it is statically invisible."""
+    or None when the class lacks it; callers check its visibility."""
     try:
-        resolved = program.resolve(klass, method)
+        return program.resolve(klass, method)
     except DispatchError:
         return None  # abstract-like subtype without the method
-    if not include_dynamic and program.klass(resolved.klass).dynamic:
-        return None
-    return resolved
+
+
+def _visible_classes(program: Program, include_dynamic: bool) -> Set[str]:
+    """The classes static analysis sees: every non-dynamic class, and
+    the dynamic ones too under ``include_dynamic``."""
+    return {
+        klass.name
+        for klass in program.classes
+        if include_dynamic or not klass.dynamic
+    }
 
 
 def _instantiated_classes(
@@ -188,12 +166,9 @@ def _instantiated_classes(
 ) -> Set[str]:
     """RTA's instantiated classes: those ``New``-ed in methods reachable
     from the entry, where reachability itself depends on the set."""
-    world = {
-        klass.name
-        for klass in program.classes
-        if include_dynamic or not klass.dynamic
-    }
-    return _world_instantiated(program, world)
+    return _world_instantiated(
+        program, _visible_classes(program, include_dynamic)
+    )
 
 
 def _world_instantiated(
@@ -231,7 +206,7 @@ def _world_instantiated(
                 instantiated.add(name)
                 for base in program.supertypes(name):
                     for called in called_on.get(base, ()):
-                        target = _resolve(program, name, called, True)
+                        target = _resolve(program, name, called)
                         if target is not None and target.klass in world:
                             reach(target)
             elif isinstance(stmt, VirtualCall):
@@ -257,12 +232,14 @@ def _world_targets(
     instantiated: Optional[Set[str]],
     world: Set[str],
 ) -> List[MethodRef]:
-    """Dispatch targets of a call statement with ``world`` visible.
+    """Resolved targets of a call statement with ``world`` visible.
 
-    :func:`_dispatch_targets` with visibility an explicit class set
-    instead of the static/include-dynamic split. A subtype without the
-    method is skipped (``DispatchError``); any other resolution fault
-    propagates instead of becoming a missing edge.
+    A static call targets its method when its class is visible. A
+    virtual call targets, once each in subtype declaration order, the
+    method each visible subtype resolves to, restricted to the
+    ``instantiated`` classes unless that is None (CHA). A subtype
+    without the method is skipped (``DispatchError``); any other
+    resolution fault propagates instead of becoming a missing edge.
     """
     if isinstance(stmt, StaticCall):
         if stmt.target.klass not in world:
@@ -276,7 +253,7 @@ def _world_targets(
             continue
         if instantiated is not None and subtype not in instantiated:
             continue
-        resolved = _resolve(program, subtype, stmt.method, True)
+        resolved = _resolve(program, subtype, stmt.method)
         if resolved is None or resolved.klass not in world:
             continue
         if resolved not in seen:

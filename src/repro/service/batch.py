@@ -11,14 +11,23 @@ decoding anything.
 
 Layout
 ------
-Per sample, six signed 64-bit columns::
+Per row, seven signed 64-bit columns::
 
     epoch       plan epoch the snapshot was captured under
     node_idx    index into the batch's interned function-name table
     stack_idx   index into the batch's interned anchor-stack table
     current_id  the DeltaPath context ID at capture
     thread      producer thread tag (0 when untracked)
-    weight      observation weight (>= 1)
+    count       samples the row stands for (>= 1)
+    weight      observation weight of each of them (>= 1)
+
+A row is a run of equal observations: ``ContextService.batch_sink``
+folds an observation equal to the one before it into that row's
+``count``, as a path profiler counts a path ID rather than recording
+each execution.  ``len(batch)`` is the number of samples (the sum of
+the counts), ``batch.rows`` the number of rows; the conservation law
+counts samples.  ``weight`` stays apart from the count: a row of count
+*n* and weight *w* adds *n* samples and *n × w* to the tree.
 
 The node table holds each distinct function name once; the stack table
 holds each distinct anchor stack (a tuple of
@@ -29,37 +38,41 @@ regardless of batch length.
 Binary serialization
 --------------------
 :meth:`SampleBatch.to_bytes` / :meth:`SampleBatch.from_bytes` give the
-batch a compact, self-checking wire form — the sample record the
-multiprocess scale-out (ROADMAP item 1) will ship over shared memory.
-The layout (documented for readers in docs/RESILIENCE.md):
+batch a compact, self-checking wire form — the record the process
+topology ships over its shared-memory lanes.  The layout (documented
+for readers in docs/RESILIENCE.md), DPSB version 2:
 
-* magic ``b"DPSB"``, one format-version byte (``1``);
-* a ``<IIII`` little-endian header: sample count, node-table byte
+* magic ``b"DPSB"``, one format-version byte (``2``);
+* a ``<IIII`` little-endian header: row count, node-table byte
   length, stack-table byte length, reserved (0);
 * the node table: UTF-8 JSON list of function names;
 * the stack table: UTF-8 JSON list of stacks, each entry encoded as
   ``[kind, node, saved_id, site, expected_sid, resume_node,
   resume_executed]`` with ``site`` either ``null`` or
   ``[caller, label]``;
-* six column payloads, each ``8 * samples`` bytes of little-endian
+* seven column payloads, each ``8 * rows`` bytes of little-endian
   signed 64-bit integers, in the order epoch, node_idx, stack_idx,
-  current_id, thread, weight;
+  current_id, thread, count, weight;
 * a ``<I`` CRC32 trailer over everything before it.
 
-``from_bytes`` rejects short buffers, bad magic, unknown versions, CRC
-mismatches, out-of-range table indices and weights below 1 with
-:class:`~repro.errors.ServiceError` — a torn or corrupted buffer never
-half-loads, and no buffer can subtract counts.
+Version 1 (one row per sample, no ``count`` column: six payloads) still
+reads, each row as count 1.  ``from_bytes`` rejects short buffers, bad
+magic, unknown versions, CRC mismatches, out-of-range table indices and
+counts or weights below 1 with :class:`~repro.errors.ServiceError` — a
+torn or corrupted buffer never half-loads, and no buffer can subtract
+counts.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import struct
 import sys
 import zlib
 from array import array
 from collections import Counter
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.stackmodel import EntryKind, StackEntry
@@ -79,11 +92,19 @@ def node_lane(node: str, lanes: int) -> int:
     return zlib.crc32(node.encode("utf-8")) % lanes
 
 _MAGIC = b"DPSB"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<IIII")
 _TRAILER = struct.Struct("<I")
-#: The six columns, in serialization order.
-_COLUMNS = ("epoch", "node_idx", "stack_idx", "current_id", "thread", "weight")
+#: The seven columns, in serialization order.
+_COLUMNS = (
+    "epoch", "node_idx", "stack_idx", "current_id", "thread", "count",
+    "weight",
+)
+#: The columns each readable version carries; v1 has no ``count``.
+_VERSION_COLUMNS = {
+    1: tuple(name for name in _COLUMNS if name != "count"),
+    2: _COLUMNS,
+}
 
 #: A distinct decode group: ``(epoch, node_idx, stack_idx, current_id)``.
 GroupKey = Tuple[int, int, int, int]
@@ -130,20 +151,28 @@ def _entry_from_json(spec: Sequence) -> StackEntry:
     )
 
 
+def _renumber(column: array, table: list) -> Tuple[array, list]:
+    """``column``'s indices renumbered in first-use order, with the
+    entries of ``table`` they use in that order."""
+    order = {old: new for new, old in enumerate(dict.fromkeys(column))}
+    return array("q", map(order.__getitem__, column)), [table[old] for old in order]
+
+
 class SampleBatch:
     """Columnar container of context observations.
 
-    Build one with :meth:`append` (per observation), :meth:`extend`
-    (from :class:`~repro.service.ingest.Sample` objects or another
-    batch), or :meth:`from_samples`.  Iterating yields materialized
-    :class:`~repro.service.ingest.Sample` objects — that path exists for
-    compatibility and failure triage; the hot path never materializes,
-    it works on :meth:`groups`.
+    Build one with :meth:`append` (per row), :meth:`extend` (from
+    :class:`~repro.service.ingest.Sample` objects or another batch),
+    :meth:`from_samples` or :meth:`from_columns`.  Iterating yields
+    materialized :class:`~repro.service.ingest.Sample` objects, each row
+    once per sample it counts — that path exists for compatibility and
+    failure triage; the hot path never materializes, it works on
+    :meth:`groups`.
     """
 
     __slots__ = (
         "_cols", "_nodes", "_node_ids", "_stacks", "_stack_ids",
-        "_stack_memo", "_uniform",
+        "_stack_memo", "_uniform", "_samples",
     )
 
     def __init__(self):
@@ -162,6 +191,8 @@ class SampleBatch:
         # True while every appended weight is exactly 1 — unlocks the
         # Counter-based grouping fast path.
         self._uniform = True
+        # The sum of the count column.
+        self._samples = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -194,10 +225,14 @@ class SampleBatch:
         epoch: int,
         weight: int = 1,
         thread: int = 0,
+        count: int = 1,
     ) -> "SampleBatch":
-        """Add one ``(node, snapshot)`` observation stamped with ``epoch``."""
+        """Add one row: ``count`` equal ``(node, snapshot)`` observations
+        stamped with ``epoch``."""
         if weight < 1:
             raise ServiceError(f"sample weight must be >= 1, got {weight}")
+        if count < 1:
+            raise ServiceError(f"row count must be >= 1, got {count}")
         if weight != 1:
             self._uniform = False
         stack, current_id = snapshot
@@ -207,11 +242,14 @@ class SampleBatch:
         cols["stack_idx"].append(self._stack_id(tuple(stack)))
         cols["current_id"].append(current_id)
         cols["thread"].append(thread)
+        cols["count"].append(count)
         cols["weight"].append(weight)
+        self._samples += count
         return self
 
     def extend(self, samples: Iterable) -> "SampleBatch":
-        """Append :class:`Sample` objects (or another batch's samples)."""
+        """Append :class:`Sample` objects (or another batch's samples),
+        one row each."""
         for sample in samples:
             self.append(
                 sample.node,
@@ -235,7 +273,8 @@ class SampleBatch:
         weight: int = 1,
         thread: int = 0,
     ) -> "SampleBatch":
-        """Pack ``(node, snapshot)`` pairs captured under one epoch."""
+        """Pack ``(node, snapshot)`` pairs captured under one epoch, one
+        row each."""
         nodes: List[str] = []
         stacks: List[Sequence[StackEntry]] = []
         ids: List[int] = []
@@ -256,13 +295,15 @@ class SampleBatch:
         ids: Sequence[int],
         epochs: Sequence[int],
         *,
+        counts: Optional[Sequence[int]] = None,
         weight: int = 1,
         thread: int = 0,
     ) -> "SampleBatch":
-        """Pack aligned per-sample columns: the one bulk packer.
+        """Pack aligned per-row columns: the one bulk packer.
 
-        Equal to appending the samples one by one, table order and all,
-        but no Python code runs per sample: the tables are interned once
+        ``counts`` gives each row's sample count (1 each when omitted).
+        Equal to appending the rows one by one, table order and all,
+        but no Python code runs per row: the tables are interned once
         per distinct name and once per distinct stack *object* (probe
         snapshots share one tuple per stack), and the columns are mapped
         through them at C speed.
@@ -282,29 +323,46 @@ class SampleBatch:
             for key, stack in by_object.items()
         }
         cols = batch._cols
-        count = len(nodes)
+        rows = len(nodes)
         cols["epoch"] = array("q", epochs)
         cols["node_idx"] = array("q", map(node_idx.__getitem__, nodes))
         cols["stack_idx"] = array(
             "q", map(stack_idx.__getitem__, map(id, stacks))
         )
         cols["current_id"] = array("q", ids)
-        cols["thread"] = array("q", [thread]) * count
-        cols["weight"] = array("q", [weight]) * count
+        cols["thread"] = array("q", [thread]) * rows
+        if counts is None:
+            cols["count"] = array("q", [1]) * rows
+            batch._samples = rows
+        else:
+            cols["count"] = array("q", counts)
+            if rows and min(cols["count"]) < 1:
+                raise ServiceError(
+                    f"row count must be >= 1, got {min(cols['count'])}"
+                )
+            batch._samples = sum(cols["count"])
+        cols["weight"] = array("q", [weight]) * rows
         return batch
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     def __len__(self) -> int:
+        """The number of samples: the sum of the row counts."""
+        return self._samples
+
+    @property
+    def rows(self) -> int:
+        """The number of rows (runs of equal observations)."""
         return len(self._cols["epoch"])
 
     @property
     def total_weight(self) -> int:
-        return sum(self._cols["weight"])
+        return sum(map(operator.mul, self._cols["count"], self._cols["weight"]))
 
     def sample(self, index: int):
-        """Materialize one observation as a :class:`Sample` (slow path)."""
+        """Materialize row ``index`` as one :class:`Sample` (slow path);
+        the row stands for ``count`` such samples."""
         from repro.service.ingest import Sample
 
         cols = self._cols
@@ -317,9 +375,19 @@ class SampleBatch:
             thread=cols["thread"][index],
         )
 
+    def _expand(self, indices: Iterable[int]) -> Iterator:
+        """The samples of the given rows, each row once per count."""
+        counts = self._cols["count"]
+        for index in indices:
+            yield from repeat(self.sample(index), counts[index])
+
     def __iter__(self) -> Iterator:
-        for index in range(len(self)):
-            yield self.sample(index)
+        return self._expand(range(self.rows))
+
+    def samples_of(self, key: GroupKey) -> List:
+        """The samples of one group, each row expanded into its count
+        (failure triage; scans the batch)."""
+        return list(self._expand(self.indices_of(key)))
 
     def node_of(self, key: GroupKey) -> str:
         return self._nodes[key[1]]
@@ -334,13 +402,13 @@ class SampleBatch:
         """Collapse the batch into its distinct decode groups.
 
         Returns ``{(epoch, node_idx, stack_idx, current_id):
-        (samples, weight)}`` — the number of observations in the group
-        and their summed weight.  This is the columnar counting pass:
-        with uniform weights (the overwhelmingly common case, tracked at
-        append time) it is one C-speed :class:`~collections.Counter`
-        sweep over the zipped columns.  Row indices are *not* built here
-        — a failing group reconstructs its rows with
-        :meth:`indices_of`, so the success path never pays for the
+        (samples, weight)}`` — the summed count of the group's rows and
+        their summed ``count × weight``.  This is the columnar counting
+        pass: when every row is one sample of weight 1 it is one C-speed
+        :class:`~collections.Counter` sweep over the zipped columns,
+        otherwise one pass over the rows.  Row indices are *not* built
+        here — a failing group reconstructs its samples with
+        :meth:`samples_of`, so the success path never pays for the
         failure path.
         """
         cols = self._cols
@@ -348,24 +416,27 @@ class SampleBatch:
             cols["epoch"], cols["node_idx"], cols["stack_idx"],
             cols["current_id"],
         )
-        if self._uniform:
+        counts = cols["count"]
+        if self._uniform and self._samples == len(counts):
+            # every row one sample of weight 1
             return {k: (n, n) for k, n in Counter(keys).items()}
-        weights = cols["weight"]
         out: Dict[GroupKey, Tuple[int, int]] = {}
-        for i, key in enumerate(keys):
-            got = out.get(key)
+        get = out.get
+        for key, n, weight in zip(keys, counts, cols["weight"]):
+            got = get(key)
             if got is None:
-                out[key] = (1, weights[i])
+                out[key] = (n, n * weight)
             else:
-                out[key] = (got[0] + 1, got[1] + weights[i])
+                out[key] = (got[0] + n, got[1] + n * weight)
         return out
 
     def __eq__(self, other) -> bool:
         """Structural equality: same columns, same interning tables.
 
-        Stricter than sample-set equality — table *order* matters — which
-        is exactly what the wire-form round-trip property needs:
-        ``from_bytes(to_bytes(b)) == b`` must hold bit-for-bit.
+        Stricter than sample-set equality — table *order* and the split
+        into rows matter — which is exactly what the wire-form
+        round-trip property needs: ``from_bytes(to_bytes(b)) == b`` must
+        hold bit-for-bit.
         """
         if not isinstance(other, SampleBatch):
             return NotImplemented
@@ -375,56 +446,46 @@ class SampleBatch:
             and self._stacks == other._stacks
         )
 
+    def select(self, indices: Sequence[int]) -> "SampleBatch":
+        """The rows at ``indices``, in that order, as a new batch.
+
+        Counts, weights and threads are kept; the tables are re-interned
+        in first-use order, so the new batch carries only the names and
+        stacks its rows use.
+        """
+        out = SampleBatch()
+        cols = self._cols
+        ocols = out._cols
+        for name in _COLUMNS:
+            ocols[name] = array("q", map(cols[name].__getitem__, indices))
+        ocols["node_idx"], out._nodes = _renumber(ocols["node_idx"], self._nodes)
+        out._node_ids = {name: i for i, name in enumerate(out._nodes)}
+        ocols["stack_idx"], out._stacks = _renumber(
+            ocols["stack_idx"], self._stacks
+        )
+        out._stack_ids = {stack: i for i, stack in enumerate(out._stacks)}
+        out._uniform = self._uniform or max(ocols["weight"], default=1) == 1
+        out._samples = sum(ocols["count"])
+        return out
+
     def split_by_node(self, lanes: int) -> List["SampleBatch"]:
         """Partition the batch into ``lanes`` sub-batches by node shard.
 
         Every row routes by :func:`node_lane` of its function name, so a
         given function's samples always land on the same decode worker
         regardless of which process (or run) does the splitting.  Tables
-        are re-interned per sub-batch; rows keep their relative order.
+        are re-interned per sub-batch; rows keep their relative order
+        and their counts.
         """
         if lanes < 1:
             raise ServiceError(f"lane count must be >= 1, got {lanes}")
-        outs = [SampleBatch() for _ in range(lanes)]
-        if not len(self):
-            return outs
         route = [node_lane(n, lanes) for n in self._nodes]
-        node_map: List[Dict[int, int]] = [{} for _ in range(lanes)]
-        stack_map: List[Dict[int, int]] = [{} for _ in range(lanes)]
-        cols = self._cols
-        rows = zip(
-            cols["epoch"], cols["node_idx"], cols["stack_idx"],
-            cols["current_id"], cols["thread"], cols["weight"],
-        )
-        for epoch, ni, si, current_id, thread, weight in rows:
-            lane = route[ni]
-            out = outs[lane]
-            nm = node_map[lane]
-            new_ni = nm.get(ni)
-            if new_ni is None:
-                name = self._nodes[ni]
-                new_ni = len(out._nodes)
-                out._nodes.append(name)
-                out._node_ids[name] = new_ni
-                nm[ni] = new_ni
-            sm = stack_map[lane]
-            new_si = sm.get(si)
-            if new_si is None:
-                stack = self._stacks[si]
-                new_si = len(out._stacks)
-                out._stacks.append(stack)
-                out._stack_ids[stack] = new_si
-                sm[si] = new_si
-            if weight != 1:
-                out._uniform = False
-            ocols = out._cols
-            ocols["epoch"].append(epoch)
-            ocols["node_idx"].append(new_ni)
-            ocols["stack_idx"].append(new_si)
-            ocols["current_id"].append(current_id)
-            ocols["thread"].append(thread)
-            ocols["weight"].append(weight)
-        return outs
+        picks: List[List[int]] = [[] for _ in range(lanes)]
+        for index, lane in enumerate(
+            map(route.__getitem__, self._cols["node_idx"])
+        ):
+            picks[lane].append(index)
+        return [self.select(indices) for indices in picks]
 
     def indices_of(self, key: GroupKey) -> List[int]:
         """Row indices of one group (failure triage; scans the batch)."""
@@ -449,7 +510,7 @@ class SampleBatch:
         parts = [
             _MAGIC,
             bytes([_VERSION]),
-            _HEADER.pack(len(self), len(nodes_blob), len(stacks_blob), 0),
+            _HEADER.pack(self.rows, len(nodes_blob), len(stacks_blob), 0),
             nodes_blob,
             stacks_blob,
         ]
@@ -473,12 +534,13 @@ class SampleBatch:
         if body[: len(_MAGIC)] != _MAGIC:
             raise ServiceError("not a sample-batch buffer (bad magic)")
         version = body[len(_MAGIC)]
-        if version != _VERSION:
+        columns = _VERSION_COLUMNS.get(version)
+        if columns is None:
             raise ServiceError(
                 f"unsupported sample-batch format version {version}"
             )
         offset = len(_MAGIC) + 1
-        samples, nodes_len, stacks_len, _ = _HEADER.unpack_from(body, offset)
+        rows, nodes_len, stacks_len, _ = _HEADER.unpack_from(body, offset)
         offset += _HEADER.size
         try:
             nodes = json.loads(body[offset:offset + nodes_len].decode("utf-8"))
@@ -489,7 +551,7 @@ class SampleBatch:
             offset += stacks_len
         except (ValueError, UnicodeDecodeError) as exc:
             raise ServiceError(f"corrupt sample-batch tables: {exc}") from exc
-        expected = offset + 8 * samples * len(_COLUMNS)
+        expected = offset + 8 * rows * len(columns)
         if len(body) != expected:
             raise ServiceError(
                 f"sample-batch column payload is {len(body) - offset} bytes, "
@@ -507,23 +569,26 @@ class SampleBatch:
                 f"corrupt sample-batch stack table: {exc!r}"
             ) from exc
         batch._stack_ids = {s: i for i, s in enumerate(batch._stacks)}
-        for name in _COLUMNS:
+        cols = batch._cols
+        cols["count"] = array("q", [1]) * rows
+        for name in columns:
             col = _int64_array()
-            col.frombytes(body[offset:offset + 8 * samples])
+            col.frombytes(body[offset:offset + 8 * rows])
             if sys.byteorder == "big":  # pragma: no cover - LE hosts
                 col.byteswap()
-            offset += 8 * samples
-            batch._cols[name] = col
-        weights = batch._cols["weight"]
-        if weights and min(weights) < 1:
-            raise ServiceError(
-                f"sample-batch weight {min(weights)} is below 1"
-            )
-        batch._uniform = all(w == 1 for w in weights)
-        for idx in batch._cols["node_idx"]:
+            offset += 8 * rows
+            cols[name] = col
+        for name in ("count", "weight"):
+            if rows and min(cols[name]) < 1:
+                raise ServiceError(
+                    f"sample-batch {name} {min(cols[name])} is below 1"
+                )
+        batch._uniform = max(cols["weight"], default=1) == 1
+        batch._samples = sum(cols["count"])
+        for idx in cols["node_idx"]:
             if not 0 <= idx < len(batch._nodes):
                 raise ServiceError(f"sample-batch node index {idx} is out of range")
-        for idx in batch._cols["stack_idx"]:
+        for idx in cols["stack_idx"]:
             if not 0 <= idx < len(batch._stacks):
                 raise ServiceError(f"sample-batch stack index {idx} is out of range")
         return batch
@@ -538,6 +603,7 @@ class SampleBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SampleBatch(samples={len(self)}, nodes={len(self._nodes)}, "
+            f"SampleBatch(samples={len(self)}, rows={self.rows}, "
+            f"nodes={len(self._nodes)}, "
             f"stacks={len(self._stacks)})"
         )

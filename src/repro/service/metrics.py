@@ -71,6 +71,7 @@ class ServiceMetrics:
         # Batch-first ingest (dotted names flatten to service.batch.*).
         "batch.submitted",
         "batch.samples",
+        "batch.rows",
         "batch.groups",
         "batch.dedup_saved",
     )

@@ -62,6 +62,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -473,6 +474,7 @@ class ContextService:
             return 0
         self.metrics.count("submitted", count)
         self.metrics.count("batch.samples", count)
+        self.metrics.count("batch.rows", batch.rows)
         self.metrics.observe_queue_depth(len(self._queue))
         if self._degraded:
             # The pool is retired: queueing would strand the samples, so
@@ -497,13 +499,15 @@ class ContextService:
 
         The returned callable has the ``sink(node, snapshot, probe)``
         shape :class:`~repro.runtime.collector.ContextCollector`
-        expects. It buffers each observation as four column entries
-        (node, stack object, ID, and its probe's plan epoch, so hot
-        swaps mid-buffer are safe; the epoch is resolved once per plan
-        and again after every install or renumbering of the engine's
-        epochs) and, whenever ``batch_max`` samples accumulate, packs
-        them with :meth:`SampleBatch.from_columns` and submits the
-        batch.
+        expects. It buffers observations as counted rows of five
+        columns (node, stack object, ID, its probe's plan epoch, and a
+        count; the epoch is resolved once per plan and again after every
+        install or renumbering of the engine's epochs, so hot swaps
+        mid-buffer are safe). An observation whose node (``==``), stack
+        object (``is``), ID and epoch equal the last row's adds one to
+        that row's count; any other appends a row. Whenever
+        ``batch_max`` samples accumulate it packs the rows with
+        :meth:`SampleBatch.from_columns` and submits the batch.
 
         ``batch_max`` defaults to half the queue,
         ``max(1, config.queue_capacity // 2)``: the largest batch that
@@ -524,10 +528,10 @@ class ContextService:
         If a submit fails with :class:`~repro.errors.ServiceError`, the
         error is re-raised with an ``unsubmitted`` attribute: the
         ``(node, snapshot)`` pairs of the failed batch that the service
-        never counted (empty for an overflow, whose samples the queue
-        or lanes counted as dropped). The sink's buffer is empty
-        afterwards, so every observation is submitted, carried by an
-        error, or still buffered (``buffered()``). Under
+        never counted, one per sample (empty for an overflow, whose
+        samples the queue or lanes counted as dropped). The sink's
+        buffer is empty afterwards, so every observation is submitted,
+        carried by an error, or still buffered (``buffered()``). Under
         ``drop-newest``, ``drop-oldest`` and ``error`` a refused
         hand-off loses its whole batch, each sample counted dropped.
         """
@@ -536,28 +540,44 @@ class ContextService:
         # (plan, engine generation, epoch) of the last resolved stamp.
         stamp = (None, -1, 0)
         lock = threading.Lock()
+        acquire, release = lock.acquire, lock.release
         nodes: list = []
         stacks: list = []
         ids: list = []
         epochs: list = []
-        columns = (nodes, stacks, ids, epochs)
+        counts: list = []
+        columns = (nodes, stacks, ids, epochs, counts)
         add_node, add_stack = nodes.append, stacks.append
-        add_id, add_epoch = ids.append, epochs.append
+        add_id, add_epoch, add_count = ids.append, epochs.append, counts.append
+        # The last row's fields and the samples buffered: an observation
+        # equal to the last row only bumps its count. After a take the
+        # last stack is a fresh object no snapshot holds, so the next
+        # observation opens a row.
+        fresh = object()
+        last_node = last_id = last_epoch = None
+        last_stack = fresh
+        held = 0
 
         def take():
+            nonlocal held, last_stack
             taken = tuple(column[:] for column in columns)
             for column in columns:
                 column.clear()
+            held = 0
+            last_stack = fresh
             return taken
 
         def submit(taken):
-            batch = SampleBatch.from_columns(*taken)
+            batch = SampleBatch.from_columns(*taken[:4], counts=taken[4])
             try:
                 self.submit_batch(batch)
             except ServiceError as exc:
                 exc.unsubmitted = (
                     [] if isinstance(exc, IngestOverflowError)
-                    else list(zip(taken[0], zip(taken[1], taken[2])))
+                    else list(chain.from_iterable(map(
+                        repeat, zip(taken[0], zip(taken[1], taken[2])),
+                        taken[4],
+                    )))
                 )
                 raise
 
@@ -568,7 +588,7 @@ class ContextService:
                 submit(taken)
 
         def _sink(node, snapshot, probe=None):
-            nonlocal stamp
+            nonlocal stamp, held, last_node, last_stack, last_id, last_epoch
             plan = getattr(probe, "plan", None)
             if plan is stamp[0] and engine.generation == stamp[1]:
                 epoch = stamp[2]
@@ -579,18 +599,33 @@ class ContextService:
                 )
                 stamp = (plan, generation, epoch)
             stack, current_id = snapshot
-            with lock:
-                add_node(node)
-                add_stack(stack)
-                add_id(current_id)
-                add_epoch(epoch)
-                if len(nodes) < limit:
+            acquire()
+            try:
+                if (
+                    stack is last_stack
+                    and current_id == last_id
+                    and node == last_node
+                    and epoch == last_epoch
+                ):
+                    counts[-1] += 1
+                else:
+                    add_node(node)
+                    add_stack(stack)
+                    add_id(current_id)
+                    add_epoch(epoch)
+                    add_count(1)
+                    last_node, last_stack = node, stack
+                    last_id, last_epoch = current_id, epoch
+                held += 1
+                if held < limit:
                     return
                 taken = take()
+            finally:
+                release()
             submit(taken)
 
         _sink.flush = flush
-        _sink.buffered = lambda: len(nodes)
+        _sink.buffered = lambda: held
         return _sink
 
     def flush(self, timeout: float = 30.0) -> None:
@@ -762,11 +797,12 @@ class ContextService:
 
     @staticmethod
     def _materialize(sources) -> List[Sample]:
-        """The actual samples behind a group's sources (failure path)."""
+        """The actual samples behind a group's sources (failure path),
+        each counted row once per sample."""
         return [
-            batch.sample(i)
+            sample
             for batch, key in sources
-            for i in batch.indices_of(key)
+            for sample in batch.samples_of(key)
         ]
 
     def _ingest_groups(self, groups: Dict[Tuple, list]) -> None:

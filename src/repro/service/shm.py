@@ -1,8 +1,8 @@
-"""Shared-memory batch lanes: fixed-slot rings carrying DPSB v1 records.
+"""Shared-memory batch lanes: fixed-slot rings carrying DPSB records.
 
 One :class:`ShmLane` is a single-producer / single-consumer ring over a
 ``multiprocessing.shared_memory`` block.  The parent process pushes
-``SampleBatch.to_bytes()`` payloads (the DPSB v1 wire form — magic,
+``SampleBatch.to_bytes()`` payloads (the DPSB v2 wire form — magic,
 version, columnar int64 payload, CRC32 trailer); exactly one decode
 worker pops them.  The lane adds its *own* integrity layer on top of the
 record's trailer: a per-slot sequence number (the consumer verifies the

@@ -5,7 +5,7 @@ Each worker owns a disjoint set of contexts — ownership is by sampled
 function name, routed with the stable :func:`~repro.service.batch.node_lane`
 hash, so a given function's samples always decode on the same worker —
 and is fed by its own :class:`~repro.service.shm.ShmLane` carrying DPSB
-v1 records (``SampleBatch.to_bytes``).  Inside, each worker builds a
+v2 records (``SampleBatch.to_bytes``).  Inside, each worker builds a
 private single-process :class:`~repro.service.service.ContextService`
 (tree, decode engine, dead-letter queue, optional per-worker segment
 writer) and drives it synchronously, one record at a time, so its
@@ -488,16 +488,15 @@ class ProcessWorkerPool:
 
     def _records(self, part: SampleBatch, capacity: int) -> List[tuple]:
         """``part`` as ``(payload, samples)`` DPSB records that each fit
-        a lane slot, halving it as needed; a lone sample too large for
-        any slot is ``(None, 1)``."""
+        a lane slot, halving it by rows as needed (counts kept); a lone
+        row too large for any slot is ``(None, its count)``."""
         payload = part.to_bytes()
-        if len(payload) <= capacity or len(part) <= 1:
+        if len(payload) <= capacity or part.rows <= 1:
             return [(payload if len(payload) <= capacity else None, len(part))]
-        rows = list(part)
-        half = len(rows) // 2
+        half = part.rows // 2
         return self._records(
-            SampleBatch.from_samples(rows[:half]), capacity
-        ) + self._records(SampleBatch.from_samples(rows[half:]), capacity)
+            part.select(range(half)), capacity
+        ) + self._records(part.select(range(half, part.rows)), capacity)
 
     def _push(self, lane, payload, samples: int, timeout, overflows) -> int:
         if payload is None:

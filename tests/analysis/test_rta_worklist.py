@@ -15,8 +15,8 @@ import pytest
 from repro.analysis import callgraph_builder
 from repro.analysis.callgraph_builder import (
     Policy,
-    _dispatch_targets,
     _instantiated_classes,
+    _world_targets,
     build_callgraph,
 )
 from repro.errors import DispatchError, ProgramError
@@ -39,6 +39,11 @@ from repro.workloads.specjvm import build_benchmark
 
 def reference_instantiated_classes(program, include_dynamic):
     """The round-based RTA: returns (instantiated, rounds, walks)."""
+    world = {
+        klass.name
+        for klass in program.classes
+        if include_dynamic or not klass.dynamic
+    }
     instantiated = set()
     reachable = {program.entry}
     rounds = walks = 0
@@ -57,8 +62,8 @@ def reference_instantiated_classes(program, include_dynamic):
                         instantiated.add(stmt.klass)
                         changed = True
                 elif isinstance(stmt, (StaticCall, VirtualCall)):
-                    for target in _dispatch_targets(
-                        program, stmt, instantiated, include_dynamic
+                    for target in _world_targets(
+                        program, stmt, instantiated, world
                     ):
                         if target not in reachable:
                             reachable.add(target)

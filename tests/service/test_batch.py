@@ -28,6 +28,21 @@ def make_batch():
     return batch
 
 
+def as_v1(batch):
+    """``batch`` (every count 1) in the version-1 wire form: no count
+    column, version byte 1."""
+    import struct
+    import zlib
+
+    assert len(batch) == batch.rows
+    body = batch.to_bytes()[:-4]
+    rows = batch.rows
+    # The count column sits just before the weight column.
+    start = len(body) - 16 * rows
+    body = b"DPSB\x01" + body[5:start] + body[start + 8 * rows:]
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 class TestConstruction:
     def test_append_and_len(self):
         batch = make_batch()
@@ -127,6 +142,81 @@ class TestGroups:
         assert len(batch.groups()) == 2
 
 
+class TestCountedRows:
+    """A row stands for ``count`` equal samples."""
+
+    def counted(self):
+        batch = SampleBatch()
+        batch.append("leaf", ((entry(),), 7), epoch=0, count=3)
+        batch.append("other", ((), 0), epoch=1, weight=2)
+        batch.append("leaf", ((entry(),), 7), epoch=0, count=2, thread=4)
+        return batch
+
+    def test_len_counts_samples_and_rows_counts_rows(self):
+        batch = self.counted()
+        assert (len(batch), batch.rows) == (6, 3)
+        assert batch.total_weight == 7
+
+    def test_iteration_expands_each_row(self):
+        samples = list(self.counted())
+        assert [s.node for s in samples] == ["leaf"] * 3 + ["other"] + ["leaf"] * 2
+        assert [s.thread for s in samples] == [0, 0, 0, 0, 4, 4]
+
+    def test_groups_sum_counts_and_weights(self):
+        batch = self.counted()
+        groups = batch.groups()
+        assert sorted(groups.values()) == [(1, 2), (5, 5)]
+        batch.append("leaf", ((entry(),), 7), epoch=0, count=4, weight=3)
+        assert sorted(batch.groups().values()) == [(1, 2), (9, 17)]
+
+    def test_counted_rows_group_like_their_samples(self):
+        batch = self.counted()
+        assert batch.groups() == SampleBatch.from_samples(batch).groups()
+
+    def test_samples_of_expands_a_group(self):
+        batch = self.counted()
+        (key,) = [k for k in batch.groups() if batch.node_of(k) == "leaf"]
+        assert batch.indices_of(key) == [0, 2]
+        assert [s.thread for s in batch.samples_of(key)] == [0, 0, 0, 4, 4]
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ServiceError, match="count"):
+            SampleBatch().append("n", ((), 0), epoch=0, count=0)
+        with pytest.raises(ServiceError, match="count"):
+            SampleBatch.from_columns(["n"], [()], [0], [0], counts=[-2])
+
+    def test_from_columns_counts_equal_counted_appends(self):
+        shared = (entry(),)
+        packed = SampleBatch.from_columns(
+            ["a", "b", "a"], [shared, (), shared], [1, 2, 1], [0, 0, 1],
+            counts=[4, 1, 2],
+        )
+        appended = SampleBatch()
+        appended.append("a", (shared, 1), epoch=0, count=4)
+        appended.append("b", ((), 2), epoch=0)
+        appended.append("a", (shared, 1), epoch=1, count=2)
+        assert packed == appended
+        assert (len(packed), packed.rows) == (7, 3)
+
+    def test_select_keeps_counts_and_reinterns(self):
+        batch = self.counted()
+        part = batch.select([1, 2])
+        assert (len(part), part.rows) == (3, 2)
+        assert part._nodes == ["other", "leaf"]
+        assert list(part) == list(batch)[3:]
+        assert not part._uniform
+        assert batch.select([0, 2])._uniform
+
+    def test_split_by_node_keeps_counts(self):
+        batch = self.counted()
+        for lanes in (1, 2, 3):
+            parts = batch.split_by_node(lanes)
+            assert sum(len(part) for part in parts) == len(batch)
+            assert sum(part.rows for part in parts) == batch.rows
+            for part in parts:
+                assert part.groups() == SampleBatch.from_samples(part).groups()
+
+
 class TestSerialization:
     def test_round_trip_equality(self):
         batch = make_batch()
@@ -195,6 +285,30 @@ class TestSerialization:
         with pytest.raises(ServiceError, match="weight"):
             SampleBatch.from_bytes(bytes(blob))
 
+    def test_count_below_one_rejected(self):
+        """A CRC-valid buffer whose count column holds -7 must not load:
+        it would subtract samples from the conservation law."""
+        import struct
+        import zlib
+
+        blob = bytearray(
+            SampleBatch().append("n", ((), 3), epoch=0).to_bytes()
+        )
+        # The count column is the 8 bytes before the weight column.
+        blob[-20:-12] = struct.pack("<q", -7)
+        body = bytes(blob[:-4])
+        blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(ServiceError, match="count"):
+            SampleBatch.from_bytes(bytes(blob))
+
+    def test_v1_buffer_reads_as_count_one(self):
+        batch = make_batch()
+        v1 = as_v1(batch)
+        assert v1[4] == 1 and batch.to_bytes()[4] == 2
+        loaded = SampleBatch.from_bytes(v1)
+        assert loaded == batch
+        assert (len(loaded), loaded.rows) == (4, 4)
+
     def test_unserializable_label_is_loud(self):
         bad = StackEntry(
             kind=EntryKind.RECURSION, node="n", saved_id=1,
@@ -206,7 +320,7 @@ class TestSerialization:
 
 
 # ----------------------------------------------------------------------
-# Wire-form round-trip audit (DPSB v1 is the shared-memory record; a
+# Wire-form round-trip audit (DPSB v2 is the shared-memory record; a
 # lossy or order-scrambling round trip would silently corrupt every
 # cross-process batch).
 # ----------------------------------------------------------------------
@@ -293,4 +407,35 @@ class TestRoundTripAudit:
         assert rebuilt.groups() == batch.groups()
         assert rebuilt._uniform == batch._uniform
         # Serialization is deterministic: same batch, same bytes.
+        assert rebuilt.to_bytes() == batch.to_bytes()
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(NASTY_NAMES + ["f", "g"]),  # node
+                st.integers(0, 2),        # stack variant
+                st.integers(0, 5),        # current_id
+                st.integers(1, 2 ** 31),  # count
+                st.integers(1, 4),        # weight
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counted_round_trip_is_identity(self, rows):
+        batch = SampleBatch()
+        for node, variant, current_id, count, weight in rows:
+            stack = tuple(
+                nasty_entry(node, label=j) for j in range(variant)
+            )
+            batch.append(
+                node, (stack, current_id), epoch=0, weight=weight,
+                count=count,
+            )
+        rebuilt = SampleBatch.from_bytes(batch.to_bytes())
+        assert rebuilt == batch
+        assert (len(rebuilt), rebuilt.rows) == (len(batch), batch.rows)
+        assert len(batch) == sum(row[3] for row in rows)
+        assert rebuilt.groups() == batch.groups()
+        assert rebuilt.total_weight == sum(r[3] * r[4] for r in rows)
         assert rebuilt.to_bytes() == batch.to_bytes()

@@ -1,15 +1,20 @@
 """Golden sample batches: the DPSB bytes and the sink's packing are pinned.
 
-``golden/v1.dpsb`` is :func:`golden_batch` serialized: ANCHOR,
-RECURSION (with its call site) and UCP entries (with the expected SID
-and the resume fields), a stack shared by several samples, the empty
-stack, two epochs, a thread tag and one weight above 1. Any change to
+``golden/v1.dpsb`` is :func:`golden_batch` serialized by the version-1
+writer: ANCHOR, RECURSION (with its call site) and UCP entries (with the
+expected SID and the resume fields), a stack shared by several samples,
+the empty stack, two epochs, a thread tag and one weight above 1. It
+must still load, each row as count 1.
+
+``golden/v2.dpsb`` is :func:`golden_rows` serialized: the same seven
+samples with the two equal consecutive ``Tree.walk`` observations
+folded into one row of count 2, as the sink folds them. Any change to
 the packer or the wire form that moves a byte fails here.
 
 The sink test runs a seeded collector on an encoding-all plan with
 anchors (multi-piece stacks) and checks that every batch
-``ContextService.batch_sink`` submits is byte-identical to packing the
-same observations one ``SampleBatch.append`` at a time.
+``ContextService.batch_sink`` submits is byte-identical to appending
+each run of equal consecutive observations once, with its count.
 """
 
 import hashlib
@@ -26,6 +31,7 @@ from repro.workloads.specjvm import build_benchmark
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 V1_SHA256 = "0c384d7bb618c8e7ad27e4d980ad57c4a5d02cad7df3bdac24e99525513d8b1d"
+V2_SHA256 = "561ea3e4baaa60d0c1de1620e4ea0918e4e4696f901d15a220d9ffa5954c3201"
 
 ANCHOR = StackEntry(kind=EntryKind.ANCHOR, node="Main.main", saved_id=0)
 RECURSION = StackEntry(
@@ -58,17 +64,40 @@ def golden_batch():
     return batch
 
 
+def golden_rows():
+    """The samples of :func:`golden_batch` as the sink packs them: one
+    row per run of equal consecutive observations."""
+    batch = SampleBatch()
+    batch.append("Main.main", ((ANCHOR,), 0), epoch=0)
+    batch.append("Tree.walk", ((ANCHOR, RECURSION), 5), epoch=0, count=2)
+    batch.append("Lib.cmp", ((ANCHOR, UCP), 3), epoch=0, thread=2)
+    batch.append("Lib.leaf", ((ANCHOR, UCP, INNER_ANCHOR), 11), epoch=1, weight=3)
+    batch.append("Tree.walk", ((ANCHOR, RECURSION), 6), epoch=1)
+    batch.append("Main.main", ((), 0), epoch=1)
+    return batch
+
+
 def sha256_of(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def test_packer_reproduces_the_v1_golden_bytes():
-    path = os.path.join(GOLDEN, "v1.dpsb")
-    assert sha256_of(path) == V1_SHA256
+def test_packer_reproduces_the_v2_golden_bytes():
+    path = os.path.join(GOLDEN, "v2.dpsb")
+    assert sha256_of(path) == V2_SHA256
     with open(path, "rb") as fh:
         data = fh.read()
-    assert golden_batch().to_bytes() == data
+    assert golden_rows().to_bytes() == data
+    loaded = SampleBatch.from_bytes(data)
+    assert loaded == golden_rows()
+    assert (len(loaded), loaded.rows, loaded.total_weight) == (7, 6, 9)
+    assert loaded.groups() == golden_batch().groups()
+    assert list(loaded) == list(golden_batch())
+
+
+def test_v1_golden_bytes_are_unchanged():
+    """The version-1 file stays as the version-1 writer left it."""
+    assert sha256_of(os.path.join(GOLDEN, "v1.dpsb")) == V1_SHA256
 
 
 def test_v1_golden_loads_the_expected_batch():
@@ -116,10 +145,27 @@ def test_sink_batches_match_per_sample_append():
     assert len(observed) > 3 * batch_max
     assert len(submitted) == -(-len(observed) // batch_max)
     assert any(len(stack) > 1 for _node, (stack, _id), _epoch in observed)
+    folded = 0
     for index, got in enumerate(submitted):
-        want = SampleBatch()
+        runs = []  # [node, snapshot, epoch, count] per run of equals
         for node, snapshot, epoch in observed[
             index * batch_max:(index + 1) * batch_max
         ]:
-            want.append(node, snapshot, epoch=epoch)
+            last = runs[-1] if runs else None
+            if (
+                last is not None
+                and snapshot[0] is last[1][0]
+                and snapshot[1] == last[1][1]
+                and node == last[0]
+                and epoch == last[2]
+            ):
+                last[3] += 1
+            else:
+                runs.append([node, snapshot, epoch, 1])
+        want = SampleBatch()
+        for node, snapshot, epoch, count in runs:
+            want.append(node, snapshot, epoch=epoch, count=count)
         assert got.to_bytes() == want.to_bytes()
+        assert len(got) == len(want) == sum(run[3] for run in runs)
+        folded += len(got) - got.rows
+    assert folded > 0

@@ -519,6 +519,50 @@ class TestPoolPlumbing:
             pool.stop(drain=False)
             pool.destroy()
 
+    def test_a_counted_part_splits_by_rows_and_keeps_the_law(
+        self, plan, snapshots
+    ):
+        """A counted part too large for one slot is halved by rows: the
+        records' sample counts sum to the part's, each row keeps its
+        count, and the lane queues every sample. A lone row too large
+        for any slot counts all of its samples dropped."""
+        pool = ProcessWorkerPool(plan, ServiceConfig(
+            worker_processes=1, shards=2, lane_slots=64,
+            lane_slot_bytes=1024,
+        ))  # never started: nothing drains the lane
+        try:
+            lane = pool._lanes[0]
+            capacity = lane.capacity_bytes
+            part = SampleBatch()
+            for i in range(40):
+                node, (stack, _id) = snapshots["ace" if i % 2 else "bcd"]
+                part.append(node, (stack, i), epoch=0, count=1 + i % 5)
+            assert len(part) == 120 and len(part.to_bytes()) > capacity
+            records = pool._records(part, capacity)
+            assert len(records) > 1
+            assert sum(samples for _payload, samples in records) == len(part)
+            loaded = [SampleBatch.from_bytes(p) for p, _n in records]
+            assert all(len(p) <= capacity for p, _n in records)
+            assert [len(b) for b in loaded] == [n for _p, n in records]
+            assert sum(b.rows for b in loaded) == part.rows
+            assert [s for b in loaded for s in b] == list(part)
+
+            assert pool.submit(part) == len(part)
+            assert (lane.queued_samples, lane.dropped) == (len(part), 0)
+            assert lane.pushed_records == len(records)
+
+            node, (stack, current_id) = snapshots["ace"]
+            deep = tuple(stack) * 60
+            huge = SampleBatch().append(node, (deep, current_id), epoch=0,
+                                        count=4)
+            assert pool._records(huge, capacity) == [(None, 4)]
+            assert pool.submit(huge) == 0
+            assert (lane.queued_samples, lane.dropped) == (len(part), 4)
+            assert lane.queued_samples + lane.dropped == len(part) + len(huge)
+        finally:
+            pool.stop(drain=False)
+            pool.destroy()
+
     def test_rejects_zero_processes(self, plan):
         with pytest.raises(ServiceError):
             ProcessWorkerPool(plan, ServiceConfig(worker_processes=0))
