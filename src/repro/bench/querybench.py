@@ -244,7 +244,9 @@ def _retention_study(smoke: bool, seed: int) -> Dict[str, object]:
     under segment/age caps after every flush. Tracks the segment-count
     and byte trajectories, and checks the conservation law
     ``live + retired == flushed`` on the capped store — retention may
-    delete history, never lose track of it.
+    delete history, never lose track of it. ``swap_write_amp`` is the
+    capped store's write amplification: the segment bytes its swaps
+    wrote over the segment bytes appended.
     """
     from repro.query.compact import (
         CompactionPolicy,
@@ -284,8 +286,9 @@ def _retention_study(smoke: bool, seed: int) -> Dict[str, object]:
         )
         seg_series: List[int] = []
         kb_series: List[float] = []
+        appended = 0
         for i, (state, _samples) in enumerate(streams):
-            store.append(state.encode())
+            appended += os.path.getsize(store.append(state.encode()))
             if compact:
                 compactor.compact(now=float(i + 1))
             seg_series.append(len(store.refresh()))
@@ -310,6 +313,11 @@ def _retention_study(smoke: bool, seed: int) -> Dict[str, object]:
             "live_samples": live,
             "retired_samples": retired,
             "compactions": compactor.compactions,
+            "appended_kb": round(appended / 1024.0, 1),
+            "swap_written_kb": round(compactor.bytes_written / 1024.0, 1),
+            "swap_write_amp": round(
+                compactor.bytes_written / max(1, appended), 3
+            ),
         }
 
     with tempfile.TemporaryDirectory(prefix="repro-qretain-") as tmp:

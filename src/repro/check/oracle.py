@@ -643,20 +643,24 @@ def _graph_paths(graph: CallGraph, limit: int = 48) -> List[Tuple[str, ...]]:
 
 def check_compaction(case: FuzzCase, observations: int = 24) -> List[str]:
     """Generation-swap oracle over a store built straight from the case
-    graph (no service threads).
+    graph (no service threads): a compacted segment of the first two
+    flushes beside the later deltas.
 
     Three directories, one invariant each:
 
-    * **equivalence** — a clean compaction (no retention) must not move
-      a byte of any canonical query answer, and must actually shrink a
-      multi-segment store to one file;
-    * **atomicity** — a swap crashed at a seed-sampled durable record,
-      then recovered by a fresh compactor, must answer exactly like the
-      old generation or the new one, never a mix;
-    * **conservation** — an age-based retention sweep must keep
-      ``live samples + retired totals == samples ever flushed``, and
-      the answers over the retained window must be byte-identical to
-      the pre-retention store over that same window.
+    * **equivalence** — a clean forced compaction (no retention) must
+      not move a byte of any canonical query answer, and must actually
+      shrink a multi-segment store to one file;
+    * **atomicity** — a tiered call (not forced, under a byte cap that
+      retires nothing: it merges the young deltas beside the compacted
+      segment) crashed at a seed-sampled durable record, then recovered
+      by a fresh compactor, must answer exactly like the old generation
+      or the new one, never a mix;
+    * **conservation** — a tiered age-based retention sweep (it trims
+      the compacted segment's oldest span and merges the deltas) must
+      keep ``live samples + retired totals == samples ever flushed``,
+      and the answers over the retained window must be byte-identical
+      to the pre-retention store over that same window.
     """
     from repro.query.compact import (
         CompactionPolicy,
@@ -674,7 +678,8 @@ def check_compaction(case: FuzzCase, observations: int = 24) -> List[str]:
     failures: List[str] = []
 
     def build(directory: str) -> float:
-        """Identical store every call: 2-4 delta segments, 10s windows."""
+        """Identical store every call: a flush per slice of the paths
+        over 10s windows, the first two merged by a forced swap."""
         tree = ShardedContextTree(2)
         clock = [100.0]
         writer = SegmentWriter(
@@ -682,12 +687,18 @@ def check_compaction(case: FuzzCase, observations: int = 24) -> List[str]:
         )
         rng = random.Random(case.seed ^ 0x0C7A)
         quarter = max(1, len(paths) // 4)
-        for lo in range(0, len(paths), quarter):
+        for flush, lo in enumerate(range(0, len(paths), quarter)):
             for path in paths[lo : lo + quarter]:
                 tree.add(path, epoch=0, weight=rng.randint(1, 9))
             clock[0] += 10.0
             writer.flush()
+            if flush == 1:
+                Compactor(writer.store).compact(now=clock[0], force=True)
         return clock[0]
+
+    young = CompactionPolicy(
+        min_inputs=2, retention=RetentionPolicy(max_bytes=1 << 40)
+    )
 
     with tempfile.TemporaryDirectory(prefix="repro-oracle-compact-") as tmp:
         # 1. equivalence -----------------------------------------------
@@ -721,9 +732,7 @@ def check_compaction(case: FuzzCase, observations: int = 24) -> List[str]:
                 )
 
         try:
-            Compactor(SegmentStore(torn)).compact(
-                now=now, fault=hook, force=True
-            )
+            Compactor(SegmentStore(torn), young).compact(now=now, fault=hook)
         except ChaosError:
             pass
         Compactor(SegmentStore(torn)).recover(now=now)
@@ -740,7 +749,7 @@ def check_compaction(case: FuzzCase, observations: int = 24) -> List[str]:
         aged_store = SegmentStore(aged)
         live_segs = aged_store.refresh()
         total = sum(seg.samples for seg in live_segs)
-        oldest_hi = min(seg.t_hi for seg in live_segs)
+        oldest_hi = min(hi for seg in live_segs for _lo, hi in seg.spans)
         cutoff = oldest_hi + 5.0  # mid-window: drops exactly the oldest
         window = (cutoff, now + 1.0)
         pre_topk = QueryEngine(aged).refresh().top_contexts(10, window=window)
@@ -750,7 +759,7 @@ def check_compaction(case: FuzzCase, observations: int = 24) -> List[str]:
                 min_inputs=2,
                 retention=RetentionPolicy(max_age_s=now - cutoff),
             ),
-        ).compact(now=now, force=True)
+        ).compact(now=now)
         aged_store.refresh()
         live = sum(seg.samples for seg in aged_store.segments())
         retired = sum(

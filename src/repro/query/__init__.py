@@ -33,8 +33,10 @@ reproducible after a crash: the chaos harness asserts byte-identical
 pre-crash / post-recover answers (see ``python -m repro chaos``).
 
 Unbounded runs stay bounded: :class:`~repro.query.compact.Compactor`
-merges accumulated delta segments into one cumulative multi-span
-segment (byte-identical answers, fewer files) and enforces a
+merges delta segments into multi-span segments (byte-identical
+answers, fewer files; under a byte or age cap a call that is not
+forced rewrites only the young deltas and the runs retention trims,
+leaving older compacted segments as they are) and enforces a
 :class:`~repro.query.compact.RetentionPolicy`
 (max_segments/max_bytes/max_age caps, counted tombstoned deletions)
 — every swap journaled so a SIGKILL at any byte leaves either the old

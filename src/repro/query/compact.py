@@ -4,8 +4,8 @@ The append-only store grows one delta segment per checkpoint tick,
 forever. This module folds that history back down without ever
 changing an answer:
 
-* **Compaction** merges N live segments into one cumulative segment.
-  The merged file keeps *one span per input* (see
+* **Compaction** merges live segments into cumulative segments. A
+  merged file keeps *one span per input span* (see
   :mod:`repro.query.segment`), so every windowed query — including the
   half-window and diff shapes the chaos oracle pins — sums exactly the
   same rows before and after: byte-identical answers, fewer files,
@@ -16,7 +16,30 @@ changing an answer:
   tombstone, and every removed *row* is added to the cumulative
   retired-totals sidecar (``retired-GGGGGGGG.dpqr``) so a recovered
   writer reconciling against the store does not re-emit history that
-  was deliberately dropped.
+  was deliberately dropped. Which spans retire is decided once per
+  call over all live spans, oldest first, whatever the layout.
+
+What a call rewrites depends on how it was asked:
+
+* **Full swap** — ``force=True`` (the CLI's ``--compact``), and every
+  call under a policy with no byte or age cap: all live segments merge
+  into one, less the retired spans.
+* **Tiered swaps** — a call that is not forced, under a byte or age
+  cap, rewrites only what changed. It plans runs of time-adjacent
+  segments, each becoming one output, and leaves every other file as
+  it is (:meth:`Compactor._tiers`):
+
+  1. the *trim run*, the segments holding a retired span: rewritten
+     with the spans they keep, or deleted with no rewrite when they
+     keep none;
+  2. the *young run*, the newest writer deltas (one span each, not
+     written by a swap: the manifest marks every swap's output), merged
+     once ``min_inputs`` of them have accumulated;
+  3. while more than ``max_segments`` files would remain, the adjacent
+     pair with the fewest rows, merged.
+
+  Each run is its own generation swap, the trim run's first; the
+  journal's ``inputs`` name only that run's segments.
 
 Every mutation is one **generation swap** executed under the exclusive
 :class:`~repro.query.locks.DirectoryLock`, each file written by the one
@@ -28,8 +51,9 @@ atomic writer of :mod:`repro.durable` (``docs/RESILIENCE.md``,
    the declaration "generation G+1 = these inputs → this output";
 3. write the merged output segment (temp/fsync/rename);
 4. commit: rewrite the manifest with ``generation = G+1``, the output
-   plus any segments appended mid-swap, and tombstones for the inputs
-   — the manifest rename *is* the commit point;
+   plus every live segment the swap did not take (untouched ones and
+   those appended mid-swap), and tombstones for the inputs — the
+   manifest rename *is* the commit point;
 5. delete the input files (skipping any a live reader pin still
    protects — deferred deletions stay tombstoned and are retried),
    then remove the journal.
@@ -39,7 +63,10 @@ generation or the new one, never a blend: before the commit rename the
 old manifest still rules and readers quarantine the journal's
 uncommitted output; after it the inputs are tombstoned. The next
 mutator (or :meth:`Compactor.recover`) rolls the journal forward when
-its output validates completely, backward otherwise.
+its output validates completely, backward otherwise. A call that
+commits several swaps keeps the sidecar the manifest named when the
+call began until the next call, as a single swap keeps its previous
+one: a reader refreshed before the call may still resolve that name.
 
 A swap spells no path. Planning reads each live segment's integer
 columns (``pids``, ``counts``, ``span_rows``); a span is its segment and
@@ -553,6 +580,64 @@ class _Span:
         ]
 
 
+def _span_order(span: _Span) -> Tuple[float, float, int]:
+    """Oldest first: the order retention drops spans in and a merged
+    segment lists them in."""
+    return (span.t_lo, span.t_hi, span.seg.seq)
+
+
+@dataclass(eq=False)
+class _Run:
+    """Live segments one swap takes: ``retained`` becomes its output
+    (none when empty) and ``dropped`` is retired. A run the planner
+    leaves as it is (``rewrite`` false) is one untouched segment."""
+
+    inputs: List[Segment]
+    retained: List[_Span]
+    dropped: List[_Span] = field(default_factory=list)
+    rewrite: bool = True
+
+    @property
+    def rows(self) -> int:
+        return sum(len(span.rows) for span in self.retained)
+
+    def __add__(self, other: "_Run") -> "_Run":
+        return _Run(
+            self.inputs + other.inputs,
+            sorted(self.retained + other.retained, key=_span_order),
+            self.dropped + other.dropped,
+        )
+
+
+class _Steps:
+    """One monotonically increasing record count across every durable
+    step of a call, so a crash-matrix test can sweep "kill after record
+    N" through *all* of its swaps. ``fault`` is called with it."""
+
+    def __init__(self, fault: Optional[Callable[[int], None]]):
+        self.fault = fault
+        self.n = 0
+
+    def hook(self) -> Optional[Callable[[int], None]]:
+        """A :func:`~repro.durable.write_records` fault hook counting on
+        from here, or None without a fault."""
+        if self.fault is None:
+            return None
+        start = self.n
+
+        def _hook(n: int) -> None:
+            self.n = max(self.n, start + n)
+            self.fault(start + n)
+
+        return _hook
+
+    def point(self) -> None:
+        """One step that writes no record (either side of a commit)."""
+        self.n += 1
+        if self.fault is not None:
+            self.fault(self.n)
+
+
 def _merged_segment(retained: List[_Span], fingerprint: str) -> EncodedSegment:
     """The compacted segment of ``retained``: one span per input span,
     rows in span-major order, every input trie mapped into one output
@@ -612,6 +697,10 @@ class Compactor:
         self.dropped_spans = 0
         self.dropped_rows = 0
         self.dropped_samples = 0
+        #: Bytes of every output segment written, summed over calls.
+        self.bytes_written = 0
+        #: Live segments the last call that ran left as they were.
+        self.untouched = 0
 
     # ------------------------------------------------------------------
     @property
@@ -631,6 +720,8 @@ class Compactor:
             "dropped_spans": self.dropped_spans,
             "dropped_rows": self.dropped_rows,
             "dropped_samples": self.dropped_samples,
+            "bytes_written": self.bytes_written,
+            "untouched": self.untouched,
         }
 
     # ------------------------------------------------------------------
@@ -755,12 +846,20 @@ class Compactor:
         fault: Optional[Callable[[int], None]] = None,
         force: bool = False,
     ) -> Optional[dict]:
-        """Run one swap if due; returns a report dict or None.
+        """Run the swaps that are due; returns a report dict or None.
 
         ``fault`` (chaos) is called with a monotonically increasing
-        record count across every durable step of the swap — raising
+        record count across every durable step of the call — raising
         from it models a SIGKILL at that byte. ``force`` overrides the
-        due-ness policy (the CLI's ``--compact``).
+        due-ness policy and makes the call one full swap (the CLI's
+        ``--compact``); see the module docs for what a call that is
+        not forced rewrites.
+
+        The report sums the call's ``swaps``: ``from_generation`` and
+        ``to_generation`` bound them, ``inputs`` and ``outputs`` list
+        every segment taken and written (``output_seq`` is the last
+        output), ``bytes_written`` is the outputs' file bytes, and
+        ``untouched`` counts the live segments left as they were.
 
         Raises :class:`~repro.query.locks.LockHeldError` when another
         live mutator holds the directory lock.
@@ -775,11 +874,11 @@ class Compactor:
             self._recover_locked(now, lock)
             self._sweep_deletions(now)
             live = self.store.refresh()
-            plan = self._plan(live, now, force)
-            if plan is None:
+            runs = self._plan(live, now, force)
+            if not runs:
                 self.skipped_not_due += 1
                 return None
-            report = self._execute(plan, lock, fault, now)
+            report = self._run(runs, live, lock, fault, now)
         except LockHeldError:
             raise
         except BaseException:
@@ -789,7 +888,7 @@ class Compactor:
         finally:
             lock.release()
         report["duration_us"] = (time.perf_counter() - start) * 1e6
-        obs.counter("query.compactions").inc()
+        obs.counter("query.compactions").inc(report["swaps"])
         obs.histogram("query.compaction_us").observe_us(
             report["duration_us"]
         )
@@ -798,16 +897,17 @@ class Compactor:
     # ------------------------------------------------------------------
     def _plan(
         self, live: List[Segment], now: float, force: bool
-    ) -> Optional[dict]:
+    ) -> List[_Run]:
+        """The swaps this call runs, in order; empty when none is due."""
         if not live:
-            return None
+            return []
         retention = self.policy.retention
         spans = [
             _Span(t_lo=lo, t_hi=hi, seg=seg, rows=bucket)
             for seg in live
             for (lo, hi), bucket in zip(seg.spans, seg.span_rows)
         ]
-        spans.sort(key=lambda s: (s.t_lo, s.t_hi, s.seg.seq))
+        spans.sort(key=_span_order)
         total_bytes = 0
         for seg in live:
             try:
@@ -835,6 +935,10 @@ class Compactor:
                 drop_n += 1
         dropped, retained = spans[:drop_n], spans[drop_n:]
 
+        if not force and (
+            retention.max_bytes is not None or retention.max_age_s is not None
+        ):
+            return self._tiers(live, spans, drop_n)
         over_files = (
             retention.max_segments is not None
             and len(live) > retention.max_segments
@@ -848,50 +952,126 @@ class Compactor:
             force or dropped or merge_worthy or over_files or over_bytes
         )
         if not due:
-            return None
+            return []
         if not dropped and len(live) <= 1:
-            return None  # a single already-compacted segment: no-op
-        return {
-            "live": live,
-            "retained": retained,
-            "dropped": dropped,
-            "now": now,
-        }
+            return []  # a single already-compacted segment: no-op
+        return [_Run(list(live), retained, dropped)]
 
-    def _execute(
+    def _tiers(
+        self, live: List[Segment], spans: List[_Span], drop_n: int
+    ) -> List[_Run]:
+        """The tiered swaps over ``live``, whose oldest ``drop_n`` of
+        ``spans`` (in :func:`_span_order`) retire: the trim run, the
+        young run and the file-cap merges of the module docs, each
+        segment in at most one. The trim run goes first; every segment
+        no run takes stays as it is."""
+        order = sorted(live, key=lambda seg: (seg.t_lo, seg.t_hi, seg.seq))
+        trimmed = {span.seg.seq for span in spans[:drop_n]}
+        young: Set[int] = set()
+        for seg in reversed(order):
+            if (
+                seg.seq in trimmed
+                or seg.seq in self.store.compacted
+                or len(seg.spans) != 1
+            ):
+                break
+            young.add(seg.seq)
+        if len(young) < self.policy.min_inputs:
+            young = set()
+        kept: Dict[int, List[_Span]] = {seg.seq: [] for seg in live}
+        for span in spans[drop_n:]:
+            kept[span.seg.seq].append(span)
+
+        trim = _Run([], [], spans[:drop_n]) if trimmed else None
+        deltas = _Run([], []) if young else None
+        runs = [run for run in (trim, deltas) if run is not None]
+        for seg in order:
+            if seg.seq in trimmed:
+                run = trim
+            elif seg.seq in young:
+                run = deltas
+            else:
+                run = _Run([], [], rewrite=False)
+                runs.append(run)
+            run.inputs.append(seg)
+            run.retained.extend(kept[seg.seq])
+        if trim is not None:
+            trim.retained.sort(key=_span_order)
+        # The files left afterwards, oldest first.
+        files = sorted(
+            (run for run in runs if run.retained),
+            key=lambda run: min(map(_span_order, run.retained)),
+        )
+        cap = self.policy.retention.max_segments
+        while cap is not None and len(files) > cap:
+            i = min(
+                range(len(files) - 1),
+                key=lambda i: (files[i].rows + files[i + 1].rows, i),
+            )
+            pair = files[i] + files[i + 1]
+            if trim is not None and trim in files[i:i + 2]:
+                trim = pair
+            files[i:i + 2] = [pair]
+        first = [trim] if trim is not None else []
+        return first + [
+            run for run in files if run.rewrite and run is not trim
+        ]
+
+    def _run(
         self,
-        plan: dict,
+        runs: List[_Run],
+        live: List[Segment],
         lock: DirectoryLock,
         fault: Optional[Callable[[int], None]],
         now: float,
     ) -> dict:
-        live: List[Segment] = plan["live"]
-        retained: List[_Span] = plan["retained"]
-        dropped: List[_Span] = plan["dropped"]
+        """Execute ``runs`` as one generation swap each and sum their
+        reports (see :meth:`compact`)."""
+        steps = _Steps(fault)
+        # Readers refreshed before the call may resolve the sidecar the
+        # manifest named then, whichever swap of the call retires it.
+        keep = {self.store.retired_name} - {None}
+        reports = [
+            self._execute(run, lock, steps, now, keep) for run in runs
+        ]
+        taken = {seg.seq for run in runs for seg in run.inputs}
+        self.untouched = sum(1 for seg in live if seg.seq not in taken)
+        outputs = [
+            r["output_seq"] for r in reports if r["output_seq"] is not None
+        ]
+        report = {
+            "from_generation": reports[0]["from_generation"],
+            "to_generation": reports[-1]["to_generation"],
+            "swaps": len(reports),
+            "inputs": sorted(taken),
+            "outputs": outputs,
+            "output_seq": outputs[-1] if outputs else None,
+            "untouched": self.untouched,
+        }
+        for key in (
+            "spans", "rows", "dropped_spans", "dropped_rows",
+            "dropped_samples", "deleted", "deferred", "bytes_written",
+        ):
+            report[key] = sum(r[key] for r in reports)
+        return report
+
+    def _execute(
+        self,
+        run: _Run,
+        lock: DirectoryLock,
+        steps: _Steps,
+        now: float,
+        keep: Set[str],
+    ) -> dict:
+        """One generation swap: ``run.inputs`` become the segment of
+        ``run.retained`` (none when empty), ``run.dropped`` is retired.
+        ``keep`` names retired sidecars to spare beside this swap's
+        previous and new one."""
+        inputs, retained, dropped = run.inputs, run.retained, run.dropped
         from_gen = self.store.generation
         to_gen = from_gen + 1
         output_seq = self.store.next_seq() if retained else None
-
-        # One monotonically increasing record count across every
-        # durable step, so a crash-matrix test can sweep "kill after
-        # record N" through the *whole* swap.
-        progress = {"n": 0}
-
-        def stepped():
-            if fault is None:
-                return None
-            start = progress["n"]
-
-            def _hook(n: int, _start=start):
-                progress["n"] = max(progress["n"], _start + n)
-                fault(_start + n)
-
-            return _hook
-
-        def point():
-            progress["n"] += 1
-            if fault is not None:
-                fault(progress["n"])
+        stepped, point = steps.hook, steps.point
 
         # 1. retired totals (cumulative: prior retirements + new drops)
         prev_retired: Optional[str] = self.store.retired_name
@@ -910,7 +1090,7 @@ class Compactor:
             "from_generation": from_gen,
             "to_generation": to_gen,
             "inputs": [
-                [seg.seq, len(seg.pids), seg.samples] for seg in live
+                [seg.seq, len(seg.pids), seg.samples] for seg in inputs
             ],
             "output_seq": output_seq,
             "retired": retired,
@@ -922,12 +1102,14 @@ class Compactor:
 
         # 3. the merged output segment (one span per retained input)
         output: List[Segment] = []
+        written = 0
         if retained:
-            newest = max(live, key=lambda s: s.seq)
+            newest = max(inputs, key=lambda s: s.seq)
             output = [self.store.write(
                 output_seq, _merged_segment(retained, newest.fingerprint),
                 fault=stepped(),
             )]
+            written = os.path.getsize(output[0].path)
 
         # 4. commit — the manifest rename is the point of no return
         point()
@@ -936,7 +1118,7 @@ class Compactor:
                 f"directory lock on {self.directory!r} was broken "
                 "mid-swap (lease expired?); aborting before commit"
             )
-        input_seqs = {seg.seq for seg in live}
+        input_seqs = {seg.seq for seg in inputs}
         tombstones = self._merge_tombstones(
             self.store.tombstones, intent["inputs"], to_gen
         )
@@ -952,7 +1134,7 @@ class Compactor:
         except OSError:  # pragma: no cover - unlink raced recovery
             pass
         self._prune_retired(
-            {name for name in (prev_retired, retired) if name is not None}
+            keep | {name for name in (prev_retired, retired) if name}
         )
         fsync_dir(self.directory)
 
@@ -960,8 +1142,11 @@ class Compactor:
         self.dropped_spans += len(dropped)
         self.dropped_rows += drop_rows
         self.dropped_samples += drop_samples
+        self.bytes_written += written
         if drop_rows:
             obs.counter("query.retention_dropped_rows").inc(drop_rows)
+        if written:
+            obs.counter("query.compaction_bytes_written").inc(written)
         return {
             "from_generation": from_gen,
             "to_generation": to_gen,
@@ -974,6 +1159,7 @@ class Compactor:
             "dropped_samples": drop_samples,
             "deleted": deleted,
             "deferred": deferred,
+            "bytes_written": written,
         }
 
     def _write_retired(

@@ -18,7 +18,8 @@ Manifest format: the line records, footer and atomic replace of
     header    {"kind": "manifest", "version": 2, "segments": N,
                "generation": G, "tombstones": M, "retired": name|null}
     segment   {"kind": "segment", "seq", "t_lo", "t_hi", "rows",
-               "samples", "fingerprint"}   (one per live segment)
+               "samples", "fingerprint"[, "compacted": true]}
+                                           (one per live segment)
     tombstone {"kind": "tombstone", "seq", "rows", "samples",
                "reason", "generation"}     (one per counted deletion)
     footer    {"kind": "footer", "records": N+M+2}
@@ -30,7 +31,10 @@ or retention deleted. A tombstoned seq whose file still exists (its
 deletion was deferred for a pinned reader, or the deleting process
 died first) is *not* re-adopted by the scan; nothing is ever deleted
 silently. Version-1 manifests load as generation 0 with no
-tombstones.
+tombstones. ``"compacted": true`` marks a segment a generation swap
+wrote, so the compactor never takes it for one of the writer's deltas
+(a swap's output can hold one span too); a manifest without it marks
+none.
 
 :class:`SegmentStore` is the single writer/reader of one directory:
 ``append`` assigns the next sequence number, writes the segment
@@ -61,7 +65,9 @@ import hashlib
 import os
 import threading
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro import obs
 from repro.durable import load_records, sweep_temp_files, write_records
@@ -141,8 +147,10 @@ def write_manifest(
     tombstones: Sequence[dict] = (),
     retired: Optional[str] = None,
     fault: Optional[Callable[[int], None]] = None,
+    compacted: Collection[int] = (),
 ) -> str:
-    """Atomically (re)write the manifest describing ``segments``.
+    """Atomically (re)write the manifest describing ``segments``, the
+    seqs in ``compacted`` marked as a swap's outputs.
 
     The rename of the temp file onto ``manifest.dpqm`` is the *commit
     point* of a generation swap: a crash anywhere before it leaves the
@@ -168,6 +176,7 @@ def write_manifest(
             "rows": len(seg.pids),
             "samples": seg.samples,
             "fingerprint": seg.fingerprint,
+            **({"compacted": True} if seg.seq in compacted else {}),
         }
         for seg in segments
     ]
@@ -228,6 +237,14 @@ def load_manifest_info(directory: str) -> Optional[dict]:
     }
 
 
+def _compacted_seqs(info: dict) -> Set[int]:
+    """The seqs a parsed manifest marks as a generation swap's outputs."""
+    return {
+        entry["seq"] for entry in info["entries"]
+        if entry.get("compacted") is True
+    }
+
+
 def load_manifest(directory: str) -> Optional[List[dict]]:
     """The manifest's segment entries, or None when it cannot be trusted."""
     info = load_manifest_info(directory)
@@ -246,6 +263,8 @@ class SegmentStore:
         self.generation = 0
         self.tombstones: List[dict] = []
         self.retired_name: Optional[str] = None
+        #: Seqs of the live segments a generation swap wrote.
+        self.compacted: Set[int] = set()
         self.tombstone_skips = 0
         self.quarantined = 0
         #: (sidecar name, its rows) as last loaded or written.
@@ -352,6 +371,7 @@ class SegmentStore:
                 self.generation = generation
                 self.tombstones = list(info["tombstones"])
                 self.retired_name = info["retired"]
+                self.compacted = _compacted_seqs(info)
             skip = journal_quarantine(self.directory, generation)
             dead = {int(t["seq"]) for t in self.tombstones}
             listing = self._listing()
@@ -513,6 +533,7 @@ class SegmentStore:
                 tombstones=self.tombstones,
                 retired=self.retired_name,
                 fault=fault,
+                compacted=self.compacted,
             )
             obs.gauge("query.segments").set(len(self._segments))
             obs.gauge("query.segment_rows").set(
@@ -540,7 +561,9 @@ class SegmentStore:
         atomic commit. ``retired_rows``, the swap's validated read-back
         of the sidecar ``retired``, becomes the retired cache; without
         it, rows cached for that same sidecar (carried forward
-        unchanged) stay, and the cache is otherwise cleared.
+        unchanged) stay, and the cache is otherwise cleared. The
+        manifest marks ``add_segments`` compacted, beside the survivors
+        marked already.
         """
         with self._lock:
             drop = {int(s) for s in drop_seqs}
@@ -549,6 +572,11 @@ class SegmentStore:
             have = {seg.seq for seg in survivors}
             cached = self._segments
             if cached is None:
+                # Never refreshed (a restarted process rolling a journal
+                # forward): the marks come from the manifest.
+                info = load_manifest_info(self.directory)
+                if info is not None:
+                    self.compacted = _compacted_seqs(info)
                 cached = []
                 for seq, path in self._listing():
                     if seq in drop or seq in dead or seq in have:
@@ -562,13 +590,18 @@ class SegmentStore:
                 survivors.append(seg)
                 have.add(seg.seq)
             survivors.sort(key=lambda s: s.seq)
+            compacted = {seg.seq for seg in add_segments} | {
+                seg.seq for seg in survivors if seg.seq in self.compacted
+            }
             write_manifest(
                 self.directory,
                 survivors,
                 generation=int(generation),
                 tombstones=tombstones,
                 retired=retired,
+                compacted=compacted,
             )
+            self.compacted = compacted
             self.generation = int(generation)
             self.tombstones = list(tombstones)
             self.retired_name = retired

@@ -478,23 +478,29 @@ def kill_during_flush_failures(
 def kill_during_compaction_failures(
     seed: int = 0, observations: int = 32
 ) -> List[str]:
-    """Chaos oracle: SIGKILL at *every byte* of a generation swap.
+    """Chaos oracle: SIGKILL at *every byte* of a tiered compaction.
 
-    Builds a store of several delta segments, then sweeps the crash
-    point across every durable record the compactor writes (retired
+    The service writes six delta windows; between them the first two
+    are merged by a full swap (``C1``) and the next two by a tiered
+    young-run swap (``C2``), so the store ends as ``C1``, ``C2`` and two
+    deltas. The swept call is not forced and runs under an age cap that
+    retires ``C1``'s oldest span: it trims ``C1`` and merges the two
+    deltas, two generation swaps, and leaves ``C2`` alone. The crash
+    point is swept across every durable record the call writes (retired
     sidecar lines, intent-journal records, merged-segment lines, the
-    manifest commit), with an age-based retention cap armed so the swap
-    also deletes history. After each crash a fresh compactor — the
-    restarted process — recovers, and two invariants are asserted at
+    manifest commits). After each crash a fresh compactor — the
+    restarted process — recovers, and three invariants are asserted at
     every point:
 
     * **all-or-nothing**: the durable answers are byte-identical either
-      to the pre-swap store (the journal rolled the swap back) or to a
-      clean uninterrupted swap's result (it rolled forward) — never a
-      mix of generations;
+      to the pre-call store (the journal rolled the swap back) or to a
+      clean uninterrupted call's result (a swap rolled forward, or the
+      crash fell between the two swaps, whose second changes no
+      answer) — never a mix of generations;
     * **retained-row conservation**: live samples plus the retired
       sidecar's deleted totals equal every sample ever flushed, so
-      retention deletes are counted, never silent.
+      retention deletes are counted, never silent;
+    * **untouched means untouched**: ``C2``'s file keeps its bytes.
 
     Returns a list of failure strings (empty = the invariants held).
     """
@@ -524,7 +530,8 @@ def kill_during_compaction_failures(
         return []  # this seed's graph does not fit; nothing to test
     rng = random.Random(seed ^ 0xC09A)
     obs_list = _collect_observations(plan, rng, observations)
-    if len(obs_list) < 4:
+    windows = 6
+    if len(obs_list) < windows:
         return []
     failures: List[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-killcompact-") as tmp:
@@ -533,18 +540,26 @@ def kill_during_compaction_failures(
             plan,
             ServiceConfig(workers=1, shards=2, segment_dir=segment_dir),
         ).start()
-        # Four delta segments with distinct windows, so the swap has
+        # Six delta segments with distinct windows, so the swaps have
         # real spans to merge and retention has an oldest span to drop.
-        quarter = max(1, len(obs_list) // 4)
-        for lo in range(0, len(obs_list), quarter):
+        for part in range(windows):
+            lo = len(obs_list) * part // windows
+            hi = len(obs_list) * (part + 1) // windows
             service.submit_batch(
                 SampleBatch.from_observations(
-                    obs_list[lo : lo + quarter], epoch=service.epoch
+                    obs_list[lo:hi], epoch=service.epoch
                 )
             )
             service.flush(timeout=30.0)
-            time.sleep(0.002)  # keep the four windows disjoint
+            time.sleep(0.002)  # keep the windows disjoint
             service.flush_segments()
+            if part == 1:
+                service.compact_segments(force=True)
+            elif part == 3:
+                Compactor(SegmentStore(segment_dir), CompactionPolicy(
+                    min_inputs=2,
+                    retention=RetentionPolicy(max_bytes=1 << 40),
+                )).compact()
         service.stop(timeout=30.0)
 
         def store_totals(store: SegmentStore) -> Tuple[int, int]:
@@ -559,21 +574,29 @@ def kill_during_compaction_failures(
         live0, retired0 = store_totals(base)
         total_samples = live0 + retired0
         segs = sorted(base.segments(), key=lambda s: s.t_lo)
-        if len(segs) < 2:
-            return []  # degenerate seed: nothing to compact
+        if [len(seg.spans) for seg in segs] != [2, 2, 1, 1]:
+            return [f"compaction chaos store has layout "
+                    f"{[len(seg.spans) for seg in segs]}, not C1, C2 and "
+                    f"two deltas"]
+        untouched = segs[1]
+        with open(untouched.path, "rb") as fh:
+            untouched_bytes = fh.read()
         now = max(s.t_hi for s in segs) + 1.0
-        # Age the oldest span out: cutoff lands just past the oldest
-        # segment's t_hi, so the swap both merges and deletes.
-        retention = RetentionPolicy(max_age_s=now - segs[0].t_hi - 1e-6)
+        # Age the oldest span out: cutoff lands just past its t_hi, so
+        # the call both trims and merges.
+        retention = RetentionPolicy(
+            max_age_s=now - segs[0].spans[0][1] - 1e-6
+        )
         policy = CompactionPolicy(min_inputs=2, retention=retention)
 
-        # A clean uninterrupted swap on a copy of the directory: the
-        # roll-forward target every crashed swap must converge to.
+        # A clean uninterrupted call on a copy of the directory: the
+        # roll-forward target every crashed call must converge to.
         clean_dir = os.path.join(tmp, "clean")
         shutil.copytree(segment_dir, clean_dir)
-        Compactor(SegmentStore(clean_dir), policy).compact(
-            now=now, force=True
-        )
+        report = Compactor(SegmentStore(clean_dir), policy).compact(now=now)
+        if report is None or report["swaps"] != 2 or report["untouched"] != 1:
+            return [f"compaction chaos call did not trim and merge beside "
+                    f"one untouched segment: {report}"]
         post_answers = canonical_query_answers(QueryEngine(clean_dir).refresh())
         pre_answers = canonical_query_answers(
             QueryEngine(segment_dir).refresh()
@@ -589,15 +612,19 @@ def kill_during_compaction_failures(
             return hook
 
         for point in range(256):  # far past any real record count
-            compactor = Compactor(SegmentStore(segment_dir), policy)
+            # Every point starts from the store before the call, so the
+            # sweep reaches each record of both swaps.
+            directory = os.path.join(tmp, f"crash-{point}")
+            shutil.copytree(segment_dir, directory)
+            compactor = Compactor(SegmentStore(directory), policy)
             try:
-                compactor.compact(now=now, fault=crash_after(point), force=True)
+                compactor.compact(now=now, fault=crash_after(point))
                 crashed = False
             except ChaosError:
                 crashed = True
             # The restarted process: a fresh compactor resolves any
             # half-done swap before anything reads the directory.
-            recovered = Compactor(SegmentStore(segment_dir), policy)
+            recovered = Compactor(SegmentStore(directory), policy)
             recovered.recover(now=now)
             live, retired = store_totals(recovered.store)
             if live + retired != total_samples:
@@ -606,23 +633,34 @@ def kill_during_compaction_failures(
                     f"retired {retired} != flushed {total_samples}"
                 )
                 break
+            with open(
+                os.path.join(directory, os.path.basename(untouched.path)),
+                "rb",
+            ) as fh:
+                if fh.read() != untouched_bytes:
+                    failures.append(
+                        f"crash point {point}: the untouched segment "
+                        f"{untouched.seq} changed"
+                    )
+                    break
             answers = canonical_query_answers(
-                QueryEngine(segment_dir).refresh()
+                QueryEngine(directory).refresh()
             )
             if query_equivalence_failures(
                 pre_answers, answers
             ) and query_equivalence_failures(post_answers, answers):
                 failures.append(
                     f"crash point {point}: recovered answers match neither "
-                    f"the old generation nor the new one"
+                    f"the old store nor the compacted one"
                 )
                 break
             if not crashed:
                 break
+            shutil.rmtree(directory)
         else:
             failures.append("compaction crash sweep never completed a swap")
         if not failures:
-            final = canonical_query_answers(QueryEngine(segment_dir).refresh())
+            final = canonical_query_answers(QueryEngine(directory).refresh())
             failures.extend(
                 f"completed swap diverged from the clean swap: {f}"
                 for f in query_equivalence_failures(post_answers, final)

@@ -187,6 +187,9 @@ class DeltaPathProbe(Probe):
             )
             self._stale = True
             self._id = 0
+            depth = len(self._stack)
+            if depth > self.max_stack_depth:
+                self.max_stack_depth = depth
             if self.cpt:
                 self._call_records.append(
                     (_REC, self._expected_sid, self._expected_key)
@@ -278,10 +281,11 @@ class DeltaPathProbe(Probe):
             # to this (executing) function.
             replaced = self._owner[-1]
             self._owner[-1] = (node, True)
+        elif flags:
+            depth = len(self._stack)
+            if depth > self.max_stack_depth:
+                self.max_stack_depth = depth
         self._frames.append((flags, replaced))
-        depth = len(self._stack)
-        if depth > self.max_stack_depth:
-            self.max_stack_depth = depth
 
     def exit_function(self, node: str) -> None:
         if not self.cpt:
@@ -410,6 +414,7 @@ class DeltaPathProbe(Probe):
         # All checks passed: commit atomically.
         self._bind_plan(update.plan)
         self._stack = list(remapped.stack)
+        self.max_stack_depth = max(self.max_stack_depth, len(self._stack))
         self._stale = True
         self._id = remapped.current_id
         self._call_records = new_records

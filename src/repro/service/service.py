@@ -160,8 +160,9 @@ class ServiceConfig:
     #: Run the segment compactor after every N successful
     #: CheckpointDaemon segment flushes (0 disables automatic
     #: compaction; :meth:`ContextService.compact_segments` still works
-    #: on demand). Each run merges accumulated delta segments into one
-    #: cumulative generation and applies the retention caps below.
+    #: on demand). Each run applies the retention caps below; under a
+    #: byte or age cap it rewrites only the runs that changed, else
+    #: it merges every live segment into one cumulative generation.
     compact_every: int = 0
     #: Retention caps enforced at compaction time (None = unbounded):
     #: live segment-file count, live on-disk bytes, and span age in
@@ -1098,15 +1099,18 @@ class ContextService:
     def compact_segments(
         self, force: bool = True, fault=None
     ) -> Optional[dict]:
-        """Run one generation swap over the segment store.
+        """Compact the segment store under the configured retention caps.
 
-        Merges accumulated delta segments into one cumulative segment
-        and applies the configured retention caps; returns the
-        compactor's report dict, or None when nothing was due
-        (``force=False``). Chaos compaction faults are threaded
-        through so a swap can "crash" at any byte like every other
-        durable write. Raises :class:`QueryError` when no
-        ``segment_dir`` is configured.
+        ``force=True`` (the default) is one full swap: every live
+        segment merges into one cumulative segment, less the spans
+        retention retires. ``force=False`` runs only what is due, and
+        under a byte or age cap rewrites only the runs that changed
+        (the trimmed oldest run, the young deltas, file-cap merges;
+        see :mod:`repro.query.compact`), each its own generation swap.
+        Returns the compactor's report dict, or None when nothing was
+        due. Chaos compaction faults are threaded through so a swap
+        can "crash" at any byte like every other durable write. Raises
+        :class:`QueryError` when no ``segment_dir`` is configured.
         """
         if self._compactor is None:
             raise QueryError(
@@ -1118,7 +1122,8 @@ class ContextService:
         return self._compactor.compact(fault=fault, force=force)
 
     def maybe_compact_segments(self) -> Optional[dict]:
-        """CheckpointDaemon hook: compact every ``compact_every`` flushes.
+        """CheckpointDaemon hook: compact every ``compact_every`` flushes
+        (not forced: :meth:`compact_segments` with ``force=False``).
 
         Returns the report of a swap that ran, else None. Never raises
         for "not configured" — the daemon calls this unconditionally.
